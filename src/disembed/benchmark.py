@@ -11,6 +11,7 @@ from .data import Dataset, generate_splits, load_dataset
 from .errors import DisembedError
 from .evaluation import (
     EvalReport,
+    _normalize_rows,
     auc_tags,
     build_prototypes,
     retrieval_recall,
@@ -69,13 +70,7 @@ def evaluate_model(
         protos = build_prototypes(
             embed(model.net, train_ds.features), train_ds.labels
         )
-        U = E_test / np.maximum(
-            np.linalg.norm(E_test, axis=1, keepdims=True), 1e-12
-        )
-        P = protos / np.maximum(
-            np.linalg.norm(protos, axis=1, keepdims=True), 1e-12
-        )
-        scores = U @ P.T
+        scores = _normalize_rows(E_test) @ _normalize_rows(protos).T
     else:
         scores = class_scores(
             model.net, model.bank, test_ds.features, variant.score_variant()
@@ -107,7 +102,7 @@ def evaluate_model(
     return report
 
 
-def run_benchmark(config: ExperimentConfig, parallel: bool = False) -> dict:
+def run_benchmark(config: ExperimentConfig) -> dict:
     """Train every variant, evaluate all tasks, and assemble the report set.
 
     A failed variant is recorded in its report; the rest continue.
@@ -130,13 +125,7 @@ def run_benchmark(config: ExperimentConfig, parallel: bool = False) -> dict:
             log.error("variant %s failed: %s", variant.name, exc)
             return EvalReport(variant=variant.to_dict(), error=str(exc))
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(run_one, config.variants))
-    else:
-        reports = [run_one(v) for v in config.variants]
+    reports = [run_one(v) for v in config.variants]
 
     timings = {
         v.name: r.wall_seconds

@@ -27,8 +27,6 @@ from .model import embed, masked_embed
 from .reports import render_table1, render_table2, render_table3
 from .trainer import load_model, save_curves, save_model, train
 
-log = logging.getLogger(__name__)
-
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
@@ -111,9 +109,7 @@ def cmd_evaluate(args) -> int:
 def cmd_benchmark(args) -> int:
     config = _load_config(args)
     out = _outdir(config)
-    result = run_benchmark(config, parallel=args.parallel)
-    if args.parallel:
-        log.warning("--parallel distorts the training-time ratio column")
+    result = run_benchmark(config)
     notions = [n.name for n in config.space.notions]
     t1 = render_table1(result["reports"], config.eval_ks)
     t2 = render_table2(result["reports"], notions)
@@ -180,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="run the full variant benchmark")
     common(p)
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="train variants concurrently (distorts the time-ratio column)",
-    )
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("export-embeddings", help="dump embeddings as TSV")

@@ -15,6 +15,8 @@ from .labelspace import LabelSpace
 log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
+# rows of the similarity matrix ranked at once by retrieval_recall
+_RECALL_BLOCK = 256
 
 
 def _normalize_rows(E: np.ndarray) -> np.ndarray:
@@ -39,24 +41,60 @@ def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
     """Mean multi-label R@K over all queries with at least one label.
 
     Candidates are all other items, ranked by descending cosine similarity
-    with ties broken by ascending item index.  Zero-label queries are
-    excluded from the average (logged).
+    with ties broken by ascending item index, exactly as a stable sort of
+    every row would rank them.  K is clamped to n - 1, so a query never
+    retrieves itself.  Zero-label queries are excluded from the average
+    (logged); a ValueError is raised when no query has a label.
+
+    Memory: one n x n float64 similarity matrix, plus a partitioned copy of
+    one block of ``_RECALL_BLOCK`` rows at a time.
     """
-    E = _normalize_rows(np.asarray(embeddings, dtype=np.float64))
+    E = np.asarray(embeddings, dtype=np.float64)
+    if not np.isfinite(E).all():
+        raise ValueError("embeddings must be finite")
+    E = _normalize_rows(E)
     L = np.asarray(labels) > 0
     n = len(E)
-    sims = E @ E.T
-    np.fill_diagonal(sims, -np.inf)
-    order = np.argsort(-sims, axis=1, kind="stable")
-    valid = L.sum(axis=1) > 0
+    label_counts = L.sum(axis=1)
+    valid = label_counts > 0
+    if not valid.any():
+        raise ValueError("no query has a label to retrieve")
     if (~valid).any():
         log.info("excluding %d zero-label queries from R@K", int((~valid).sum()))
+    top = _top_neighbors(E, min(max(ks), n - 1))
     out = {}
     for k in ks:
-        covered = L[order[:, :k]].any(axis=1)
-        per_query = (L & covered).sum(axis=1) / np.maximum(L.sum(axis=1), 1)
+        covered = L[top[:, :k]].any(axis=1)
+        per_query = (L & covered).sum(axis=1) / np.maximum(label_counts, 1)
         out[int(k)] = float(per_query[valid].mean())
     return out
+
+
+def _top_neighbors(E: np.ndarray, kmax: int) -> np.ndarray:
+    """Indices of each row's ``kmax`` most similar other rows of ``E``, in
+    descending similarity with ties by ascending index.
+
+    The similarity matrix comes from one GEMM (a row-blocked product can
+    round tied similarities differently).  Per block of rows, everything at
+    or above the kmax-th largest similarity is a candidate; the candidates
+    are sorted by (row, -similarity, index) and the first kmax kept.
+    """
+    n = len(E)
+    top = np.empty((n, kmax), dtype=np.intp)
+    if kmax == 0:
+        return top
+    sims = E @ E.T
+    np.fill_diagonal(sims, -np.inf)
+    for start in range(0, n, _RECALL_BLOCK):
+        S = sims[start:start + _RECALL_BLOCK]
+        kth = np.partition(S, n - kmax, axis=1)[:, n - kmax, None]
+        rows, cols = np.nonzero(S >= kth)
+        order = np.lexsort((cols, -S[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        first = np.searchsorted(rows, rows)
+        keep = np.arange(len(rows)) - first < kmax
+        top[start:start + len(S)] = cols[keep].reshape(len(S), kmax)
+    return top
 
 
 def build_prototypes(embeddings, labels) -> np.ndarray:
@@ -121,6 +159,12 @@ def triplet_accuracy(
     dataset item; triplets index into them.  mode="sub" restricts each triplet
     to its notion's mask coordinates and requires a disentangled model.
     Ties count as incorrect.
+
+    Each cosine is dot(a, b) / (max(|a|, 1e-12) * max(|b|, 1e-12)), with the
+    dots and norms computed as batched vector products; these round exactly
+    as ``np.dot`` and ``np.linalg.norm`` on one triplet's vectors do.
+    Memory: the gathered anchor, positive and negative rows, three arrays
+    of len(triplets) x d float64.
     """
     if mode not in ("full", "sub"):
         raise ValueError(f"unknown space mode: {mode!r}")
@@ -135,20 +179,37 @@ def triplet_accuracy(
     triplets = list(triplets)
     if not triplets:
         raise ValueError("no triplets to evaluate")
+    index = np.array(
+        [(t.anchor, t.positive, t.negative) for t in triplets], dtype=np.intp
+    )
+    if mode == "full":
+        return _count_correct(E, index) / len(triplets)
+    notions = [t.notion for t in triplets]
+    if None in notions:
+        raise ConfigurationError("track triplets carry no notion")
+    notion_of = np.array(notions, dtype=object)
     correct = 0
-    for t in triplets:
-        ea, ep, en = E[t.anchor], E[t.positive], E[t.negative]
-        if mode == "sub":
-            if t.notion is None:
-                raise ConfigurationError("track triplets carry no notion")
-            sl = space.block_slice(t.notion)
-            ea, ep, en = ea[sl], ep[sl], en[sl]
-        na = max(np.linalg.norm(ea), _NORM_EPS)
-        cp = np.dot(ea, ep) / (na * max(np.linalg.norm(ep), _NORM_EPS))
-        cn = np.dot(ea, en) / (na * max(np.linalg.norm(en), _NORM_EPS))
-        if cp > cn:
-            correct += 1
+    for notion in dict.fromkeys(notions):
+        group = index[notion_of == notion]
+        correct += _count_correct(E[:, space.block_slice(notion)], group)
     return correct / len(triplets)
+
+
+def _count_correct(E: np.ndarray, index: np.ndarray) -> int:
+    """Number of (anchor, positive, negative) rows of ``index`` whose anchor
+    is strictly closer in cosine to the positive than to the negative."""
+    A, P, N = (E[index[:, j]] for j in range(3))
+    na = np.maximum(np.sqrt(_row_dots(A, A)), _NORM_EPS)
+    cp = _row_dots(A, P) / (na * np.maximum(np.sqrt(_row_dots(P, P)), _NORM_EPS))
+    cn = _row_dots(A, N) / (na * np.maximum(np.sqrt(_row_dots(N, N)), _NORM_EPS))
+    return int(np.count_nonzero(cp > cn))
+
+
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products as a stack of (1, d) @ (d, 1) products, which
+    numpy computes with the same BLAS dot as ``np.dot`` on 1-D vectors
+    (``einsum`` and ``norm(axis=1)`` sum in another order)."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
 def training_time_ratio(timings: dict) -> dict:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from disembed import evaluation
 from disembed.errors import ConfigurationError
 from disembed.evaluation import (
     EvalReport,
@@ -57,6 +58,36 @@ def brute_recall(E, L, k):
     return float(np.mean(vals))
 
 
+def loop_triplet_accuracy(E, triplets, mode="full", space=None):
+    """Per-triplet cosine comparison, one triplet at a time."""
+    E = np.asarray(E, dtype=np.float64)
+    correct = 0
+    for t in triplets:
+        ea, ep, en = E[t.anchor], E[t.positive], E[t.negative]
+        if mode == "sub":
+            sl = space.block_slice(t.notion)
+            ea, ep, en = ea[sl], ep[sl], en[sl]
+        na = max(np.linalg.norm(ea), 1e-12)
+        cp = np.dot(ea, ep) / (na * max(np.linalg.norm(ep), 1e-12))
+        cn = np.dot(ea, en) / (na * max(np.linalg.norm(en), 1e-12))
+        correct += bool(cp > cn)
+    return correct / len(triplets)
+
+
+def tied_embeddings(rng, n, d=8):
+    """Rows with four entries of +-1 and the rest 0, some scaled by a power
+    of two, some duplicated, two all-zero: every cosine is an exact multiple
+    of 1/4, so equal cosines are equal floats however they are computed."""
+    E = np.zeros((n, d))
+    for row in E:
+        row[rng.choice(d, size=4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    E *= 2.0 ** rng.integers(0, 3, size=(n, 1))
+    dup = rng.choice(n, size=n // 4, replace=False)
+    E[dup] = E[rng.choice(n, size=len(dup))]
+    E[rng.choice(n, size=2, replace=False)] = 0.0
+    return E
+
+
 # --- recall ----------------------------------------------------------------
 
 
@@ -102,6 +133,50 @@ def test_retrieval_tie_break_is_by_index():
     got = retrieval_recall(E, L, [1])
     # query 0 retrieves item 1 (overlap 0), all others retrieve item 0
     assert got[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_retrieval_recall_clamps_k_to_other_items(n):
+    # the query itself (similarity -inf) is never retrieved, even for k >= n
+    rng = np.random.default_rng(n)
+    E = rng.normal(size=(n, 3))
+    L = np.eye(n)
+    ks = sorted({1, n - 1, n, n + 3} - {0})
+    got = retrieval_recall(E, L, ks)
+    assert got == {k: brute_recall(E, L, k) for k in ks}
+    assert got[n] == 0.0  # every query's one label is its own
+
+
+def test_retrieval_recall_single_item_retrieves_nothing():
+    assert retrieval_recall(np.ones((1, 3)), np.ones((1, 2)), [1, 2]) == {
+        1: 0.0, 2: 0.0}
+
+
+def test_retrieval_recall_without_labelled_query_raises():
+    E = np.random.default_rng(0).normal(size=(5, 3))
+    with pytest.raises(ValueError, match="no query has a label"):
+        retrieval_recall(E, np.zeros((5, 4)), [1])
+
+
+def test_retrieval_recall_rejects_non_finite_embeddings():
+    E = np.ones((4, 3))
+    E[2, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        retrieval_recall(E, np.eye(4), [1])
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_retrieval_recall_exact_under_ties_across_blocks(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(evaluation, "_RECALL_BLOCK", block)
+    n = evaluation._RECALL_BLOCK + 45  # a partial last block
+    rng = np.random.default_rng(41)
+    E = tied_embeddings(rng, n)
+    L = (rng.random((n, 10)) < 0.2).astype(float)
+    L[5] = 0.0  # a zero-label query stays a candidate
+    ks = [1, 2, 5]
+    got = retrieval_recall(E, L, ks)
+    assert got == {k: brute_recall(E, L, k) for k in ks}
 
 
 # --- AUC -------------------------------------------------------------------
@@ -216,6 +291,36 @@ def test_triplet_accuracy_ties_are_incorrect(small_space):
     E = np.ones((3, 8))  # all cosines identical -> every comparison ties
     triplets = [Triplet(0, 1, 2, None, "color", "tag")]
     assert triplet_accuracy(E, triplets, mode="full") == 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triplet_accuracy_equals_loop_on_near_ties(seed, small_space):
+    rng = np.random.default_rng(seed)
+    n = 40
+    # near-collinear rows of very different scales: cosines tie to within
+    # a few ulps, so any change of summation order flips some comparisons
+    base = rng.normal(size=8)
+    E = (base + 1e-9 * rng.normal(size=(n, 8))) * rng.exponential(size=(n, 1))
+    E[:10] = tied_embeddings(rng, 10)
+    E[3] = 0.0
+    triplets = make_triplets(300, np.arange(n), rng, notion="color")
+    triplets += make_triplets(300, np.arange(n), rng, notion="shape")
+    rng.shuffle(triplets)
+    full = triplet_accuracy(E, triplets, mode="full")
+    sub = triplet_accuracy(
+        E, triplets, mode="sub", space=small_space, disentangled=True
+    )
+    assert full == loop_triplet_accuracy(E, triplets)
+    assert sub == loop_triplet_accuracy(E, triplets, "sub", small_space)
+    assert 0.0 < full < 1.0 and 0.0 < sub < 1.0
+
+
+def test_sub_mode_rejects_track_triplets(small_space):
+    E = np.random.default_rng(0).normal(size=(4, 8))
+    t = [Triplet(0, 1, 2, None, "color", "tag"),
+         Triplet(1, 2, 3, None, None, "track")]
+    with pytest.raises(ConfigurationError, match="no notion"):
+        triplet_accuracy(E, t, mode="sub", space=small_space, disentangled=True)
 
 
 def test_sub_mode_requires_disentangled(small_space):
