@@ -2,8 +2,13 @@
 
 The primitive set is deliberately small: matrix multiply, add, elementwise
 multiply, relu, sigmoid, natural log, guarded L2 normalization, clip, sum,
-mean, and dot product.  Every loss in this package is composed from these.
-All arithmetic is float64.
+mean, dot product, reshape, and concatenation.  Every loss in this package
+is composed from these.  All arithmetic is float64.  Backward passes skip the
+gradient of any parent that does not require one (inputs, masks, labels).
+
+Adam packs its parameters into one contiguous float64 vector: each
+parameter's ``values`` becomes a view of that vector, and a step is a few
+in-place ufuncs over it.
 """
 
 from __future__ import annotations
@@ -112,10 +117,12 @@ def mul(a, b) -> Tensor:
     out = a.values * b.values
 
     def backward(g):
-        return (
-            _unbroadcast(g * b.values, a.values.shape),
-            _unbroadcast(g * a.values, b.values.shape),
-        )
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g * b.values, a.values.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(g * a.values, b.values.shape)
+        return (ga, gb)
 
     return Tensor(out, _parents=(a, b), _backward=backward)
 
@@ -130,17 +137,24 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     out = av @ rhs
 
     def backward(g):
+        ga = gb = None
         if av.ndim == 2 and bv.ndim == 2:
-            ga = g @ rhs.T
-            grhs = av.T @ g
-            gb = grhs.T if transpose_b else grhs
+            if a.requires_grad:
+                ga = g @ rhs.T
+            if b.requires_grad:
+                grhs = av.T @ g
+                gb = grhs.T if transpose_b else grhs
         elif av.ndim == 2 and bv.ndim == 1:
-            ga = np.outer(g, bv)
-            gb = av.T @ g
+            if a.requires_grad:
+                ga = np.outer(g, bv)
+            if b.requires_grad:
+                gb = av.T @ g
         else:  # 1D @ 2D
-            ga = rhs @ g
-            grhs = np.outer(av, g)
-            gb = grhs.T if transpose_b else grhs
+            if a.requires_grad:
+                ga = rhs @ g
+            if b.requires_grad:
+                grhs = np.outer(av, g)
+                gb = grhs.T if transpose_b else grhs
         return (ga, gb)
 
     return Tensor(out, _parents=(a, b), _backward=backward)
@@ -222,6 +236,29 @@ def tmean(x) -> Tensor:
         return (np.ones_like(x.values) * (g / n),)
 
     return Tensor(out, _parents=(x,), _backward=backward)
+
+
+def reshape(x, shape) -> Tensor:
+    """The same values in a new shape (a view; row-major order)."""
+    x = as_tensor(x)
+    out = x.values.reshape(shape)
+
+    def backward(g):
+        return (g.reshape(x.values.shape),)
+
+    return Tensor(out, _parents=(x,), _backward=backward)
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    """Join tensors along ``axis``; the backward splits the gradient back."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    out = np.concatenate([t.values for t in tensors], axis=axis)
+    cuts = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
+
+    def backward(g):
+        return tuple(np.split(g, cuts, axis=axis))
+
+    return Tensor(out, _parents=tensors, _backward=backward)
 
 
 def l2_normalize(x) -> Tensor:
@@ -309,7 +346,13 @@ def grad(loss: Tensor, params) -> dict:
 
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict.
+
+    The parameters are packed, in dict order, into the contiguous vector
+    ``flat``; each parameter's ``values`` is rebound to a view of it, so a
+    copy of ``flat`` is a snapshot of every parameter and assigning into it
+    restores them.
+    """
 
     def __init__(self, params: dict, lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -318,13 +361,24 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        self.flat = np.empty(sum(p.values.size for p in params.values()))
+        self._slices = {}
+        start = 0
+        for k, p in params.items():
+            stop = start + p.values.size
+            view = self.flat[start:stop].reshape(p.values.shape)
+            view[...] = p.values
+            p.values = view
+            self._slices[k] = slice(start, stop)
+            start = stop
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._g = np.empty_like(self.flat)
+        self._num = np.empty_like(self.flat)
+        self._den = np.empty_like(self.flat)
 
     def step(self, grads: dict):
         """Apply one update.  ``grads`` maps parameter name to gradient array."""
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for k, p in self.params.items():
             g = np.asarray(grads[k], dtype=np.float64)
             if g.shape != p.values.shape:
@@ -332,11 +386,26 @@ class Adam:
                     f"gradient shape {g.shape} does not match parameter "
                     f"{k!r} of shape {p.values.shape}"
                 )
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            p.values = p.values - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self._g[self._slices[k]] = g.reshape(-1)
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        g, m, v, num, den = self._g, self.m, self.v, self._num, self._den
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g
+        m *= b1
+        np.multiply(g, 1 - b1, out=num)
+        m += num
+        v *= b2
+        np.multiply(g, 1 - b2, out=num)
+        num *= g
+        v += num
+        # flat -= lr * mhat / (sqrt(vhat) + eps)
+        np.divide(m, 1 - b1**self.t, out=num)
+        num *= self.lr
+        np.divide(v, 1 - b2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        self.flat -= num
 
 
 @dataclass

@@ -8,6 +8,7 @@ blocks, one per notion, in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,16 @@ class LabelSpace:
         v = np.zeros(self.embedding_dim)
         v[self.block_slice(notion)] = 1.0
         return Mask(notion, v)
+
+    @cached_property
+    def tag_block_mask(self) -> np.ndarray:
+        """Read-only (tags, d) 0/1 matrix whose row t is the mask of t's notion."""
+        m = np.zeros((self.num_tags, self.embedding_dim))
+        for notion in self.notions:
+            m[self.tag_indices_of_notion(notion.name),
+              self.block_slice(notion.name)] = 1.0
+        m.flags.writeable = False
+        return m
 
     def to_dict(self) -> dict:
         return {

@@ -6,11 +6,24 @@ the subdense head the full embedding is the concatenation of the sub-dense
 outputs in notion order.  The centroid bank holds one bias-free weight vector
 of length d per tag and serves as proxy and classification centroid
 interchangeably.
+
+Every score variant is one formula over the full pre-normalization embedding
+F, the centroid bank C and a fixed (tags, d) mask M:
+
+    S = sigmoid(N(F) @ (C * M).T)
+
+N is the identity (classification-plain), row L2 normalization (proxy,
+classification-normalized) or L2 normalization of each notion block
+(proxy-disentangled, classification-disentangled).  M is all ones, or for
+the disentangled variants the tag-by-dimension block mask that restricts
+each centroid to its own notion's block.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, GraphError
+from .errors import ConfigurationError
 from .labelspace import LabelSpace
 
 log = logging.getLogger(__name__)
@@ -87,21 +100,22 @@ class EmbeddingNet:
             h = ad.relu(ad.matmul(h, self.params[f"W{i}"]) + self.params[f"b{i}"])
         return h
 
-    def head_blocks(self, fnm1: Tensor) -> list[Tensor]:
-        """Per-notion relu head outputs, each of width d/G, in notion order."""
+    def head_blocks(self, fnm1: Tensor) -> Tensor:
+        """Sub-dense relu head outputs side by side, one (B, d) tensor.
+
+        Block g (width d/G, notion order) is relu(fnm1 @ H{g}); all blocks
+        come from one matmul against the H{g} joined column-wise.
+        """
         if self.config.head == "dense":
             raise ConfigurationError("head_blocks requires the subdense head")
-        return [
-            ad.relu(ad.matmul(fnm1, self.params[f"H{g}"]))
-            for g in range(self.space.num_notions)
-        ]
+        H = ad.concat([self.params[f"H{g}"] for g in range(self.space.num_notions)])
+        return ad.relu(ad.matmul(fnm1, H))
 
     def full_embedding(self, x) -> Tensor:
         """Pre-normalization full-space embedding as a graph tensor.
 
-        Only the dense head supports an in-graph full embedding; the subdense
-        head is consumed block-wise (see score_blocks) and concatenated only
-        in the numpy forward.
+        Only the dense head supports it; the subdense head's embedding is
+        ``head_blocks(backbone(x))``.
         """
         if self.config.head != "dense":
             raise ConfigurationError(
@@ -120,14 +134,15 @@ class EmbeddingNet:
         return h
 
     def _np_pre_embedding(self, X: np.ndarray) -> np.ndarray:
-        h = self._np_backbone(X)
         if self.config.head == "dense":
-            return np.maximum(h @ self.params["H"].values, 0.0)
-        blocks = [
-            np.maximum(h @ self.params[f"H{g}"].values, 0.0)
-            for g in range(self.space.num_notions)
-        ]
-        return np.concatenate(blocks, axis=-1)
+            H = self.params["H"].values
+        else:
+            H = np.concatenate(
+                [self.params[f"H{g}"].values
+                 for g in range(self.space.num_notions)],
+                axis=1,
+            )
+        return np.maximum(self._np_backbone(X) @ H, 0.0)
 
 
 class CentroidBank:
@@ -192,27 +207,20 @@ def masked_embed(net: EmbeddingNet, x, notion: str) -> np.ndarray:
     return E[0] if single else E
 
 
-def _selector(indices: np.ndarray, width: int) -> np.ndarray:
-    """One-hot selection matrix S with S[i, indices[i]] = 1."""
-    S = np.zeros((len(indices), width))
-    S[np.arange(len(indices)), indices] = 1.0
-    return S
-
-
 def score_blocks(
     net: EmbeddingNet, bank: CentroidBank, x, variant: str
 ) -> list[tuple[np.ndarray, Tensor]]:
-    """Graph-tensors of per-tag sigmoid scores, grouped into column blocks.
+    """Graph tensor of per-tag sigmoid scores as one all-tags block.
 
-    Returns (tag_indices, scores) pairs whose indices partition the tag set.
-    Non-disentangled variants yield a single block; disentangled variants
-    yield one block per notion so that each tag is scored in the subspace of
-    its own notion.
+    Returns ``[(arange(tags), S)]`` with ``S = sigmoid(N(F) @ (C * M).T)``
+    (see the module docstring): F is the net's full pre-normalization
+    embedding, N the variant's normalization (none, row L2 or per-notion
+    block L2) and M all ones or, for the disentangled variants, the tag-by-
+    dimension block mask, so each tag is scored in its own notion's block.
     """
     if variant not in SCORE_VARIANTS:
         raise ConfigurationError(f"unknown score variant: {variant!r}")
     space = net.space
-    C = bank.weights
     needs_subdense = variant == "classification-disentangled"
     if needs_subdense and net.config.head != "subdense":
         raise ConfigurationError(f"{variant} requires the subdense head")
@@ -220,60 +228,29 @@ def score_blocks(
         raise ConfigurationError(f"{variant} requires the dense head")
 
     x = ad.as_tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    all_tags = np.arange(space.num_tags)
-
-    if variant == "classification-plain":
+    if needs_subdense:
+        F = net.head_blocks(net.backbone(x))
+    else:
         F = net.full_embedding(x)
-        return [(all_tags, ad.sigmoid(ad.matmul(F, C, transpose_b=True)))]
-
-    if variant in ("proxy", "classification-normalized"):
-        U = ad.l2_normalize(net.full_embedding(x))
-        return [(all_tags, ad.sigmoid(ad.matmul(U, C, transpose_b=True)))]
-
-    if variant == "proxy-disentangled":
-        F = net.full_embedding(x)
-        blocks = []
-        for notion in space.notions:
-            mask = space.mask(notion.name).vector
-            tag_idx = space.tag_indices_of_notion(notion.name)
-            Um = ad.l2_normalize(ad.mul(F, Tensor(mask)))
-            rows = Tensor(_selector(tag_idx, space.num_tags))
-            Cm = ad.mul(ad.matmul(rows, C), Tensor(mask))
-            blocks.append((tag_idx, ad.sigmoid(ad.matmul(Um, Cm, transpose_b=True))))
-        return blocks
-
-    # classification-disentangled: sub-dense route (the canonical path)
-    fnm1 = net.backbone(x)
-    head = net.head_blocks(fnm1)
-    blocks = []
-    for g, notion in enumerate(space.notions):
-        tag_idx = space.tag_indices_of_notion(notion.name)
-        U = ad.l2_normalize(head[g])
-        rows = Tensor(_selector(tag_idx, space.num_tags))
-        cols = Tensor(
-            _selector(
-                np.arange(space.block_slice(notion.name).start,
-                          space.block_slice(notion.name).stop),
-                space.embedding_dim,
-            )
-        )
-        # restrict each centroid to its notion's mask support
-        Csub = ad.matmul(ad.matmul(rows, C), cols, transpose_b=True)
-        blocks.append((tag_idx, ad.sigmoid(ad.matmul(U, Csub, transpose_b=True))))
-    return blocks
+    C = bank.weights
+    if variant.endswith("-disentangled"):
+        rows = F.shape[0] * space.num_notions
+        blocks = ad.reshape(F, (rows, space.block_size))
+        F = ad.reshape(ad.l2_normalize(blocks), F.shape)
+        C = ad.mul(C, Tensor(space.tag_block_mask))
+    elif variant != "classification-plain":
+        F = ad.l2_normalize(F)
+    S = ad.sigmoid(ad.matmul(F, C, transpose_b=True))
+    return [(np.arange(space.num_tags), S)]
 
 
 def class_scores(
     net: EmbeddingNet, bank: CentroidBank, x, variant: str
 ) -> np.ndarray:
-    """Per-tag scores in (0, 1), assembled into a (N, tags) array."""
+    """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    out = np.zeros((X.shape[0], net.space.num_tags))
-    for tag_idx, block in score_blocks(net, bank, X, variant):
-        out[:, tag_idx] = block.values
-    return out[0] if single else out
+    [(_, S)] = score_blocks(net, bank, np.atleast_2d(x), variant)
+    return S.values[0] if x.ndim == 1 else S.values
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +283,40 @@ def save_params(path, params: dict[str, np.ndarray | Tensor]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
+    """Read a parameter file; any malformed, truncated or padded file, or a
+    non-finite value, raises ConfigurationError."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise ConfigurationError(f"{path}: truncated {what}")
+            return fh.read(n)
+
+        def unpack(fmt: str, what: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
         if fh.read(4) != _MAGIC:
             raise ConfigurationError(f"{path}: not a parameter file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = unpack("<II", "header")
         if version != _VERSION:
             raise ConfigurationError(f"{path}: unsupported version {version}")
         shapes = []
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            shapes.append((name, shape))
+            (nlen,) = unpack("<H", "header")
+            try:
+                name = read(nlen, "header").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{path}: bad parameter name") from exc
+            (ndim,) = unpack("<B", "header")
+            shapes.append((name, unpack(f"<{ndim}I", "header")))
         out = {}
         for name, shape in shapes:
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ConfigurationError(f"{path}: truncated payload for {name!r}")
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            buf = read(8 * math.prod(shape), f"payload for {name!r}")
+            values = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(values).all():
+                raise ConfigurationError(f"{path}: non-finite values in {name!r}")
+            out[name] = values
+        if fh.tell() != size:
+            raise ConfigurationError(f"{path}: trailing bytes after the payload")
         return out

@@ -253,13 +253,14 @@ def validation_loss(
             )
         return float(loss)
     # BCE families: mean per-sample loss over the whole split
-    blocks = score_blocks(
-        model.net, model.bank, valid_ds.features, variant.score_variant()
-    )
-    total = 0.0
-    for tag_idx, block in blocks:
-        total += bce_sum(block, valid_ds.labels[:, tag_idx]).item()
-    return total / len(valid_ds)
+    return _bce(model, valid_ds.features, valid_ds.labels).item() / len(valid_ds)
+
+
+def _bce(model: TrainedModel, X, Y) -> ad.Tensor:
+    """Summed BCE of the model's scores for X against labels Y: one score
+    graph and one loss call over all tags."""
+    [(_, S)] = score_blocks(model.net, model.bank, X, model.variant.score_variant())
+    return bce_sum(S, Y)
 
 
 def train(
@@ -288,7 +289,7 @@ def train(
     }
 
     best = math.inf
-    best_snapshot = {k: p.values.copy() for k, p in params.items()}
+    best_snapshot = adam.flat.copy()
     curves = []
     epochs_run = 0
     t0 = time.perf_counter()
@@ -333,14 +334,8 @@ def train(
                 _step(adam, params, loss)
                 batch_losses.append(loss.item())
         else:
-            sv = variant.score_variant()
             for X, Y in batch_iterator(train_ds, variant.batch_size, "sample", rng):
-                blocks = score_blocks(model.net, model.bank, X, sv)
-                loss = None
-                for tag_idx, block in blocks:
-                    term = bce_sum(block, Y[:, tag_idx])
-                    loss = term if loss is None else loss + term
-                loss = loss * (1.0 / len(X))
+                loss = _bce(model, X, Y) * (1.0 / len(X))
                 _step(adam, params, loss)
                 batch_losses.append(loss.item())
         train_loss = float(np.mean(batch_losses))
@@ -353,7 +348,7 @@ def train(
         epochs_run = epoch + 1
         if val_loss < best:
             best = val_loss
-            best_snapshot = {k: p.values.copy() for k, p in params.items()}
+            best_snapshot = adam.flat.copy()
         try:
             new_lr, stop = sched.update(val_loss)
         except TrainingDivergedError as exc:
@@ -366,8 +361,7 @@ def train(
             break
     seconds = time.perf_counter() - t0
 
-    for k, p in params.items():
-        p.values = best_snapshot[k]
+    adam.flat[:] = best_snapshot
     return TrainResult(model, seconds, epochs_run, curves, best)
 
 

@@ -164,6 +164,38 @@ def test_normalize_direction_invariance():
     assert np.abs(y1 - y0).max() < 1e-6
 
 
+def test_reshape_and_concat_gradients():
+    rng = np.random.default_rng(9)
+    A = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    B = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = rng.normal(size=(6, 3))
+
+    def build():
+        joined = ad.concat([A, B])  # (3, 6)
+        blocks = ad.l2_normalize(ad.reshape(joined, (6, 3)))
+        return ad.tsum(ad.sigmoid(ad.mul(ad.reshape(blocks, (3, 6)), w.T)))
+
+    check_gradient(build, {"A": A, "B": B}, tol=1e-5)
+
+
+def test_concat_values_and_axis():
+    a, b = np.arange(6.0).reshape(2, 3), np.arange(4.0).reshape(2, 2)
+    assert np.array_equal(ad.concat([a, b]).values, np.hstack([a, b]))
+    assert np.array_equal(ad.concat([a, a], axis=0).values, np.vstack([a, a]))
+    assert ad.reshape(a, (3, 2)).shape == (3, 2)
+
+
+def test_constant_parents_get_no_gradient():
+    # matmul and mul skip the gradient of a parent that needs none
+    W = Tensor(np.ones((2, 2)), requires_grad=True)
+    X = Tensor(np.ones((3, 2)))
+    for out in (ad.matmul(X, W), ad.matmul(W, X, transpose_b=True),
+                ad.mul(X, 2.0), ad.mul(3.0, X)):
+        grads = out._backward(np.ones_like(out.values))
+        for parent, g in zip(out._parents, grads):
+            assert (g is None) == (not parent.requires_grad)
+
+
 # --- graph mechanics ------------------------------------------------------
 
 
@@ -239,6 +271,53 @@ def test_adam_rejects_shape_mismatch():
     opt = Adam({"p": p})
     with pytest.raises(GraphError):
         opt.step({"p": np.zeros(3)})
+
+
+def reference_adam(values, grads, t, m, v, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook per-parameter update, one array at a time."""
+    for k in values:
+        g = grads[k]
+        m[k] = b1 * m[k] + (1 - b1) * g
+        v[k] = b2 * v[k] + (1 - b2) * g * g
+        mhat = m[k] / (1 - b1**t)
+        vhat = v[k] / (1 - b2**t)
+        values[k] = values[k] - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_packed_adam_is_bit_identical_to_per_parameter_update():
+    rng = np.random.default_rng(21)
+    shapes = {"W": (5, 3), "b": (3,), "s": (), "C": (4, 7)}
+    params = {k: Tensor(rng.normal(size=sh), requires_grad=True)
+              for k, sh in shapes.items()}
+    values = {k: p.values.copy() for k, p in params.items()}
+    m = {k: np.zeros(sh) for k, sh in shapes.items()}
+    v = {k: np.zeros(sh) for k, sh in shapes.items()}
+    opt = Adam(params, lr=0.03)
+    for t in range(1, 8):
+        if t == 5:
+            opt.lr = 0.006  # as the plateau schedule does
+        grads = {k: rng.normal(size=sh) * 10.0 ** rng.integers(-6, 3)
+                 for k, sh in shapes.items()}
+        opt.step(grads)
+        reference_adam(values, grads, t, m, v, opt.lr)
+        for k, p in params.items():
+            assert p.values.shape == shapes[k]
+            assert np.array_equal(p.values, values[k]), f"{k} at step {t}"
+
+
+def test_adam_parameters_are_views_of_one_vector():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.full(4, 2.0), requires_grad=True)
+    opt = Adam({"a": a, "b": b})
+    assert opt.flat.shape == (10,)
+    assert np.shares_memory(a.values, opt.flat)
+    assert np.shares_memory(b.values, opt.flat)
+    snapshot = opt.flat.copy()
+    opt.step({"a": np.ones((2, 3)), "b": -np.ones(4)})
+    assert not np.array_equal(opt.flat, snapshot)
+    opt.flat[:] = snapshot
+    assert np.array_equal(a.values, np.ones((2, 3)))
+    assert np.array_equal(b.values, np.full(4, 2.0))
 
 
 # --- plateau schedule -----------------------------------------------------

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from disembed import autodiff as ad
+from disembed.autodiff import Tensor
 from disembed.errors import ConfigurationError
 from disembed.labelspace import LabelSpace
+from disembed.losses import bce_sum
 from disembed.model import (
+    SCORE_VARIANTS,
     CentroidBank,
     EmbeddingNet,
     NetConfig,
@@ -16,6 +20,7 @@ from disembed.model import (
     load_params,
     masked_embed,
     save_params,
+    score_blocks,
 )
 
 
@@ -231,6 +236,83 @@ def test_subdense_has_no_full_graph_embedding(small_space):
         dense.head_blocks(dense.backbone(np.zeros((1, 6))))
 
 
+def test_score_blocks_is_one_all_tags_block(small_space, rng):
+    dense, bank = make_net(small_space)
+    sub = subdense_from_dense(dense, small_space)
+    X = rng.normal(size=(3, 6))
+    for variant in SCORE_VARIANTS:
+        net = sub if variant == "classification-disentangled" else dense
+        [(tags, S)] = score_blocks(net, bank, X, variant)
+        assert np.array_equal(tags, np.arange(small_space.num_tags))
+        assert S.shape == (3, small_space.num_tags)
+
+
+def _selector(indices, width):
+    """One-hot selection matrix S with S[i, indices[i]] = 1."""
+    S = np.zeros((len(indices), width))
+    S[np.arange(len(indices)), indices] = 1.0
+    return S
+
+
+def reference_disentangled_blocks(net, bank, X, variant):
+    """Per-notion scoring, one graph chain per notion: the notion's tags
+    against the L2-normalized notion block, centroids cut to the block by
+    one-hot selector matmuls.  Returns (tag indices, scores) per notion."""
+    space = net.space
+    x = Tensor(X)
+    C = bank.weights
+    blocks = []
+    for g, notion in enumerate(space.notions):
+        tags = space.tag_indices_of_notion(notion.name)
+        rows = Tensor(_selector(tags, space.num_tags))
+        if variant == "proxy-disentangled":
+            mask = Tensor(space.mask(notion.name).vector)
+            U = ad.l2_normalize(ad.mul(net.full_embedding(x), mask))
+            Cg = ad.mul(ad.matmul(rows, C), mask)
+        else:
+            h = ad.relu(ad.matmul(net.backbone(x), net.params[f"H{g}"]))
+            U = ad.l2_normalize(h)
+            dims = np.arange(space.embedding_dim)[space.block_slice(notion.name)]
+            cols = Tensor(_selector(dims, space.embedding_dim))
+            Cg = ad.matmul(ad.matmul(rows, C), cols, transpose_b=True)
+        blocks.append((tags, ad.sigmoid(ad.matmul(U, Cg, transpose_b=True))))
+    return blocks
+
+
+@pytest.mark.parametrize("dead_notion", [None, 0, 1])
+def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion):
+    for seed in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+        dense, bank = make_net(small_space, seed=seed)
+        if dead_notion is not None:
+            # a zero notion block takes the normalization guard path
+            cut = small_space.block_slice(small_space.notions[dead_notion].name)
+            dense.params["H"].values[:, cut] = 0.0
+        sub = subdense_from_dense(dense, small_space)
+        X = rng.normal(size=(5, 6))
+        Y = (rng.random((5, small_space.num_tags)) < 0.5).astype(float)
+        for net, variant in ((dense, "proxy-disentangled"),
+                             (sub, "classification-disentangled")):
+            params = [*net.params.values(), bank.weights]
+            [(_, S)] = score_blocks(net, bank, X, variant)
+            got = ad.grad(bce_sum(S, Y), params)
+            ref_S = np.zeros_like(S.values)
+            ref_loss = None
+            for tags, block in reference_disentangled_blocks(net, bank, X,
+                                                             variant):
+                ref_S[:, tags] = block.values
+                term = bce_sum(block, Y[:, tags])
+                ref_loss = term if ref_loss is None else ref_loss + term
+            want = ad.grad(ref_loss, params)
+            assert np.abs(S.values - ref_S).max() < 1e-12
+            if dead_notion is not None:
+                tags = small_space.tag_indices_of_notion(
+                    small_space.notions[dead_notion].name)
+                assert np.array_equal(S.values[:, tags], np.full((5, 2), 0.5))
+            for p in params:
+                assert np.abs(got[p] - want[p]).max() < 1e-12
+
+
 # --- parameter files -------------------------------------------------------
 
 
@@ -260,4 +342,39 @@ def test_param_file_rejects_truncation(small_space, tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ConfigurationError):
+        load_params(path)
+
+
+def _small_param_file(small_space, tmp_path):
+    net, bank = make_net(small_space, hidden=(3,))
+    path = tmp_path / "small.params"
+    save_params(path, {"b0": net.params["b0"], "C": bank.weights})
+    return path, path.read_bytes()
+
+
+def test_param_file_rejects_every_truncation(small_space, tmp_path):
+    path, data = _small_param_file(small_space, tmp_path)
+    assert set(load_params(path)) == {"b0", "C"}
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ConfigurationError):
+            load_params(path)
+
+
+def test_param_file_rejects_trailing_bytes(small_space, tmp_path):
+    path, data = _small_param_file(small_space, tmp_path)
+    for extra in (b"\x00", b"\x00" * 8):
+        path.write_bytes(data + extra)
+        with pytest.raises(ConfigurationError, match="trailing"):
+            load_params(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_param_file_rejects_non_finite_values(small_space, tmp_path, bad):
+    net, bank = make_net(small_space)
+    weights = bank.weights.values.copy()
+    weights[1, 2] = bad
+    path = tmp_path / "bad.params"
+    save_params(path, {"C": weights})
+    with pytest.raises(ConfigurationError, match="non-finite"):
         load_params(path)

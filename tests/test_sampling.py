@@ -92,6 +92,38 @@ def test_tag_sampling_is_two_stage_uniform(small_space):
         assert abs(c - n / 3) < 200, f"{tag}: {c}"
 
 
+def reference_tag_triplet(sampler, rng, notion=None):
+    """Tag triplet drawn with rng.choice for the negative as well."""
+    tags = sampler.sampleable if notion is None else sampler.by_notion[notion]
+    tag = tags[rng.integers(len(tags))]
+    a, p = rng.choice(sampler.pos[tag], size=2, replace=False)
+    n = rng.choice(sampler.neg[tag])
+    return Triplet(int(a), int(p), int(n), tag, sampler.space.notion_of(tag),
+                   "tag")
+
+
+def test_tag_triplets_match_rng_choice_reference(small_space):
+    items = [
+        Item(f"i{k}", f"tr{k // 2}", np.zeros(4),
+             small_space.multi_hot(tags))
+        for k, tags in enumerate(
+            [["red", "round"], ["blue", "square"], ["red", "square"],
+             ["blue", "round"], ["red", "round"], ["blue", "square"],
+             ["red", "square"]] * 3)
+    ]
+    sampler = TripletSampler(Dataset(items, small_space))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for i in range(60):
+            # interleave other draws on the same stream, as training does
+            notion = (None, "color", "shape")[i % 3]
+            assert sampler.sample_tag_triplet(rng, notion=notion) == \
+                reference_tag_triplet(sampler, ref_rng, notion=notion)
+            assert sampler.sample_track_triplet(rng) == \
+                sampler.sample_track_triplet(ref_rng)
+
+
 def test_empty_dataset_rejected(small_space):
     with pytest.raises(DatasetError):
         TripletSampler(Dataset([], small_space))
