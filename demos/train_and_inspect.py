@@ -49,7 +49,7 @@ def main():
           f"R@1 {recall[1]:.3f}, R@4 {recall[4]:.3f}")
 
     by_notion, _ = sample_eval_triplets(test_ds, per_notion=500, seed=args.seed)
-    E_pre = result.model.net._np_pre_embedding(test_ds.features)
+    E_pre = result.model.net.full_embedding(test_ds.features).values
     print("\ntriplet accuracy per notion (own sub-space vs full vector):")
     for notion, triplets in by_notion.items():
         sub = triplet_accuracy(E_pre, triplets, mode="sub",

@@ -12,19 +12,11 @@ from .data import Dataset, Item, SyntheticSpec, generate_splits, generate_synthe
 from .errors import (
     ConfigurationError,
     DatasetError,
-    DegenerateInputError,
     DisembedError,
     GraphError,
     TrainingDivergedError,
 )
 from .labelspace import LabelSpace, Mask, Notion, build_masks
-from .losses import (
-    classification_bce_loss,
-    masked_triplet_loss,
-    proxy_bce_loss,
-    track_regularized_batch_loss,
-    triplet_loss,
-)
 from .model import (
     CentroidBank,
     EmbeddingNet,

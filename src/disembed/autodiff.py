@@ -1,9 +1,10 @@
 """Dense-tensor reverse-mode differentiation, Adam, and a reduce-on-plateau schedule.
 
 The primitive set is deliberately small: matrix multiply, add, elementwise
-multiply, relu, sigmoid, natural log, guarded L2 normalization, clip, sum,
-mean, dot product, reshape, and concatenation.  Every loss in this package
-is composed from these.  All arithmetic is float64.  Backward passes skip the
+multiply, relu, sigmoid, natural log, row-wise guarded L2 normalization,
+clip, sum, mean, reshape, and concatenation.  Every loss in this package is
+composed from these.  Matrix multiply and normalization take 2-D operands
+only, one row per sample.  All arithmetic is float64.  Backward passes skip the
 gradient of any parent that does not require one (inputs, masks, labels).
 
 Adam packs its parameters into one contiguous float64 vector: each
@@ -128,46 +129,22 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
-    """Matrix product: 2D @ 2D, 2D @ 1D, or 1D @ 2D (no batched 3D)."""
+    """Matrix product of two 2-D tensors (no vectors, no batched 3D)."""
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.values, b.values
-    if av.ndim == 1 and bv.ndim == 1:
-        raise GraphError("use dot() for vector-vector products")
+    if av.ndim != 2 or bv.ndim != 2:
+        raise GraphError("matmul() expects 2-D operands")
     rhs = bv.T if transpose_b else bv
     out = av @ rhs
 
     def backward(g):
         ga = gb = None
-        if av.ndim == 2 and bv.ndim == 2:
-            if a.requires_grad:
-                ga = g @ rhs.T
-            if b.requires_grad:
-                grhs = av.T @ g
-                gb = grhs.T if transpose_b else grhs
-        elif av.ndim == 2 and bv.ndim == 1:
-            if a.requires_grad:
-                ga = np.outer(g, bv)
-            if b.requires_grad:
-                gb = av.T @ g
-        else:  # 1D @ 2D
-            if a.requires_grad:
-                ga = rhs @ g
-            if b.requires_grad:
-                grhs = np.outer(av, g)
-                gb = grhs.T if transpose_b else grhs
+        if a.requires_grad:
+            ga = g @ rhs.T
+        if b.requires_grad:
+            grhs = av.T @ g
+            gb = grhs.T if transpose_b else grhs
         return (ga, gb)
-
-    return Tensor(out, _parents=(a, b), _backward=backward)
-
-
-def dot(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim != 1 or b.values.ndim != 1:
-        raise GraphError("dot() expects 1-D tensors")
-    out = np.dot(a.values, b.values)
-
-    def backward(g):
-        return (g * b.values, g * a.values)
 
     return Tensor(out, _parents=(a, b), _backward=backward)
 
@@ -262,25 +239,15 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def l2_normalize(x) -> Tensor:
-    """Divide by max(||v||, 1e-12); row-wise on 2-D input.
+    """Divide each row of a 2-D tensor by max(||row||, 1e-12).
 
-    The guard makes the map total: a (near-)zero vector normalizes to itself
+    The guard makes the map total: a (near-)zero row normalizes to itself
     scaled by 1/eps, with the norm treated as a constant in the backward pass.
     """
     x = as_tensor(x)
     v = x.values
-    if v.ndim == 1:
-        n = np.linalg.norm(v)
-        d = max(n, NORM_EPS)
-        y = v / d
-
-        def backward(g):
-            if n < NORM_EPS:
-                return (g / d,)
-            return ((g - y * np.dot(y, g)) / d,)
-
-        return Tensor(y, _parents=(x,), _backward=backward)
-
+    if v.ndim != 2:
+        raise GraphError("l2_normalize() expects a 2-D tensor")
     n = np.linalg.norm(v, axis=1, keepdims=True)
     d = np.maximum(n, NORM_EPS)
     y = v / d

@@ -6,12 +6,12 @@ import logging
 
 import numpy as np
 
+from . import autodiff as ad
 from .config import ExperimentConfig
 from .data import Dataset, generate_splits, load_dataset
 from .errors import DisembedError
 from .evaluation import (
     EvalReport,
-    _normalize_rows,
     auc_tags,
     build_prototypes,
     retrieval_recall,
@@ -70,7 +70,8 @@ def evaluate_model(
         protos = build_prototypes(
             embed(model.net, train_ds.features), train_ds.labels
         )
-        scores = _normalize_rows(E_test) @ _normalize_rows(protos).T
+        U, P = (ad.l2_normalize(M).values for M in (E_test, protos))
+        scores = U @ P.T
     else:
         scores = class_scores(
             model.net, model.bank, test_ds.features, variant.score_variant()
@@ -78,7 +79,7 @@ def evaluate_model(
     report.auc = auc_tags(scores, test_ds.labels)
 
     by_notion, track_triplets = eval_triplets
-    E_pre = model.net._np_pre_embedding(test_ds.features)
+    E_pre = model.net.full_embedding(test_ds.features).values
     accs = {}
     for notion, triplets in by_notion.items():
         accs[("full", notion)] = triplet_accuracy(E_pre, triplets, mode="full")

@@ -278,10 +278,14 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path, space: LabelSpace) -> Dataset:
+    """Read a dataset file; any malformed line (bad field count, duplicate
+    id, non-numeric or non-finite feature, unknown tag, invalid UTF-8) raises
+    DatasetError naming the line."""
     errors = []
     items = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, reported per line below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#feature_dim="):
             raise DatasetError(f"{path}: line 1 must be '#feature_dim=<n>'")
@@ -301,6 +305,11 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
             line = line.rstrip("\n")
             if not line:
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                errors.append(f"line {lineno}: not valid UTF-8")
+                continue
             parts = line.split("\t")
             if len(parts) != 4:
                 errors.append(f"line {lineno}: expected 4 tab-separated fields")
@@ -319,6 +328,9 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
                 fv = np.array([float(x) for x in feats])
             except ValueError:
                 errors.append(f"line {lineno}: non-numeric feature value")
+                continue
+            if not np.isfinite(fv).all():
+                errors.append(f"line {lineno}: non-finite feature value")
                 continue
             if not tag_s:
                 errors.append(f"line {lineno}: empty tag field")

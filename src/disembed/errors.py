@@ -17,10 +17,6 @@ class GraphError(DisembedError):
     """Contract violation in the computation graph (non-scalar loss, shape mismatch)."""
 
 
-class DegenerateInputError(DisembedError):
-    """Numerically undefined input, e.g. cosine of a zero vector."""
-
-
 class TrainingDivergedError(DisembedError):
     """Training produced a non-finite loss."""
 

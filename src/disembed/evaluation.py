@@ -9,19 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
+from . import autodiff as ad
 from .errors import ConfigurationError
 from .labelspace import LabelSpace
 
 log = logging.getLogger(__name__)
 
-_NORM_EPS = 1e-12
 # rows of the similarity matrix ranked at once by retrieval_recall
 _RECALL_BLOCK = 256
-
-
-def _normalize_rows(E: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(E, axis=1, keepdims=True)
-    return E / np.maximum(norms, _NORM_EPS)
 
 
 def recall_at_k(query_labels, retrieved_label_sets) -> float:
@@ -52,7 +47,7 @@ def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
     E = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(E).all():
         raise ValueError("embeddings must be finite")
-    E = _normalize_rows(E)
+    E = ad.l2_normalize(E).values
     L = np.asarray(labels) > 0
     n = len(E)
     label_counts = L.sum(axis=1)
@@ -199,9 +194,10 @@ def _count_correct(E: np.ndarray, index: np.ndarray) -> int:
     """Number of (anchor, positive, negative) rows of ``index`` whose anchor
     is strictly closer in cosine to the positive than to the negative."""
     A, P, N = (E[index[:, j]] for j in range(3))
-    na = np.maximum(np.sqrt(_row_dots(A, A)), _NORM_EPS)
-    cp = _row_dots(A, P) / (na * np.maximum(np.sqrt(_row_dots(P, P)), _NORM_EPS))
-    cn = _row_dots(A, N) / (na * np.maximum(np.sqrt(_row_dots(N, N)), _NORM_EPS))
+    eps = ad.NORM_EPS
+    na = np.maximum(np.sqrt(_row_dots(A, A)), eps)
+    cp = _row_dots(A, P) / (na * np.maximum(np.sqrt(_row_dots(P, P)), eps))
+    cn = _row_dots(A, N) / (na * np.maximum(np.sqrt(_row_dots(N, N)), eps))
     return int(np.count_nonzero(cp > cn))
 
 

@@ -1,7 +1,11 @@
-"""Loss functions for the three learning families.
+"""Batch losses for the three learning families.
 
-Similarity is cosine throughout, built from guarded L2 normalization and dot
-products so gradients flow through the autodiff graph.
+Every loss takes one row per sample: ``triplet_batch_loss`` for the triplet
+family (masked per notion when disentangled; track regularization adds a
+second, unmasked call) and ``bce_sum`` for the proxy and classification
+families, whose scores differ only in how they were produced.  Similarity is
+cosine, built from guarded row L2 normalization so gradients flow through the
+autodiff graph.
 """
 
 from __future__ import annotations
@@ -10,47 +14,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DatasetError, DegenerateInputError
 
 LOG_FLOOR = 1e-12
-# a vector this small cannot carry a meaningful direction
-DEGENERATE_NORM = 1e-9
-
-
-def _check_nonzero(*vectors):
-    for v in vectors:
-        vals = v.values if isinstance(v, Tensor) else np.asarray(v)
-        if np.linalg.norm(vals) < DEGENERATE_NORM:
-            raise DegenerateInputError("cosine of a (near-)zero vector is undefined")
-
-
-def cosine(a, b) -> Tensor:
-    """cos(a, b) for 1-D tensors via normalized dot product."""
-    return ad.dot(ad.l2_normalize(a), ad.l2_normalize(b))
 
 
 def cosine_rows(A, B) -> Tensor:
     """Row-wise cosine between two (B, d) tensors, returning shape (B,)."""
     return ad.tsum(ad.mul(ad.l2_normalize(A), ad.l2_normalize(B)), axis=1)
-
-
-def triplet_loss(ea, ep, en, margin: float) -> Tensor:
-    """max(0, cos(anchor, negative) - cos(anchor, positive) + margin)."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    _check_nonzero(ea, ep, en)
-    return ad.relu(cosine(ea, en) - cosine(ea, ep) + margin)
-
-
-def masked_triplet_loss(ea, ep, en, mask, margin: float) -> Tensor:
-    """Triplet loss over the Hadamard-masked vectors of one notion."""
-    mvec = np.asarray(mask.vector if hasattr(mask, "vector") else mask)
-    m = Tensor(mvec)
-    ea, ep, en = (ad.mul(ad.as_tensor(e), m) for e in (ea, ep, en))
-    _check_nonzero(ea, ep, en)
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return ad.relu(cosine(ea, en) - cosine(ea, ep) + margin)
 
 
 def bce_sum(scores, y) -> Tensor:
@@ -71,60 +41,18 @@ def bce_sum(scores, y) -> Tensor:
     return -ad.tsum(pos + neg)
 
 
-def proxy_bce_loss(scores, y) -> Tensor:
-    """Binary cross entropy over proxy similarity scores."""
-    return bce_sum(scores, y)
-
-
-def classification_bce_loss(scores, y) -> Tensor:
-    """Binary cross entropy over classification scores.
-
-    Identical contract to proxy_bce_loss; the two differ only in how the
-    scores were produced.
-    """
-    return bce_sum(scores, y)
-
-
 def triplet_batch_loss(EA, EP, EN, margin: float, masks=None) -> Tensor:
-    """Mean triplet loss over rows; optional per-row masks (B, d).
+    """Mean over rows of max(0, cos(a, n) - cos(a, p) + margin).
 
-    Unlike the scalar ops this does not raise on a zero row: guarded
-    normalization maps dead rows to zero cosine, which keeps training total.
+    ``masks`` (B, d), if given, multiplies each row by its notion mask first.
+    A zero row does not raise: guarded normalization maps it to zero cosine,
+    which keeps training total.
     """
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     EA, EP, EN = (ad.as_tensor(E) for E in (EA, EP, EN))
     if masks is not None:
         M = Tensor(np.asarray(masks, dtype=np.float64))
         EA, EP, EN = (ad.mul(E, M) for E in (EA, EP, EN))
     per_row = ad.relu(cosine_rows(EA, EN) - cosine_rows(EA, EP) + margin)
     return ad.tmean(per_row)
-
-
-def track_regularized_batch_loss(
-    tag_triplets, track_triplets, margin: float, lam: float = 1.0
-) -> Tensor:
-    """Mean masked tag-triplet loss plus lam times mean full-space track loss.
-
-    tag_triplets: iterable of (ea, ep, en, mask); track_triplets: iterable of
-    (ea, ep, en).  Track triplets use the unmasked embedding because track
-    identity is not notion-specific.
-    """
-    tag_triplets = list(tag_triplets)
-    track_triplets = list(track_triplets)
-    if not tag_triplets or (lam != 0 and not track_triplets):
-        raise DatasetError("both triplet collections must be nonempty")
-    tag_terms = [
-        masked_triplet_loss(ea, ep, en, m, margin) for ea, ep, en, m in tag_triplets
-    ]
-    total = tag_terms[0]
-    for t in tag_terms[1:]:
-        total = total + t
-    loss = total * (1.0 / len(tag_terms))
-    if lam != 0:
-        track_terms = [
-            triplet_loss(ea, ep, en, margin) for ea, ep, en in track_triplets
-        ]
-        ttotal = track_terms[0]
-        for t in track_terms[1:]:
-            ttotal = ttotal + t
-        loss = loss + lam * (1.0 / len(track_terms)) * ttotal
-    return loss

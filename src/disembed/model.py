@@ -21,7 +21,6 @@ each centroid to its own notion's block.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import struct
@@ -33,8 +32,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError
 from .labelspace import LabelSpace
-
-log = logging.getLogger(__name__)
 
 SCORE_VARIANTS = (
     "proxy",
@@ -112,37 +109,20 @@ class EmbeddingNet:
         return ad.relu(ad.matmul(fnm1, H))
 
     def full_embedding(self, x) -> Tensor:
-        """Pre-normalization full-space embedding as a graph tensor.
+        """Pre-normalization full-space embedding of a (B, input_dim) batch.
 
-        Only the dense head supports it; the subdense head's embedding is
-        ``head_blocks(backbone(x))``.
+        The one forward of the package, as a graph tensor: relu(backbone @ H)
+        for the dense head, ``head_blocks(backbone(x))`` for the subdense one.
         """
-        if self.config.head != "dense":
+        x = ad.as_tensor(x)
+        if x.shape[-1] != self.config.input_dim:
             raise ConfigurationError(
-                "in-graph full embedding requires the dense head"
+                f"input width {x.shape[-1]} != net input_dim "
+                f"{self.config.input_dim}"
             )
+        if self.config.head == "subdense":
+            return self.head_blocks(self.backbone(x))
         return ad.relu(ad.matmul(self.backbone(x), self.params["H"]))
-
-    # numpy-only forward used by evaluation -------------------------------
-
-    def _np_backbone(self, X: np.ndarray) -> np.ndarray:
-        h = np.asarray(X, dtype=np.float64)
-        for i in range(self.n_hidden):
-            h = np.maximum(
-                h @ self.params[f"W{i}"].values + self.params[f"b{i}"].values, 0.0
-            )
-        return h
-
-    def _np_pre_embedding(self, X: np.ndarray) -> np.ndarray:
-        if self.config.head == "dense":
-            H = self.params["H"].values
-        else:
-            H = np.concatenate(
-                [self.params[f"H{g}"].values
-                 for g in range(self.space.num_notions)],
-                axis=1,
-            )
-        return np.maximum(self._np_backbone(X) @ H, 0.0)
 
 
 class CentroidBank:
@@ -177,34 +157,18 @@ def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None
 def embed(net: EmbeddingNet, x) -> np.ndarray:
     """Forward pass; L2-normalized iff the net was configured to normalize."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if x.shape[-1] != net.config.input_dim:
-        raise ConfigurationError(
-            f"input width {x.shape[-1]} != net input_dim {net.config.input_dim}"
-        )
-    X = x[None, :] if single else x
-    E = net._np_pre_embedding(X)
+    E = net.full_embedding(np.atleast_2d(x))
     if net.config.normalize_output:
-        norms = np.linalg.norm(E, axis=1, keepdims=True)
-        degenerate = norms[:, 0] < ad.NORM_EPS
-        if degenerate.any():
-            log.warning(
-                "%d embedding(s) have (near-)zero norm; guarded normalization "
-                "returns them unscaled toward zero",
-                int(degenerate.sum()),
-            )
-        E = E / np.maximum(norms, ad.NORM_EPS)
-    return E[0] if single else E
+        E = ad.l2_normalize(E)
+    return E.values[0] if x.ndim == 1 else E.values
 
 
 def masked_embed(net: EmbeddingNet, x, notion: str) -> np.ndarray:
     """Pre-normalization embedding Hadamard-multiplied with the notion mask."""
     mask = net.space.mask(notion).vector
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    E = net._np_pre_embedding(X) * mask
-    return E[0] if single else E
+    E = net.full_embedding(np.atleast_2d(x)).values * mask
+    return E[0] if x.ndim == 1 else E
 
 
 def score_blocks(
@@ -221,17 +185,11 @@ def score_blocks(
     if variant not in SCORE_VARIANTS:
         raise ConfigurationError(f"unknown score variant: {variant!r}")
     space = net.space
-    needs_subdense = variant == "classification-disentangled"
-    if needs_subdense and net.config.head != "subdense":
-        raise ConfigurationError(f"{variant} requires the subdense head")
-    if not needs_subdense and net.config.head != "dense":
-        raise ConfigurationError(f"{variant} requires the dense head")
+    head = "subdense" if variant == "classification-disentangled" else "dense"
+    if net.config.head != head:
+        raise ConfigurationError(f"{variant} requires the {head} head")
 
-    x = ad.as_tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    if needs_subdense:
-        F = net.head_blocks(net.backbone(x))
-    else:
-        F = net.full_embedding(x)
+    F = net.full_embedding(np.atleast_2d(x))
     C = bank.weights
     if variant.endswith("-disentangled"):
         rows = F.shape[0] * space.num_notions
@@ -249,7 +207,7 @@ def class_scores(
 ) -> np.ndarray:
     """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    [(_, S)] = score_blocks(net, bank, np.atleast_2d(x), variant)
+    [(_, S)] = score_blocks(net, bank, x, variant)
     return S.values[0] if x.ndim == 1 else S.values
 
 

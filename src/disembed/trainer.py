@@ -187,23 +187,31 @@ def _all_params(model: TrainedModel) -> dict[str, ad.Tensor]:
     return params
 
 
-def _np_pre_embed(net: EmbeddingNet, X: np.ndarray) -> np.ndarray:
-    return net._np_pre_embedding(np.asarray(X, dtype=np.float64))
+def _triplet_loss(
+    variant: VariantConfig, space: LabelSpace, embed_rows, tags, tracks
+) -> ad.Tensor:
+    """The triplet family's loss on one batch of triplets.
 
+    ``embed_rows(idx)`` returns the embeddings of dataset rows ``idx``.  Tag
+    triplets are masked to their notion's block when disentangled; with track
+    regularization, ``track_reg_weight`` times the unmasked loss of the track
+    triplets is added.
+    """
+    def batch_loss(triplets, masks=None):
+        EA, EP, EN = (
+            embed_rows([getattr(t, role) for t in triplets])
+            for role in ("anchor", "positive", "negative")
+        )
+        return triplet_batch_loss(EA, EP, EN, variant.margin, masks)
 
-def _np_masked_triplet_losses(E, triplets, masks, margin) -> np.ndarray:
-    ea = E[[t.anchor for t in triplets]]
-    ep = E[[t.positive for t in triplets]]
-    en = E[[t.negative for t in triplets]]
-    if masks is not None:
-        ea, ep, en = ea * masks, ep * masks, en * masks
-
-    def ncos(a, b):
-        na = np.maximum(np.linalg.norm(a, axis=1), 1e-12)
-        nb = np.maximum(np.linalg.norm(b, axis=1), 1e-12)
-        return (a * b).sum(axis=1) / (na * nb)
-
-    return np.maximum(0.0, ncos(ea, en) - ncos(ea, ep) + margin)
+    masks = None
+    if variant.disentanglement:
+        by_notion = {n.name: space.mask(n.name).vector for n in space.notions}
+        masks = np.stack([by_notion[t.notion] for t in tags])
+    loss = batch_loss(tags, masks)
+    if variant.track_reg:
+        loss = loss + variant.track_reg_weight * batch_loss(tracks)
+    return loss
 
 
 def _fixed_validation_triplets(
@@ -235,23 +243,10 @@ def validation_loss(
             val_triplets, val_track_triplets = _fixed_validation_triplets(
                 variant, valid_ds
             )
-        E = _np_pre_embed(model.net, valid_ds.features)
-        masks = None
-        if variant.disentanglement:
-            masks = np.stack(
-                [model.space.mask(t.notion).vector for t in val_triplets]
-            )
-        loss = _np_masked_triplet_losses(
-            E, val_triplets, masks, variant.margin
-        ).mean()
-        if variant.track_reg:
-            loss += (
-                variant.track_reg_weight
-                * _np_masked_triplet_losses(
-                    E, val_track_triplets, None, variant.margin
-                ).mean()
-            )
-        return float(loss)
+        E = model.net.full_embedding(valid_ds.features).values
+        loss = _triplet_loss(variant, model.space, E.__getitem__,
+                             val_triplets, val_track_triplets)
+        return loss.item()
     # BCE families: mean per-sample loss over the whole split
     return _bce(model, valid_ds.features, valid_ds.labels).item() / len(valid_ds)
 
@@ -284,9 +279,9 @@ def train(
     val_triplets = val_tracks = None
     if is_triplet:
         val_triplets, val_tracks = _fixed_validation_triplets(variant, valid_ds)
-    mask_by_notion = {
-        n.name: space.mask(n.name).vector for n in space.notions
-    }
+
+    def embed_rows(idx):
+        return model.net.full_embedding(train_ds.features[idx])
 
     best = math.inf
     best_snapshot = adam.flat.copy()
@@ -308,29 +303,9 @@ def train(
                 track_reg=variant.track_reg,
             )
             for tag_batch, track_batch in it:
-                X = train_ds.features
-                EA = model.net.full_embedding(X[[t.anchor for t in tag_batch]])
-                EP = model.net.full_embedding(X[[t.positive for t in tag_batch]])
-                EN = model.net.full_embedding(X[[t.negative for t in tag_batch]])
-                masks = None
-                if variant.disentanglement:
-                    masks = np.stack(
-                        [mask_by_notion[t.notion] for t in tag_batch]
-                    )
-                loss = triplet_batch_loss(EA, EP, EN, variant.margin, masks)
-                if track_batch is not None:
-                    TA = model.net.full_embedding(
-                        X[[t.anchor for t in track_batch]]
-                    )
-                    TP = model.net.full_embedding(
-                        X[[t.positive for t in track_batch]]
-                    )
-                    TN = model.net.full_embedding(
-                        X[[t.negative for t in track_batch]]
-                    )
-                    loss = loss + variant.track_reg_weight * triplet_batch_loss(
-                        TA, TP, TN, variant.margin
-                    )
+                loss = _triplet_loss(
+                    variant, space, embed_rows, tag_batch, track_batch
+                )
                 _step(adam, params, loss)
                 batch_losses.append(loss.item())
         else:

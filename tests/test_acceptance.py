@@ -25,12 +25,7 @@ from disembed.evaluation import (
     triplet_accuracy,
 )
 from disembed.labelspace import LabelSpace
-from disembed.losses import (
-    classification_bce_loss,
-    proxy_bce_loss,
-    track_regularized_batch_loss,
-    triplet_batch_loss,
-)
+from disembed.losses import bce_sum, triplet_batch_loss
 from disembed.model import (
     CentroidBank,
     EmbeddingNet,
@@ -116,7 +111,7 @@ def test_disentangled_score_identities():
                            float(np.abs(s_proxy_dis - s_class_dis).max()))
 
         # independent recomputation: sigmoid of normalized-embedding dot bank
-        E = dense._np_pre_embedding(X)
+        E = dense.full_embedding(X).values
         U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), ad.NORM_EPS)
         expect = expit(U @ bank.weights.values.T)
         s_proxy = class_scores(dense, bank, X, "proxy")
@@ -185,7 +180,7 @@ def _safe_instance(seed, head, batch, loss_of, hinge_of=None, reject=None):
         X = rng.normal(size=(batch, GRAD_INPUT_DIM))
         if _min_kink_distance(net, X) < 1e-3:
             continue
-        E = net._np_pre_embedding(X)
+        E = net.full_embedding(X).values
         if np.linalg.norm(E, axis=1).min() < 1e-2:
             continue
         if reject is not None and reject(net, bank, X):
@@ -241,8 +236,8 @@ def test_loss_gradients_match_finite_differences():
             # a masked row collapsing to zero would hit the degenerate-cosine
             # guard, which is a kink finite differences cannot straddle
             return any(
-                np.linalg.norm(net._np_pre_embedding(Z) * masks, axis=1).min()
-                < 1e-2
+                np.linalg.norm(net.full_embedding(Z).values * masks,
+                               axis=1).min() < 1e-2
                 for Z in (XA, XP, XN)
             )
 
@@ -256,7 +251,7 @@ def test_loss_gradients_match_finite_differences():
             return build
 
         def plain_hinge(net, bank, X):
-            EA, EP, EN = (net._np_pre_embedding(Z) for Z in (XA, XP, XN))
+            EA, EP, EN = (net.full_embedding(Z).values for Z in (XA, XP, XN))
             return _hinge_args(EA, EP, EN, 0.3)
 
         _check_model_gradient(seed, "dense", batch, plain_loss, plain_hinge,
@@ -272,7 +267,8 @@ def test_loss_gradients_match_finite_differences():
             return build
 
         def masked_hinge(net, bank, X):
-            EA, EP, EN = (net._np_pre_embedding(Z) * masks for Z in (XA, XP, XN))
+            EA, EP, EN = (net.full_embedding(Z).values * masks
+                          for Z in (XA, XP, XN))
             return _hinge_args(EA, EP, EN, 0.3)
 
         _check_model_gradient(seed, "dense", batch, masked_loss, masked_hinge,
@@ -281,21 +277,13 @@ def test_loss_gradients_match_finite_differences():
         # track-regularized sum: masked tag triplets plus full-space track ones
         def trackreg_loss(net, bank, X):
             def build():
-                tag = [
-                    (net.full_embedding(XA[i]), net.full_embedding(XP[i]),
-                     net.full_embedding(XN[i]), masks[i])
-                    for i in range(batch)
-                ]
-                track = [
-                    (net.full_embedding(XP[i]), net.full_embedding(XN[i]),
-                     net.full_embedding(XA[i]))
-                    for i in range(batch)
-                ]
-                return track_regularized_batch_loss(tag, track, 0.3, lam=0.7)
+                EA, EP, EN = (net.full_embedding(Z) for Z in (XA, XP, XN))
+                tag = triplet_batch_loss(EA, EP, EN, 0.3, masks=masks)
+                return tag + 0.7 * triplet_batch_loss(EP, EN, EA, 0.3)
             return build
 
         def trackreg_hinge(net, bank, X):
-            EA, EP, EN = (net._np_pre_embedding(Z) for Z in (XA, XP, XN))
+            EA, EP, EN = (net.full_embedding(Z).values for Z in (XA, XP, XN))
             return np.concatenate([
                 _hinge_args(EA * masks, EP * masks, EN * masks, 0.3),
                 _hinge_args(EP, EN, EA, 0.3),
@@ -306,7 +294,7 @@ def test_loss_gradients_match_finite_differences():
                               reject=masked_rows_alive)
 
         # the three score-based binary cross entropies
-        def bce_loss(variant, loss_fn):
+        def bce_loss(variant):
             def loss_of(net, bank, X):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, 53]))
                 Y = (rng.random((batch, space.num_tags)) < 0.5).astype(float)
@@ -314,22 +302,18 @@ def test_loss_gradients_match_finite_differences():
                 def build():
                     total = None
                     for tag_idx, block in score_blocks(net, bank, X, variant):
-                        term = loss_fn(block, Y[:, tag_idx])
+                        term = bce_sum(block, Y[:, tag_idx])
                         total = term if total is None else total + term
                     return total
                 return build
             return loss_of
 
         _check_model_gradient(seed, "dense", batch,
-                              bce_loss("proxy-disentangled", proxy_bce_loss))
-        _check_model_gradient(
-            seed, "dense", batch,
-            bce_loss("classification-normalized", classification_bce_loss),
-        )
-        _check_model_gradient(
-            seed, "subdense", batch,
-            bce_loss("classification-disentangled", classification_bce_loss),
-        )
+                              bce_loss("proxy-disentangled"))
+        _check_model_gradient(seed, "dense", batch,
+                              bce_loss("classification-normalized"))
+        _check_model_gradient(seed, "subdense", batch,
+                              bce_loss("classification-disentangled"))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient sweep took {elapsed:.1f}s"
@@ -558,7 +542,7 @@ def test_mask_partition_and_subdense_identity():
         input_dim = int(rng.integers(3, 7))
         dense, sub, _ = make_nets(space, input_dim, (5,), seed)
         X = rng.normal(size=(4, input_dim))
-        E_sub = sub._np_pre_embedding(X)
+        E_sub = sub.full_embedding(X).values
         for notion in space.notions:
             masked = masked_embed(dense, X, notion.name)
             padded = E_sub * space.mask(notion.name).vector

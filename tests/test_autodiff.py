@@ -50,26 +50,14 @@ def test_matmul_transpose_b_gradient():
     check_gradient(build, {"A": A, "B": B})
 
 
-def test_matmul_vector_cases_gradient():
-    rng = np.random.default_rng(8)
-    W = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    v = Tensor(rng.normal(size=4), requires_grad=True)
-    u = Tensor(rng.normal(size=3), requires_grad=True)
-
-    def build():
-        return ad.dot(ad.matmul(v, W), u)  # 1D @ 2D then dot
-
-    check_gradient(build, {"W": W, "v": v, "u": u})
-
-
 def test_matmul_rejects_vector_vector():
     with pytest.raises(GraphError):
         ad.matmul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
-
-
-def test_dot_requires_1d():
+    # vectors are one-row matrices; a 1-D operand is rejected on either side
     with pytest.raises(GraphError):
-        ad.dot(Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
+        ad.matmul(Tensor([1.0, 2.0]), Tensor(np.ones((2, 2))))
+    with pytest.raises(GraphError):
+        ad.matmul(Tensor(np.ones((2, 2))), Tensor([1.0, 2.0]))
 
 
 @pytest.mark.parametrize(
@@ -121,13 +109,14 @@ def test_broadcast_add_row_vector():
 
 
 def test_l2_normalize_gradient_vector_and_rows():
+    # a single vector is a one-row matrix
     rng = np.random.default_rng(12)
-    v = Tensor(rng.normal(size=6) + 0.5, requires_grad=True)
+    v = Tensor(rng.normal(size=(1, 6)) + 0.5, requires_grad=True)
     M = Tensor(rng.normal(size=(4, 6)) + 0.5, requires_grad=True)
     w = rng.normal(size=6)
 
     def build_v():
-        return ad.dot(ad.l2_normalize(v), Tensor(w))
+        return ad.tsum(ad.mul(ad.l2_normalize(v), Tensor(w)))
 
     def build_m():
         return ad.tsum(ad.mul(ad.l2_normalize(M), Tensor(np.tile(w, (4, 1)))))
@@ -141,13 +130,16 @@ def test_l2_normalize_output_is_unit():
     M = rng.normal(size=(7, 5))
     out = ad.l2_normalize(Tensor(M)).values
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    with pytest.raises(GraphError):
+        ad.l2_normalize(Tensor(M[0]))
 
 
 def test_l2_normalize_guard_on_zero_vector():
-    out = ad.l2_normalize(Tensor(np.zeros(4)))
-    assert np.array_equal(out.values, np.zeros(4))
+    rows = np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 4.0, 0.0]])
+    out = ad.l2_normalize(Tensor(rows))
+    assert np.array_equal(out.values, [[0.0] * 4, [0.6, 0.0, 0.8, 0.0]])
     # guarded branch still produces a finite gradient
-    v = Tensor(np.zeros(4), requires_grad=True)
+    v = Tensor(np.zeros((1, 4)), requires_grad=True)
     loss = ad.tsum(ad.l2_normalize(v))
     g = grad(loss, [v])[v]
     assert np.all(np.isfinite(g))
@@ -157,7 +149,7 @@ def test_normalize_direction_invariance():
     # perturbing the input along its own direction changes the normalized
     # output only in second order
     rng = np.random.default_rng(14)
-    v = rng.normal(size=5)
+    v = rng.normal(size=(1, 5))
     h = 1e-6
     y0 = ad.l2_normalize(Tensor(v)).values
     y1 = ad.l2_normalize(Tensor(v * (1 + h))).values

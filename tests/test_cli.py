@@ -167,6 +167,41 @@ def test_export_unknown_notion_fails(tiny_config, tmp_path):
     assert code == 1
 
 
+def test_export_wrong_feature_width_is_exit_1(tiny_config, tmp_path, capsys):
+    cfg_path, out = tiny_config
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--variant-index", "0"])
+    narrow = tmp_path / "narrow.tsv"
+    narrow.write_text(
+        "#feature_dim=5\n#tags=red,blue,round,square\n"
+        "a\tt0\t1,2,3,4,5\tred;round\n"
+    )
+    for space in ("full", "shape"):
+        dest = tmp_path / f"{space}.tsv"
+        code = main(
+            ["export-embeddings", "--model",
+             str(out / "model_classification_norm"), "--data", str(narrow),
+             "--space", space, "--out", str(dest)]
+        )
+        assert code == 1
+        assert "input width 5" in capsys.readouterr().err
+        assert not dest.exists()
+
+
+def test_export_undecodable_data_is_exit_2(tiny_config, tmp_path, capsys):
+    cfg_path, out = tiny_config
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--variant-index", "0"])
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes((out / "test.tsv").read_bytes() + b"\xff\xfe\n")
+    code = main(
+        ["export-embeddings", "--model", str(out / "model_classification_norm"),
+         "--data", str(bad), "--out", str(tmp_path / "e.tsv")]
+    )
+    assert code == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_exit_1():
     assert main(["benchmark", "--config", "/no/such/config.json"]) == 1
 

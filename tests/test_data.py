@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disembed.data import (
     Dataset,
@@ -217,3 +218,92 @@ def test_save_twice_is_byte_identical(spec, tmp_path):
     save_dataset(ds, p1)
     save_dataset(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_rejects_non_finite_features(small_space, tmp_path, token):
+    path = tmp_path / "nonfinite.tsv"
+    path.write_text(
+        "#feature_dim=2\n#tags=red,blue,round,square\n"
+        "a\tt0\t1.0,2.0\tred;round\n"
+        f"b\tt0\t1.0,{token}\tred;round\n"
+    )
+    with pytest.raises(DatasetError, match="line 4: non-finite"):
+        load_dataset(path, small_space)
+
+
+def test_load_rejects_invalid_utf8(small_space, tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(
+        b"#feature_dim=2\n#tags=red,blue,round,square\n"
+        b"a\tt0\t1.0,2.0\tred;round\n"
+        b"b\xe9\tt0\t1.0,2.0\tred;round\n"
+    )
+    with pytest.raises(DatasetError, match="line 4: not valid UTF-8"):
+        load_dataset(path, small_space)
+
+
+FUZZ_SPACE = LabelSpace(
+    [("color", ["red", "blue"]), ("shape", ["round", "square"])],
+    embedding_dim=8,
+)
+
+
+def _fuzz_lines() -> list[str]:
+    """The lines of a small saved dataset (two headers, six rows)."""
+    spec = SyntheticSpec(space=FUZZ_SPACE, feature_dim=3, tracks=2,
+                         excerpts_per_track=3, seed=5)
+    rows = [
+        f"{i.id}\t{i.track_id}\t" + ",".join(f"{x:.17g}" for x in i.features)
+        + "\t" + ";".join(FUZZ_SPACE.decode(i.labels))
+        for i in generate_synthetic(spec).items
+    ]
+    return ["#feature_dim=3", "#tags=" + ",".join(FUZZ_SPACE.tags), *rows]
+
+
+FUZZ_LINES = _fuzz_lines()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    bad_value=st.none() | st.tuples(
+        st.integers(2, len(FUZZ_LINES) - 1), st.integers(0, 2),
+        st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e400"]),
+    ),
+    dup=st.none() | st.tuples(st.integers(2, len(FUZZ_LINES) - 1),
+                              st.integers(2, len(FUZZ_LINES) - 1)),
+    cut=st.none() | st.integers(0, 2000),
+    tail=st.binary(max_size=24),
+)
+def test_load_dataset_fuzz_raises_only_dataset_error(
+    tmp_path_factory, bad_value, dup, cut, tail
+):
+    # a damaged file either loads or raises DatasetError, never another
+    # exception; a non-finite value or a duplicate id in an intact file
+    # always raises
+    lines = list(FUZZ_LINES)
+    if bad_value is not None:
+        row, col, token = bad_value
+        fields = lines[row].split("\t")
+        feats = fields[2].split(",")
+        feats[col] = token
+        fields[2] = ",".join(feats)
+        lines[row] = "\t".join(fields)
+    if dup is not None and dup[0] != dup[1]:
+        src, dst = dup
+        row_id = lines[src].split("\t")[0]
+        lines[dst] = row_id + lines[dst][lines[dst].index("\t"):]
+    else:
+        dup = None
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    intact = (cut is None or cut >= len(raw)) and not tail
+    raw = raw[:cut] + tail
+    path = tmp_path_factory.mktemp("fuzz") / "data.tsv"
+    path.write_bytes(raw)
+    try:
+        ds = load_dataset(path, FUZZ_SPACE)
+    except DatasetError:
+        return
+    assert not (intact and (bad_value or dup)), "damaged file loaded"
+    assert np.isfinite(ds.features).all()
+    assert len(set(ds.ids)) == len(ds.ids)

@@ -5,84 +5,71 @@ import math
 import numpy as np
 import pytest
 
+from disembed import autodiff as ad
 from disembed.autodiff import Tensor, grad
-from disembed.errors import DatasetError, DegenerateInputError
-from disembed.losses import (
-    bce_sum,
-    cosine,
-    cosine_rows,
-    masked_triplet_loss,
-    proxy_bce_loss,
-    track_regularized_batch_loss,
-    triplet_batch_loss,
-    triplet_loss,
-)
+from disembed.losses import bce_sum, cosine_rows, triplet_batch_loss
 
 from conftest import finite_difference, relative_error
+
+
+def rows(*vectors):
+    """One (1, d) tensor per vector: a single sample as a batch of one row."""
+    return tuple(Tensor(np.atleast_2d(v)) for v in vectors)
+
+
+def ref_cos(a, b):
+    """Cosine of two 1-D vectors with the 1e-12 norm guard."""
+    na = max(np.linalg.norm(a), ad.NORM_EPS)
+    nb = max(np.linalg.norm(b), ad.NORM_EPS)
+    return float(np.dot(a, b) / (na * nb))
+
+
+def ref_triplet(a, p, n, margin, mask=None):
+    """Per-triplet hinge max(0, cos(a, n) - cos(a, p) + margin) in numpy."""
+    if mask is not None:
+        a, p, n = a * mask, p * mask, n * mask
+    return max(0.0, ref_cos(a, n) - ref_cos(a, p) + margin)
 
 
 # --- hand values -----------------------------------------------------------
 
 
 def test_cosine_hand_values():
-    assert cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == pytest.approx(0.0)
-    assert cosine(Tensor([3.0, 4.0]), Tensor([6.0, 8.0])).item() == pytest.approx(1.0)
-    assert cosine(Tensor([1.0, 1.0]), Tensor([1.0, 0.0])).item() == pytest.approx(
-        1 / math.sqrt(2)
-    )
+    A = Tensor([[1.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    B = Tensor([[0.0, 1.0], [6.0, 8.0], [1.0, 0.0]])
+    expected = [0.0, 1.0, 1 / math.sqrt(2)]
+    assert cosine_rows(A, B).values == pytest.approx(expected)
 
 
 def test_triplet_loss_worst_case():
     # cos(a,n)=1, cos(a,p)=-1, margin 0.1 -> 1 - (-1) + 0.1 = 2.1
-    a = Tensor([1.0, 0.0])
-    p = Tensor([-1.0, 0.0])
-    n = Tensor([2.0, 0.0])
-    assert triplet_loss(a, p, n, 0.1).item() == pytest.approx(2.1)
+    a, p, n = rows([1.0, 0.0], [-1.0, 0.0], [2.0, 0.0])
+    assert triplet_batch_loss(a, p, n, 0.1).item() == pytest.approx(2.1)
 
 
 def test_triplet_loss_satisfied_is_zero():
-    a = Tensor([1.0, 0.0])
-    p = Tensor([1.0, 0.1])
-    n = Tensor([0.0, 1.0])
-    assert triplet_loss(a, p, n, 0.1).item() == 0.0
+    a, p, n = rows([1.0, 0.0], [1.0, 0.1], [0.0, 1.0])
+    assert triplet_batch_loss(a, p, n, 0.1).item() == 0.0
 
 
 def test_triplet_loss_orthogonal_case():
     # cos(a,p)=0, cos(a,n)=1 -> 1 - 0 + 0.1 = 1.1
-    a = Tensor([1.0, 0.0])
-    p = Tensor([0.0, 1.0])
-    n = Tensor([1.0, 0.0])
-    assert triplet_loss(a, p, n, 0.1).item() == pytest.approx(1.1)
+    a, p, n = rows([1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
+    assert triplet_batch_loss(a, p, n, 0.1).item() == pytest.approx(1.1)
 
 
 def test_triplet_loss_rejects_negative_margin():
-    v = Tensor([1.0, 0.0])
+    (v,) = rows([1.0, 0.0])
     with pytest.raises(ValueError):
-        triplet_loss(v, v, v, -0.1)
-
-
-def test_triplet_loss_rejects_zero_vectors():
-    z = Tensor([0.0, 0.0])
-    v = Tensor([1.0, 0.0])
-    with pytest.raises(DegenerateInputError):
-        triplet_loss(z, v, v, 0.1)
+        triplet_batch_loss(v, v, v, -0.1)
 
 
 def test_masked_triplet_uses_only_masked_coordinates():
-    mask = np.array([1.0, 1.0, 0.0, 0.0])
-    a = Tensor([1.0, 0.0, 9.0, 9.0])
-    p = Tensor([0.0, 1.0, -9.0, 3.0])
-    n = Tensor([1.0, 0.0, 0.0, -7.0])
+    mask = np.array([[1.0, 1.0, 0.0, 0.0]])
+    a, p, n = rows([1.0, 0.0, 9.0, 9.0], [0.0, 1.0, -9.0, 3.0],
+                   [1.0, 0.0, 0.0, -7.0])
     # within the mask this is the orthogonal 1.1 case above
-    assert masked_triplet_loss(a, p, n, mask, 0.1).item() == pytest.approx(1.1)
-
-
-def test_masked_triplet_degenerate_after_masking():
-    mask = np.array([1.0, 0.0])
-    a = Tensor([0.0, 5.0])  # zero inside the mask
-    v = Tensor([1.0, 1.0])
-    with pytest.raises(DegenerateInputError):
-        masked_triplet_loss(a, v, v, mask, 0.1)
+    assert triplet_batch_loss(a, p, n, 0.1, mask).item() == pytest.approx(1.1)
 
 
 def test_bce_uniform_scores_give_t_ln2():
@@ -124,34 +111,24 @@ def test_bce_matrix_input_sums_everything():
 
 def test_proxy_loss_invariant_to_embedding_scale(rng):
     # the score normalizes f, so rescaling f must not move the loss ...
-    f = rng.normal(size=5)
-    p = rng.normal(size=5)
-    y = np.array([1.0])
+    f = rng.normal(size=(1, 5))
+    p = rng.normal(size=(1, 5))
+    y = np.array([[1.0]])
 
-    def loss_for(femb):
-        from disembed import autodiff as ad
+    def loss_for(femb, proxy):
+        u = ad.l2_normalize(Tensor(femb))
+        score = ad.sigmoid(ad.matmul(u, Tensor(proxy), transpose_b=True))
+        return bce_sum(score, y).item()  # bce over a single tag
 
-        score = ad.sigmoid(ad.dot(ad.l2_normalize(Tensor(femb)), Tensor(p)))
-        # bce over a single tag
-        return proxy_bce_loss(
-            Tensor(np.array([score.item()])), y
-        ).item()
-
-    assert abs(loss_for(f) - loss_for(3.7 * f)) < 1e-9
+    assert abs(loss_for(f, p) - loss_for(3.7 * f, p)) < 1e-9
     # ... while rescaling the (deliberately unnormalized) proxy does move it
-    from disembed import autodiff as ad
-
-    s1 = ad.sigmoid(ad.dot(ad.l2_normalize(Tensor(f)), Tensor(p))).item()
-    s2 = ad.sigmoid(ad.dot(ad.l2_normalize(Tensor(f)), Tensor(3.7 * p))).item()
-    l1 = proxy_bce_loss(Tensor(np.array([s1])), y).item()
-    l2 = proxy_bce_loss(Tensor(np.array([s2])), y).item()
-    assert abs(l1 - l2) > 1e-6
+    assert abs(loss_for(f, p) - loss_for(f, 3.7 * p)) > 1e-6
 
 
 def test_triplet_loss_scale_invariant(rng):
     a, p, n = (rng.normal(size=4) for _ in range(3))
-    l1 = triplet_loss(Tensor(a), Tensor(p), Tensor(n), 0.1).item()
-    l2 = triplet_loss(Tensor(5 * a), Tensor(0.5 * p), Tensor(9 * n), 0.1).item()
+    l1 = triplet_batch_loss(*rows(a, p, n), 0.1).item()
+    l2 = triplet_batch_loss(*rows(5 * a, 0.5 * p, 9 * n), 0.1).item()
     assert l1 == pytest.approx(l2, abs=1e-12)
 
 
@@ -162,12 +139,7 @@ def test_batch_loss_matches_scalar_mean(rng):
     B, d = 6, 5
     EA, EP, EN = (rng.normal(size=(B, d)) for _ in range(3))
     batch = triplet_batch_loss(Tensor(EA), Tensor(EP), Tensor(EN), 0.1).item()
-    scalar = np.mean(
-        [
-            triplet_loss(Tensor(EA[i]), Tensor(EP[i]), Tensor(EN[i]), 0.1).item()
-            for i in range(B)
-        ]
-    )
+    scalar = np.mean([ref_triplet(EA[i], EP[i], EN[i], 0.1) for i in range(B)])
     assert batch == pytest.approx(scalar, abs=1e-12)
 
 
@@ -180,42 +152,33 @@ def test_batch_loss_tolerates_dead_rows(rng):
 
 
 def test_track_regularized_combines_means(rng):
+    # the trainer's track-regularized loss: masked tag-triplet mean plus lam
+    # times the unmasked track-triplet mean, against per-triplet references
     d = 4
-    mask = np.array([1.0, 1.0, 0.0, 0.0])
-    tag = [tuple(Tensor(rng.normal(size=d)) for _ in range(3)) + (mask,)
-           for _ in range(3)]
-    track = [tuple(Tensor(rng.normal(size=d)) for _ in range(3)) for _ in range(2)]
+    masks = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0, 0.0]])
+    tag = [rng.normal(size=(3, d)) for _ in range(3)]
+    track = [rng.normal(size=(2, d)) for _ in range(3)]
     lam = 0.7
-    total = track_regularized_batch_loss(tag, track, 0.1, lam=lam).item()
-    tag_mean = np.mean(
-        [masked_triplet_loss(a, p, n, m, 0.1).item() for a, p, n, m in tag]
-    )
-    track_mean = np.mean([triplet_loss(a, p, n, 0.1).item() for a, p, n in track])
+    total = (triplet_batch_loss(*tag, 0.1, masks)
+             + lam * triplet_batch_loss(*track, 0.1)).item()
+    tag_mean = np.mean([ref_triplet(*(E[i] for E in tag), 0.1, masks[i])
+                        for i in range(3)])
+    track_mean = np.mean([ref_triplet(*(E[i] for E in track), 0.1)
+                          for i in range(2)])
     assert total == pytest.approx(tag_mean + lam * track_mean, abs=1e-12)
-
-
-def test_track_regularized_rejects_empty():
-    with pytest.raises(DatasetError):
-        track_regularized_batch_loss([], [], 0.1)
-    tag = [(Tensor([1.0, 0.0]), Tensor([1.0, 0.1]), Tensor([0.0, 1.0]),
-            np.array([1.0, 1.0]))]
-    with pytest.raises(DatasetError):
-        track_regularized_batch_loss(tag, [], 0.1, lam=1.0)
-    # lam == 0 makes the track collection optional
-    assert track_regularized_batch_loss(tag, [], 0.1, lam=0.0).item() >= 0.0
 
 
 # --- gradients -------------------------------------------------------------
 
 
 def _safe_triplet(rng, d=5, margin=0.3):
-    """Random triplet kept away from the hinge kink for finite differences."""
+    """Random one-row triplet kept away from the hinge kink for finite
+    differences."""
     while True:
-        a, p, n = (rng.normal(size=d) for _ in range(3))
-        ta, tp, tn = Tensor(a, requires_grad=True), Tensor(p, requires_grad=True), Tensor(n, requires_grad=True)
-        val = triplet_loss(ta, tp, tn, margin).item()
-        if val > 1e-2:
-            return ta, tp, tn
+        a, p, n = (rng.normal(size=(1, d)) for _ in range(3))
+        if ref_triplet(a[0], p[0], n[0], margin) > 1e-2:
+            return tuple(Tensor(v, requires_grad=True) for v in (a, p, n))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -225,7 +188,7 @@ def test_triplet_gradient_matches_fd(seed):
     params = {"a": ta, "p": tp, "n": tn}
 
     def build():
-        return triplet_loss(ta, tp, tn, 0.3)
+        return triplet_batch_loss(ta, tp, tn, 0.3)
 
     analytic = grad(build(), params.values())
     numeric = finite_difference(lambda: build().item(), params, step=1e-6)
@@ -240,8 +203,6 @@ def test_bce_gradient_matches_fd(seed):
     y = (rng.random(6) > 0.5).astype(float)
 
     def build():
-        from disembed import autodiff as ad
-
         return bce_sum(ad.sigmoid(z), y)
 
     analytic = grad(build(), [z])

@@ -113,9 +113,19 @@ def test_embed_single_vector(small_space, rng):
 
 
 def test_embed_rejects_wrong_width(small_space):
-    net, _ = make_net(small_space)
-    with pytest.raises(ConfigurationError):
-        embed(net, np.zeros(7))
+    # one width check in the one forward covers embed, masked_embed and
+    # class_scores, single vectors and batches alike
+    dense, bank = make_net(small_space)
+    sub = subdense_from_dense(dense, small_space)
+    for x in (np.zeros(7), np.zeros((3, 5))):
+        with pytest.raises(ConfigurationError, match="input width"):
+            embed(dense, x)
+        with pytest.raises(ConfigurationError, match="input width"):
+            masked_embed(dense, x, "color")
+        for net, variant in ((dense, "proxy"),
+                             (sub, "classification-disentangled")):
+            with pytest.raises(ConfigurationError, match="input width"):
+                class_scores(net, bank, x, variant)
 
 
 def test_embed_zero_weights_is_guarded(small_space, caplog):
@@ -132,7 +142,7 @@ def test_masked_embed_zeroes_other_blocks(small_space, rng):
     X = rng.normal(size=(4, 6))
     m = masked_embed(net, X, "color")
     assert np.array_equal(m[:, 4:], np.zeros((4, 4)))
-    full = net._np_pre_embedding(X)
+    full = net.full_embedding(X).values
     assert np.array_equal(m[:, :4], full[:, :4])
 
 
@@ -140,7 +150,7 @@ def test_masks_sum_to_full_embedding(small_space, rng):
     net, _ = make_net(small_space)
     X = rng.normal(size=(4, 6))
     total = sum(masked_embed(net, X, n.name) for n in small_space.notions)
-    assert np.allclose(total, net._np_pre_embedding(X), atol=0)
+    assert np.allclose(total, net.full_embedding(X).values, atol=0)
 
 
 def test_masked_equals_subdense_block(small_space, rng):
@@ -151,7 +161,8 @@ def test_masked_equals_subdense_block(small_space, rng):
     X = rng.normal(size=(5, 6))
     for g, notion in enumerate(small_space.notions):
         masked = masked_embed(dense, X, notion.name)
-        block = sub._np_pre_embedding(X)[:, small_space.block_slice(notion.name)]
+        cut = small_space.block_slice(notion.name)
+        block = sub.full_embedding(X).values[:, cut]
         padded = np.zeros_like(masked)
         padded[:, small_space.block_slice(notion.name)] = block
         assert np.abs(masked - padded).max() < 1e-12
@@ -227,11 +238,14 @@ def test_variant_head_mismatch_raises(small_space, rng):
         class_scores(dense, bank, X, "not-a-variant")
 
 
-def test_subdense_has_no_full_graph_embedding(small_space):
+def test_subdense_full_embedding_is_head_blocks(small_space, rng):
     dense, _ = make_net(small_space)
     sub = subdense_from_dense(dense, small_space)
-    with pytest.raises(ConfigurationError):
-        sub.full_embedding(np.zeros((1, 6)))
+    X = rng.normal(size=(3, 6))
+    F = sub.full_embedding(X).values
+    assert np.array_equal(F, sub.head_blocks(sub.backbone(X)).values)
+    # with shared weights both heads give the same full embedding
+    assert np.abs(F - dense.full_embedding(X).values).max() < 1e-12
     with pytest.raises(ConfigurationError):
         dense.head_blocks(dense.backbone(np.zeros((1, 6))))
 

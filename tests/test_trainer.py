@@ -9,6 +9,7 @@ from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import ConfigurationError
 from disembed.trainer import (
     VariantConfig,
+    _fixed_validation_triplets,
     build_model,
     load_model,
     paper_variants,
@@ -176,6 +177,58 @@ def test_untrained_bce_validation_near_t_ln2(splits):
         p.values = np.zeros_like(p.values)
     val = validation_loss(res.model, valid_ds)
     assert val == pytest.approx(space.num_tags * math.log(2.0), rel=1e-9)
+
+
+def reference_triplet_losses(E, triplets, masks, margin) -> np.ndarray:
+    """Per-triplet hinge losses in plain numpy: the reference for the
+    triplet family's validation loss."""
+    ea = E[[t.anchor for t in triplets]]
+    ep = E[[t.positive for t in triplets]]
+    en = E[[t.negative for t in triplets]]
+    if masks is not None:
+        ea, ep, en = ea * masks, ep * masks, en * masks
+
+    def ncos(a, b):
+        na = np.maximum(np.linalg.norm(a, axis=1), 1e-12)
+        nb = np.maximum(np.linalg.norm(b, axis=1), 1e-12)
+        return (a * b).sum(axis=1) / (na * nb)
+
+    return np.maximum(0.0, ncos(ea, en) - ncos(ea, ep) + margin)
+
+
+def _np_forward(net, X):
+    """The dense net's pre-normalization embedding in plain numpy."""
+    h = X
+    for i in range(net.n_hidden):
+        W, b = net.params[f"W{i}"].values, net.params[f"b{i}"].values
+        h = np.maximum(h @ W + b, 0)
+    return np.maximum(h @ net.params["H"].values, 0)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(disentanglement=True),
+    dict(disentanglement=True, track_reg=True, track_reg_weight=0.7),
+], ids=["norm", "disent", "trackreg"])
+def test_triplet_validation_loss_matches_numpy_reference(splits, kw):
+    space, (train_ds, valid_ds, _) = splits
+    for seed in range(5):
+        variant = quick(family="triplet", max_epochs=2, seed=seed, **kw)
+        model = train(variant, space, train_ds, valid_ds).model
+        E = _np_forward(model.net, valid_ds.features)
+        graph = model.net.full_embedding(valid_ds.features).values
+        assert np.array_equal(E, graph)
+        tags, tracks = _fixed_validation_triplets(variant, valid_ds)
+        masks = None
+        if variant.disentanglement:
+            masks = np.stack([space.mask(t.notion).vector for t in tags])
+        ref = reference_triplet_losses(E, tags, masks, variant.margin).mean()
+        if variant.track_reg:
+            ref += variant.track_reg_weight * reference_triplet_losses(
+                E, tracks, None, variant.margin
+            ).mean()
+        got = validation_loss(model, valid_ds)
+        assert abs(got - ref) <= 1e-15 * abs(ref), (seed, got, ref)
 
 
 def test_triplet_epoch_slower_than_classification(splits):
