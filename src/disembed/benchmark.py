@@ -19,7 +19,7 @@ from .evaluation import (
     triplet_accuracy,
 )
 from .model import class_scores, embed
-from .sampling import TripletSampler
+from .sampling import checked_sampler
 from .trainer import TrainedModel, TrainResult, train
 
 log = logging.getLogger(__name__)
@@ -39,17 +39,14 @@ def sample_eval_triplets(
     test_ds: Dataset, per_notion: int, seed: int
 ) -> tuple[dict, list]:
     """Fixed tag triplets per notion plus track triplets from the test split."""
-    sampler = TripletSampler(test_ds)
+    notions = [n.name for n in test_ds.space.notions]
+    sampler = checked_sampler(test_ds, "test", notions, tracks=True)
     by_notion = {}
-    for i, notion in enumerate(test_ds.space.notions):
+    for i, notion in enumerate(notions):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 11, i]))
-        by_notion[notion.name] = [
-            sampler.sample_tag_triplet(rng, notion=notion.name)
-            for _ in range(per_notion)
-        ]
+        by_notion[notion] = sampler.tag_triplets(rng, per_notion, notion)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
-    tracks = [sampler.sample_track_triplet(rng) for _ in range(per_notion)]
-    return by_notion, tracks
+    return by_notion, sampler.track_triplets(rng, per_notion)
 
 
 def evaluate_model(

@@ -115,6 +115,13 @@ class LabelSpace:
         return Mask(notion, v)
 
     @cached_property
+    def notion_block_mask(self) -> np.ndarray:
+        """Read-only (notions, d) 0/1 matrix whose row i is notion i's mask."""
+        m = np.kron(np.eye(self.num_notions), np.ones((1, self.block_size)))
+        m.flags.writeable = False
+        return m
+
+    @cached_property
     def tag_block_mask(self) -> np.ndarray:
         """Read-only (tags, d) 0/1 matrix whose row t is the mask of t's notion."""
         m = np.zeros((self.num_tags, self.embedding_dim))

@@ -25,7 +25,7 @@ from .model import (
     save_params,
     score_blocks,
 )
-from .sampling import TripletSampler, batch_iterator
+from .sampling import batch_iterator, checked_sampler
 
 log = logging.getLogger(__name__)
 
@@ -206,8 +206,9 @@ def _triplet_loss(
 
     masks = None
     if variant.disentanglement:
-        by_notion = {n.name: space.mask(n.name).vector for n in space.notions}
-        masks = np.stack([by_notion[t.notion] for t in tags])
+        masks = space.notion_block_mask[
+            [space.notion_index(t.notion) for t in tags]
+        ]
     loss = batch_loss(tags, masks)
     if variant.track_reg:
         loss = loss + variant.track_reg_weight * batch_loss(tracks)
@@ -219,12 +220,12 @@ def _fixed_validation_triplets(
 ) -> tuple[list, list | None]:
     """One tag triplet per validation sample, same seed every epoch so the
     validation loss is comparable across epochs."""
-    sampler = TripletSampler(valid_ds)
+    sampler = checked_sampler(valid_ds, "validation", tracks=variant.track_reg)
     rng = np.random.default_rng(np.random.SeedSequence([variant.seed, 101]))
-    tags = [sampler.sample_tag_triplet(rng) for _ in range(len(valid_ds))]
+    tags = sampler.tag_triplets(rng, len(valid_ds))
     tracks = None
     if variant.track_reg:
-        tracks = [sampler.sample_track_triplet(rng) for _ in range(len(valid_ds))]
+        tracks = sampler.track_triplets(rng, len(valid_ds))
     return tags, tracks
 
 
@@ -275,7 +276,10 @@ def train(
     adam = Adam(params, lr=variant.lr)
     sched = PlateauSchedule(lr=variant.lr)
     is_triplet = variant.family == "triplet"
-    sampler = TripletSampler(train_ds) if is_triplet else None
+    sampler = (
+        checked_sampler(train_ds, "training", tracks=variant.track_reg)
+        if is_triplet else None
+    )
     val_triplets = val_tracks = None
     if is_triplet:
         val_triplets, val_tracks = _fixed_validation_triplets(variant, valid_ds)

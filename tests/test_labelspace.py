@@ -117,3 +117,18 @@ def test_mask_is_binary(small_space):
     m = small_space.mask("color")
     assert isinstance(m, Mask)
     assert set(np.unique(m.vector)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_cached_block_masks_equal_per_notion_masks(small_space, dim):
+    space = LabelSpace([(n.name, n.tags) for n in small_space.notions], dim)
+    by_notion = np.stack([space.mask(n.name).vector for n in space.notions])
+    by_tag = np.stack([space.mask(space.notion_of(t)).vector
+                       for t in space.tags])
+    for cached, want in ((space.notion_block_mask, by_notion),
+                         (space.tag_block_mask, by_tag)):
+        assert np.array_equal(cached, want)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 2.0
+    assert space.notion_block_mask is space.notion_block_mask

@@ -1,11 +1,26 @@
-"""Triplet mining predicates, sampling uniformity, and batch iteration."""
+"""Triplet mining predicates, sampling uniformity, batch iteration, and the
+replay of numpy's draws that the batch sampler relies on."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from disembed.data import Dataset, Item
+from disembed import sampling
+from disembed.benchmark import load_or_generate, sample_eval_triplets
+from disembed.config import default_config
+from disembed.data import Dataset, Item, SyntheticSpec, generate_splits
 from disembed.errors import DatasetError
-from disembed.sampling import Triplet, TripletSampler, batch_iterator
+from disembed.sampling import (
+    Triplet,
+    TripletSampler,
+    _bounded,
+    _pair,
+    _replay,
+    batch_iterator,
+    checked_sampler,
+)
+from disembed.trainer import VariantConfig, train
 
 
 def toy_dataset(small_space):
@@ -192,3 +207,183 @@ def test_bad_mode_and_batch_size(small_space, rng):
         list(batch_iterator(ds, 0, "sample", rng))
     with pytest.raises(ValueError):
         list(batch_iterator(ds, 2, "pairs", rng))
+
+
+def test_negative_triplet_count_rejected(small_space, rng):
+    ds = toy_dataset(small_space)
+    sampler = TripletSampler(ds)
+    with pytest.raises(ValueError):
+        sampler.tag_triplets(rng, -1)
+    with pytest.raises(ValueError):
+        sampler.track_triplets(rng, -1)
+    with pytest.raises(ValueError):
+        list(batch_iterator(ds, 2, "triplet", rng, sampler=sampler,
+                            n_triplets=-1))
+
+
+def test_zero_triplets_leave_the_generator_untouched(small_space, rng):
+    sampler = TripletSampler(toy_dataset(small_space))
+    state = rng.bit_generator.state
+    assert sampler.tag_triplets(rng, 0) == []
+    assert sampler.tag_triplets(rng, 0, notion="shape") == []
+    assert sampler.track_triplets(rng, 0) == []
+    assert rng.bit_generator.state == state
+
+
+# --- replay of numpy's draws ------------------------------------------------
+
+# 2**31 + 1 rejects about half of all words; 2**32 - 1 and 2**32 are the
+# largest ranges the 32-bit method serves, the latter without a product
+BOUNDS = [1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+@pytest.fixture(params=[5, 1], ids=["block", "tiny-block"])
+def words_per_triplet(request, monkeypatch):
+    """The block size factor; at 1 a block runs out within the batch, so the
+    replay must rewind and start again on a larger block."""
+    monkeypatch.setattr(sampling, "_WORDS_PER_TRIPLET", request.param)
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_bounded_draws_equal_rng_integers(n, words_per_triplet):
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _replay(rng, 40, lambda word: _bounded(word, n))
+        assert got == [int(ref.integers(n)) for _ in range(40)], (n, seed)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_pair_draws_equal_rng_choice_without_replacement(words_per_triplet):
+    for n in range(2, 61):
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _replay(rng, 8, lambda word: _pair(word, n))
+            want = [tuple(int(i) for i in ref.choice(n, 2, replace=False))
+                    for _ in range(8)]
+            assert got == want, (n, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_track_triplet(sampler, rng):
+    """Track triplet drawn with one rng call per draw."""
+    track = sampler.multi_tracks[rng.integers(len(sampler.multi_tracks))]
+    a, p = rng.choice(sampler.track_index[track], size=2, replace=False)
+    while True:
+        n = rng.integers(len(sampler.dataset))
+        if sampler.dataset.track_ids[n] != track:
+            break
+    return Triplet(int(a), int(p), int(n), None, None, "track")
+
+
+def edge_dataset(small_space):
+    """'red' has exactly two positives (its pair draw reads one word less),
+    'round' exactly one negative (its negative draw reads none), 'square' one
+    positive (excluded, so notion 'shape' has one tag and its tag draw reads
+    none); tracks hold one, two or three items, so negatives are often
+    redrawn."""
+    rows = [("red", "round", "t0"), ("red", "round", "t0"),
+            ("blue", "round", "t1"), ("blue", "round", "t1"),
+            ("blue", "round", "t1"), ("blue", "square", "t2"),
+            ("blue", "round", "t3"), ("blue", "round", "t4"),
+            ("blue", "round", "t4")]
+    items = [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot([c, sh]))
+             for k, (c, sh, tr) in enumerate(rows)]
+    return Dataset(items, small_space)
+
+
+def test_batch_draws_equal_per_triplet_reference(small_space,
+                                                 words_per_triplet):
+    sampler = TripletSampler(edge_dataset(small_space))
+    assert len(sampler.pos["red"]) == 2 and len(sampler.neg["round"]) == 1
+    assert sampler.by_notion["shape"] == ("round",)
+    calls = [("tag", None, 5), ("track", None, 3), ("direct", None, 0),
+             ("tag", "color", 1), ("tag", "shape", 17), ("track", None, 1),
+             ("tag", None, 0), ("direct", None, 0), ("tag", "color", 64),
+             ("track", None, 40)]
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for kind, notion, count in calls:
+            if kind == "tag":
+                got = sampler.tag_triplets(rng, count, notion)
+                want = [reference_tag_triplet(sampler, ref, notion)
+                        for _ in range(count)]
+            elif kind == "track":
+                got = sampler.track_triplets(rng, count)
+                want = [reference_track_triplet(sampler, ref)
+                        for _ in range(count)]
+            else:
+                # direct draws between batches, as the trainer's other code
+                # may make: 64-bit draws after an odd number of 32-bit words
+                got = [rng.random(), rng.integers(1000), rng.normal(size=3)]
+                want = [ref.random(), ref.integers(1000), ref.normal(size=3)]
+                got[2], want[2] = got[2].tolist(), want[2].tolist()
+            assert got == want, (seed, kind, notion, count)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            if kind != "direct":
+                assert all(type(i) is int for t in got
+                           for i in (t.anchor, t.positive, t.negative))
+
+
+# sha256 of one track-regularized triplet epoch on default_config(0)'s
+# training split and the generator state after it, recorded from one rng call
+# per draw; a refactor that moves the training stream fails it
+EPOCH_DIGEST = "fec15e94042a21a88db5063ea5572a668f0078f49f1f890a486486d0f7e15ffd"
+
+
+def test_training_stream_is_pinned():
+    config = default_config(0)
+    train_ds, _, _ = load_or_generate(config)
+    variant = config.variants[2]
+    assert variant.track_reg and variant.seed == 0
+    rng = np.random.default_rng(np.random.SeedSequence([variant.seed, 3, 0]))
+    digest = hashlib.sha256()
+    for tags, tracks in batch_iterator(train_ds, variant.batch_size, "triplet",
+                                       rng, sampler=TripletSampler(train_ds),
+                                       track_reg=True):
+        for t in tags + tracks:
+            digest.update(repr((t.anchor, t.positive, t.negative, t.tag,
+                                t.notion, t.kind)).encode())
+    digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == EPOCH_DIGEST
+
+
+# --- split checks before any draw --------------------------------------------
+
+
+def test_checked_sampler_names_split_and_notion(small_space):
+    ds = edge_dataset(small_space)
+    assert checked_sampler(ds, "test", ["color", "shape"], tracks=True)
+    with pytest.raises(DatasetError, match="validation split is empty"):
+        checked_sampler(Dataset([], small_space), "validation")
+    only_blue = Dataset([Item(f"b{k}", f"t{k}", np.zeros(4),
+                              small_space.multi_hot(["blue", "round"]))
+                         for k in range(3)], small_space)
+    with pytest.raises(DatasetError, match="test split: .* notion 'color'"):
+        checked_sampler(only_blue, "test", ["color", "shape"])
+    with pytest.raises(DatasetError, match="validation split: no sampleable"):
+        checked_sampler(only_blue, "validation")
+    singles = Dataset([Item(f"s{k}", f"t{k}", np.zeros(4),
+                            small_space.multi_hot([c, "round"]))
+                       for k, c in enumerate(["red", "red", "blue"])],
+                      small_space)
+    assert checked_sampler(singles, "test", ["color"])
+    with pytest.raises(DatasetError, match="test split: track triplets"):
+        checked_sampler(singles, "test", ["color"], tracks=True)
+
+
+def test_eval_triplets_error_names_test_split_and_notion():
+    space = default_config(1).space
+    parts = generate_splits(SyntheticSpec(space=space, tracks=12, seed=1),
+                            fractions=(0.8, 0.1, 0.1))
+    with pytest.raises(DatasetError, match="test split: .* notion 'genre'"):
+        sample_eval_triplets(parts[2], 10, seed=1)
+
+
+def test_validation_triplets_error_names_validation_split(small_space):
+    train_ds = edge_dataset(small_space)
+    valid_ds = Dataset([Item(f"v{k}", f"t{k}", np.zeros(4),
+                             small_space.multi_hot(["blue", "round"]))
+                        for k in range(3)], small_space)
+    variant = VariantConfig(family="triplet", max_epochs=1, hidden=(4,))
+    with pytest.raises(DatasetError, match="validation split: no sampleable"):
+        train(variant, small_space, train_ds, valid_ds)
