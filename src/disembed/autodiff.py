@@ -1,11 +1,15 @@
-"""Dense-tensor reverse-mode differentiation, Adam, and a reduce-on-plateau schedule.
+"""Reverse-mode differentiation over one graph node per layer, Adam, and a
+reduce-on-plateau schedule.
 
-The primitive set is deliberately small: matrix multiply, add, elementwise
-multiply, relu, sigmoid, natural log, row-wise guarded L2 normalization,
-clip, sum, mean, reshape, and concatenation.  Every loss in this package is
-composed from these.  Matrix multiply and normalization take 2-D operands
-only, one row per sample.  All arithmetic is float64.  Backward passes skip the
-gradient of any parent that does not require one (inputs, masks, labels).
+A node is a ``Tensor`` whose forward ran in numpy and whose hand-written
+backward maps the output gradient to one gradient per parent.  The network is
+fixed, so each layer is one node: the relu MLP and the head (``model``), the
+score formula (``model``), the triplet hinge and the summed BCE (``losses``).
+This module keeps the graph walk (``grad``), the elementwise ``add`` and
+``mul`` that combine losses, and guarded row L2 normalization, whose
+forward/backward pair (``l2_rows``/``l2_rows_backward``) the nodes share.  All
+arithmetic is float64.  Backward passes skip the gradient of an input that does
+not require one (features, masks, labels); weights are always trainable.
 
 Adam packs its parameters into one contiguous float64 vector: each
 parameter's ``values`` becomes a view of that vector, and a step is a few
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import GraphError, TrainingDivergedError
 
@@ -52,12 +55,6 @@ class Tensor:
             raise GraphError(f"item() on tensor of shape {self.values.shape}")
         return float(self.values.reshape(()))
 
-    def sum(self, axis=None) -> "Tensor":
-        return tsum(self, axis=axis)
-
-    def mean(self) -> "Tensor":
-        return tmean(self)
-
     def __add__(self, other):
         return add(self, other)
 
@@ -67,18 +64,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -128,137 +113,42 @@ def mul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _backward=backward)
 
 
-def matmul(a, b, transpose_b: bool = False) -> Tensor:
-    """Matrix product of two 2-D tensors (no vectors, no batched 3D)."""
-    a, b = as_tensor(a), as_tensor(b)
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise GraphError("matmul() expects 2-D operands")
-    rhs = bv.T if transpose_b else bv
-    out = av @ rhs
+def l2_rows(v: np.ndarray):
+    """Each row of a 2-D array divided by max(||row||, 1e-12).
 
-    def backward(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g @ rhs.T
-        if b.requires_grad:
-            grhs = av.T @ g
-            gb = grhs.T if transpose_b else grhs
-        return (ga, gb)
-
-    return Tensor(out, _parents=(a, b), _backward=backward)
+    Returns the rows, their norms and the guarded divisors, which
+    ``l2_rows_backward`` takes.
+    """
+    n = np.linalg.norm(v, axis=1, keepdims=True)
+    d = np.maximum(n, NORM_EPS)
+    return v / d, n, d
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.values, 0.0)
+def l2_rows_backward(y, n, d, g):
+    """Gradient through ``l2_rows`` given its outputs ``(y, n, d)``.
 
-    def backward(g):
-        return (g * (x.values > 0.0),)
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = expit(x.values)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.log(x.values)
-
-    def backward(g):
-        return (g / x.values,)
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def clip(x, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient is zero where the clamp is active."""
-    x = as_tensor(x)
-    out = np.clip(x.values, lo, hi)
-
-    def backward(g):
-        return (g * ((x.values >= lo) & (x.values <= hi)),)
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def tsum(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    out = x.values.sum(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            return (np.ones_like(x.values) * g,)
-        return (
-            np.repeat(np.expand_dims(g, axis), x.values.shape[axis], axis=axis),
-        )
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def tmean(x) -> Tensor:
-    x = as_tensor(x)
-    out = x.values.mean()
-    n = x.values.size
-
-    def backward(g):
-        return (np.ones_like(x.values) * (g / n),)
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def reshape(x, shape) -> Tensor:
-    """The same values in a new shape (a view; row-major order)."""
-    x = as_tensor(x)
-    out = x.values.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(x.values.shape),)
-
-    return Tensor(out, _parents=(x,), _backward=backward)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    """Join tensors along ``axis``; the backward splits the gradient back."""
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out = np.concatenate([t.values for t in tensors], axis=axis)
-    cuts = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, cuts, axis=axis))
-
-    return Tensor(out, _parents=tensors, _backward=backward)
+    A (near-)zero row is only scaled by the constant 1/eps, so its gradient is
+    ``g / eps``.
+    """
+    regular = (g - y * (y * g).sum(axis=1, keepdims=True)) / d
+    guarded = n < NORM_EPS
+    if guarded.any():
+        return np.where(guarded, g / d, regular)
+    return regular
 
 
 def l2_normalize(x) -> Tensor:
-    """Divide each row of a 2-D tensor by max(||row||, 1e-12).
+    """Guarded row L2 normalization of a 2-D tensor (see ``l2_rows``).
 
     The guard makes the map total: a (near-)zero row normalizes to itself
     scaled by 1/eps, with the norm treated as a constant in the backward pass.
     """
     x = as_tensor(x)
-    v = x.values
-    if v.ndim != 2:
+    if x.values.ndim != 2:
         raise GraphError("l2_normalize() expects a 2-D tensor")
-    n = np.linalg.norm(v, axis=1, keepdims=True)
-    d = np.maximum(n, NORM_EPS)
-    y = v / d
-
-    def backward(g):
-        proj = (y * g).sum(axis=1, keepdims=True)
-        regular = (g - y * proj) / d
-        guarded = g / d
-        return (np.where(n < NORM_EPS, guarded, regular),)
-
-    return Tensor(y, _parents=(x,), _backward=backward)
+    y, n, d = l2_rows(x.values)
+    return Tensor(y, _parents=(x,),
+                  _backward=lambda g: (l2_rows_backward(y, n, d, g),))
 
 
 def grad(loss: Tensor, params) -> dict:

@@ -17,6 +17,9 @@ classification-normalized) or L2 normalization of each notion block
 (proxy-disentangled, classification-disentangled).  M is all ones, or for
 the disentangled variants the tag-by-dimension block mask that restricts
 each centroid to its own notion's block.
+
+The backbone, the head and the score formula are one graph node each
+(``relu_layers``, ``_score_node``), with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GraphError
 from .labelspace import LabelSpace
 
 SCORE_VARIANTS = (
@@ -91,11 +95,11 @@ class EmbeddingNet:
         return len(self.config.hidden)
 
     def backbone(self, x) -> Tensor:
-        """f_{n-1}: graph forward through the relu MLP."""
-        h = ad.as_tensor(x)
-        for i in range(self.n_hidden):
-            h = ad.relu(ad.matmul(h, self.params[f"W{i}"]) + self.params[f"b{i}"])
-        return h
+        """f_{n-1}: the relu MLP as one graph node."""
+        return relu_layers(ad.as_tensor(x), [
+            ([self.params[f"W{i}"]], self.params[f"b{i}"])
+            for i in range(self.n_hidden)
+        ])
 
     def head_blocks(self, fnm1: Tensor) -> Tensor:
         """Sub-dense relu head outputs side by side, one (B, d) tensor.
@@ -105,8 +109,8 @@ class EmbeddingNet:
         """
         if self.config.head == "dense":
             raise ConfigurationError("head_blocks requires the subdense head")
-        H = ad.concat([self.params[f"H{g}"] for g in range(self.space.num_notions)])
-        return ad.relu(ad.matmul(fnm1, H))
+        blocks = [self.params[f"H{g}"] for g in range(self.space.num_notions)]
+        return relu_layers(fnm1, [(blocks, None)])
 
     def full_embedding(self, x) -> Tensor:
         """Pre-normalization full-space embedding of a (B, input_dim) batch.
@@ -122,7 +126,45 @@ class EmbeddingNet:
             )
         if self.config.head == "subdense":
             return self.head_blocks(self.backbone(x))
-        return ad.relu(ad.matmul(self.backbone(x), self.params["H"]))
+        return relu_layers(self.backbone(x), [([self.params["H"]], None)])
+
+
+def relu_layers(x: Tensor, layers) -> Tensor:
+    """relu(... relu(x @ W1 + b1) ... @ Wn + bn) of a 2-D x as one graph node.
+
+    ``layers`` holds, per layer, its weight as a list of column blocks, joined
+    for the forward and split back for their gradients, and its bias or None.
+    The forward keeps only each layer's output; the relu backward reads
+    ``h > 0``, which is ``z > 0``.
+    """
+    if x.values.ndim != 2:
+        raise GraphError("relu_layers() expects a 2-D input")
+    hs, weights, parents = [x.values], [], [x]
+    for blocks, b in layers:
+        W = (blocks[0].values if len(blocks) == 1
+             else np.concatenate([w.values for w in blocks], axis=-1))
+        z = hs[-1] @ W
+        if b is not None:
+            z += b.values
+        hs.append(np.maximum(z, 0.0, out=z))
+        weights.append(W)
+        parents += blocks if b is None else [*blocks, b]
+
+    def backward(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            blocks, b = layers[i]
+            g = g * (hs[i + 1] > 0.0)
+            gb = [] if b is None else [g.sum(axis=0)]
+            gW = [hs[i].T @ g]
+            if len(blocks) > 1:
+                cuts = np.cumsum([w.values.shape[1] for w in blocks[:-1]])
+                gW = np.split(gW[0], cuts, axis=-1)
+            grads = [*gW, *gb, *grads]
+            g = g @ weights[i].T if i > 0 or x.requires_grad else None
+        return (g, *grads)
+
+    return Tensor(hs[-1], _parents=tuple(parents), _backward=backward)
 
 
 class CentroidBank:
@@ -190,16 +232,42 @@ def score_blocks(
         raise ConfigurationError(f"{variant} requires the {head} head")
 
     F = net.full_embedding(np.atleast_2d(x))
-    C = bank.weights
-    if variant.endswith("-disentangled"):
-        rows = F.shape[0] * space.num_notions
-        blocks = ad.reshape(F, (rows, space.block_size))
-        F = ad.reshape(ad.l2_normalize(blocks), F.shape)
-        C = ad.mul(C, Tensor(space.tag_block_mask))
-    elif variant != "classification-plain":
-        F = ad.l2_normalize(F)
-    S = ad.sigmoid(ad.matmul(F, C, transpose_b=True))
-    return [(np.arange(space.num_tags), S)]
+    return [(np.arange(space.num_tags), _score_node(F, bank.weights, variant,
+                                                    space))]
+
+
+def _score_node(F: Tensor, C: Tensor, variant: str, space: LabelSpace) -> Tensor:
+    """``sigmoid(N(F) @ (C * M).T)`` as one graph node (module docstring).
+
+    Both normalizations are guarded row L2: of F's rows, or of the rows of F
+    cut into its notion blocks.
+    """
+    disentangled = variant.endswith("-disentangled")
+    normalized = variant != "classification-plain"
+    U, Cm = F.values, C.values
+    if normalized:
+        width = space.block_size if disentangled else U.shape[1]
+        y, n, d = ad.l2_rows(U.reshape(-1, width))
+        U = y.reshape(U.shape)
+    if disentangled:
+        Cm = Cm * space.tag_block_mask
+    S = expit(U @ Cm.T)
+
+    def backward(g):
+        gz = g * S * (1.0 - S)
+        gF = gC = None
+        if F.requires_grad:
+            gF = gz @ Cm
+            if normalized:
+                gF = ad.l2_rows_backward(y, n, d, gF.reshape(y.shape))
+                gF = gF.reshape(U.shape)
+        if C.requires_grad:
+            gC = (U.T @ gz).T
+            if disentangled:
+                gC = gC * space.tag_block_mask
+        return (gF, gC)
+
+    return Tensor(S, _parents=(F, C), _backward=backward)
 
 
 def class_scores(

@@ -393,6 +393,11 @@ def load_model(prefix) -> TrainedModel:
     params = dict(net.params)
     if bank is not None:
         params["C"] = bank.weights
+    extra = sorted(set(values) - set(params))
+    if extra:
+        raise ConfigurationError(
+            f"{prefix}.params: unexpected parameters {', '.join(map(repr, extra))}"
+        )
     for name, p in params.items():
         if name not in values:
             raise ConfigurationError(f"{prefix}.params: missing parameter {name!r}")

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from disembed import autodiff as ad
 from disembed.autodiff import Tensor, grad
-from disembed.losses import bce_sum, cosine_rows, triplet_batch_loss
+from disembed.losses import bce_sum, triplet_batch_loss
 
 from conftest import finite_difference, relative_error
 
@@ -35,10 +36,12 @@ def ref_triplet(a, p, n, margin, mask=None):
 
 
 def test_cosine_hand_values():
-    A = Tensor([[1.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    B = Tensor([[0.0, 1.0], [6.0, 8.0], [1.0, 0.0]])
+    # with p = a and margin 1 the hinge is cos(a, n) - cos(a, a) + 1 = cos(a, n)
+    A = [[1.0, 0.0], [3.0, 4.0], [1.0, 1.0]]
+    B = [[0.0, 1.0], [6.0, 8.0], [1.0, 0.0]]
     expected = [0.0, 1.0, 1 / math.sqrt(2)]
-    assert cosine_rows(A, B).values == pytest.approx(expected)
+    got = [triplet_batch_loss(*rows(a, a, b), 1.0).item() for a, b in zip(A, B)]
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_triplet_loss_worst_case():
@@ -70,6 +73,24 @@ def test_masked_triplet_uses_only_masked_coordinates():
                    [1.0, 0.0, 0.0, -7.0])
     # within the mask this is the orthogonal 1.1 case above
     assert triplet_batch_loss(a, p, n, 0.1, mask).item() == pytest.approx(1.1)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((4, 3), (1, 3), (4, 3), None),   # a positive row broadcast over anchors
+    ((4, 3), (4, 3), (4, 2), None),
+    ((3,), (3,), (3,), None),         # one sample must be a (1, d) row
+    ((0, 3), (0, 3), (0, 3), None),   # an empty batch
+    ((2, 3), (2, 3), (2, 3), (3,)),   # one mask for the whole batch
+    ((2, 3), (2, 3), (2, 3), (1, 3)),
+    ((2, 3), (2, 3), (2, 3), (2, 4)),
+], ids=["positive-broadcast", "width", "1-d", "empty", "1-d-mask", "mask-row",
+        "mask-width"])
+def test_triplet_loss_rejects_bad_shapes(shapes):
+    *rows_shapes, mask_shape = shapes
+    EA, EP, EN = (Tensor(np.ones(sh), requires_grad=True) for sh in rows_shapes)
+    masks = None if mask_shape is None else np.ones(mask_shape)
+    with pytest.raises(ValueError):
+        triplet_batch_loss(EA, EP, EN, 0.1, masks)
 
 
 def test_bce_uniform_scores_give_t_ln2():
@@ -116,9 +137,8 @@ def test_proxy_loss_invariant_to_embedding_scale(rng):
     y = np.array([[1.0]])
 
     def loss_for(femb, proxy):
-        u = ad.l2_normalize(Tensor(femb))
-        score = ad.sigmoid(ad.matmul(u, Tensor(proxy), transpose_b=True))
-        return bce_sum(score, y).item()  # bce over a single tag
+        u = ad.l2_normalize(Tensor(femb)).values
+        return bce_sum(expit(u @ proxy.T), y).item()  # bce over a single tag
 
     assert abs(loss_for(f, p) - loss_for(3.7 * f, p)) < 1e-9
     # ... while rescaling the (deliberately unnormalized) proxy does move it
@@ -149,6 +169,28 @@ def test_batch_loss_tolerates_dead_rows(rng):
     # guarded normalization: zero rows give zero cosines, loss = margin
     val = triplet_batch_loss(Tensor(EA), Tensor(EP), Tensor(EN), 0.1).item()
     assert val == pytest.approx(0.1)
+
+
+def test_zero_anchor_row_takes_the_normalization_guard(rng):
+    # the zero anchor row scores the margin and gets the guarded gradient
+    # g / eps; every other row matches finite differences
+    EA, EP, EN = (rng.normal(size=(3, 4)) for _ in range(3))
+    EA[0] = 0.0
+    ta, tp, tn = (Tensor(E, requires_grad=True) for E in (EA, EP, EN))
+    params = {"a": ta, "p": tp, "n": tn}
+
+    def build():
+        return triplet_batch_loss(ta, tp, tn, 2.5)
+
+    analytic = grad(build(), params.values())
+    numeric = finite_difference(lambda: build().item(), params, step=1e-6)
+    assert relative_error(analytic[ta][1:], numeric["a"][1:]) < 1e-5
+    for name in ("p", "n"):
+        assert relative_error(analytic[params[name]], numeric[name]) < 1e-5
+    assert not analytic[tp][0].any() and not analytic[tn][0].any()
+    un, up = (E[0] / np.linalg.norm(E[0]) for E in (EN, EP))
+    guarded = (un - up) / 3 / ad.NORM_EPS
+    assert np.abs(analytic[ta][0] - guarded).max() <= 1e-15 * np.abs(guarded).max()
 
 
 def test_track_regularized_combines_means(rng):
@@ -199,12 +241,12 @@ def test_triplet_gradient_matches_fd(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_bce_gradient_matches_fd(seed):
     rng = np.random.default_rng(seed + 100)
-    z = Tensor(rng.normal(size=6), requires_grad=True)
+    s = Tensor(expit(rng.normal(size=6)), requires_grad=True)
     y = (rng.random(6) > 0.5).astype(float)
 
     def build():
-        return bce_sum(ad.sigmoid(z), y)
+        return bce_sum(s, y)
 
-    analytic = grad(build(), [z])
-    numeric = finite_difference(lambda: build().item(), {"z": z}, step=1e-6)
-    assert relative_error(analytic[z], numeric["z"]) < 1e-5
+    analytic = grad(build(), [s])
+    numeric = finite_difference(lambda: build().item(), {"s": s}, step=1e-6)
+    assert relative_error(analytic[s], numeric["s"]) < 1e-5

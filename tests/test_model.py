@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from disembed import autodiff as ad
-from disembed.autodiff import Tensor
+from disembed.autodiff import NORM_EPS, grad
 from disembed.errors import ConfigurationError
-from disembed.labelspace import LabelSpace
-from disembed.losses import bce_sum
+from disembed.losses import LOG_FLOOR, bce_sum
 from disembed.model import (
     SCORE_VARIANTS,
     CentroidBank,
@@ -261,36 +259,56 @@ def test_score_blocks_is_one_all_tags_block(small_space, rng):
         assert S.shape == (3, small_space.num_tags)
 
 
-def _selector(indices, width):
-    """One-hot selection matrix S with S[i, indices[i]] = 1."""
-    S = np.zeros((len(indices), width))
-    S[np.arange(len(indices)), indices] = 1.0
-    return S
+def reference_disentangled(net, bank, X, Y):
+    """Per-notion scores and summed-BCE gradients in plain numpy.
 
-
-def reference_disentangled_blocks(net, bank, X, variant):
-    """Per-notion scoring, one graph chain per notion: the notion's tags
-    against the L2-normalized notion block, centroids cut to the block by
-    one-hot selector matmuls.  Returns (tag indices, scores) per notion."""
-    space = net.space
-    x = Tensor(X)
-    C = bank.weights
-    blocks = []
-    for g, notion in enumerate(space.notions):
+    Each notion's tags are scored against the L2-normalized notion block of
+    the embedding, one notion at a time, with the centroids cut to the block;
+    the gradients are then carried by hand back through the head and the
+    MLP.  Returns the (N, tags) scores and the gradient per parameter name.
+    """
+    space, P = net.space, net.params
+    hs = [X]
+    for i in range(net.n_hidden):
+        hs.append(np.maximum(hs[-1] @ P[f"W{i}"].values + P[f"b{i}"].values, 0))
+    if net.config.head == "dense":
+        H = P["H"].values
+    else:
+        H = np.hstack([P[f"H{g}"].values for g in range(space.num_notions)])
+    F = np.maximum(hs[-1] @ H, 0)
+    C = bank.weights.values
+    S, dF, dC = np.zeros(Y.shape), np.zeros_like(F), np.zeros_like(C)
+    for notion in space.notions:
         tags = space.tag_indices_of_notion(notion.name)
-        rows = Tensor(_selector(tags, space.num_tags))
-        if variant == "proxy-disentangled":
-            mask = Tensor(space.mask(notion.name).vector)
-            U = ad.l2_normalize(ad.mul(net.full_embedding(x), mask))
-            Cg = ad.mul(ad.matmul(rows, C), mask)
-        else:
-            h = ad.relu(ad.matmul(net.backbone(x), net.params[f"H{g}"]))
-            U = ad.l2_normalize(h)
-            dims = np.arange(space.embedding_dim)[space.block_slice(notion.name)]
-            cols = Tensor(_selector(dims, space.embedding_dim))
-            Cg = ad.matmul(ad.matmul(rows, C), cols, transpose_b=True)
-        blocks.append((tags, ad.sigmoid(ad.matmul(U, Cg, transpose_b=True))))
-    return blocks
+        cut = space.block_slice(notion.name)
+        norm = np.linalg.norm(F[:, cut], axis=1, keepdims=True)
+        den = np.maximum(norm, NORM_EPS)
+        U = F[:, cut] / den
+        Cg = C[tags][:, cut]
+        Sg = expit(U @ Cg.T)
+        S[:, tags] = Sg
+        y, s = Y[:, tags], np.clip(Sg, LOG_FLOOR, 1 - LOG_FLOOR)
+        dS = (-y / s + (1 - y) / (1 - s)) * (s == Sg)
+        dZ = dS * Sg * (1 - Sg)
+        dC[np.ix_(tags, np.arange(C.shape[1])[cut])] = dZ.T @ U
+        dU = dZ @ Cg
+        radial = U * (U * dU).sum(axis=1, keepdims=True)
+        dF[:, cut] = np.where(norm < NORM_EPS, dU, dU - radial) / den
+    grads = {"C": dC}
+    g = dF * (F > 0)
+    dH = hs[-1].T @ g
+    if net.config.head == "dense":
+        grads["H"] = dH
+    else:
+        for k, notion in enumerate(space.notions):
+            grads[f"H{k}"] = dH[:, space.block_slice(notion.name)]
+    g = g @ H.T
+    for i in reversed(range(net.n_hidden)):
+        g = g * (hs[i + 1] > 0)
+        grads[f"b{i}"] = g.sum(axis=0)
+        grads[f"W{i}"] = hs[i].T @ g
+        g = g @ P[f"W{i}"].values.T
+    return S, grads
 
 
 @pytest.mark.parametrize("dead_notion", [None, 0, 1])
@@ -307,24 +325,17 @@ def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion
         Y = (rng.random((5, small_space.num_tags)) < 0.5).astype(float)
         for net, variant in ((dense, "proxy-disentangled"),
                              (sub, "classification-disentangled")):
-            params = [*net.params.values(), bank.weights]
+            params = {**net.params, "C": bank.weights}
             [(_, S)] = score_blocks(net, bank, X, variant)
-            got = ad.grad(bce_sum(S, Y), params)
-            ref_S = np.zeros_like(S.values)
-            ref_loss = None
-            for tags, block in reference_disentangled_blocks(net, bank, X,
-                                                             variant):
-                ref_S[:, tags] = block.values
-                term = bce_sum(block, Y[:, tags])
-                ref_loss = term if ref_loss is None else ref_loss + term
-            want = ad.grad(ref_loss, params)
+            got = grad(bce_sum(S, Y), params.values())
+            ref_S, want = reference_disentangled(net, bank, X, Y)
             assert np.abs(S.values - ref_S).max() < 1e-12
             if dead_notion is not None:
                 tags = small_space.tag_indices_of_notion(
                     small_space.notions[dead_notion].name)
                 assert np.array_equal(S.values[:, tags], np.full((5, 2), 0.5))
-            for p in params:
-                assert np.abs(got[p] - want[p]).max() < 1e-12
+            for name, p in params.items():
+                assert np.abs(got[p] - want[name]).max() < 1e-12, name
 
 
 # --- parameter files -------------------------------------------------------

@@ -1,10 +1,14 @@
 """Training loop: variant legality, determinism, model selection, persistence."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from disembed import autodiff
+from disembed.benchmark import load_or_generate
+from disembed.config import default_config
 from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import ConfigurationError
 from disembed.trainer import (
@@ -239,6 +243,56 @@ def test_triplet_epoch_slower_than_classification(splits):
     assert rt.seconds > rc.seconds
 
 
+# sha256 per paper variant of the float64 bytes of every parameter gradient
+# of the first three training steps on default_config(0) (Adam steps between
+# them) and of the first epoch's validation loss, recorded from the primitive
+# autodiff graph; a change to the forward or backward arithmetic fails it
+GRADIENT_DIGESTS = {
+    "triplet+norm":
+        "80f69fe8b985283f27922c90844654f1259949079d53b6f25c61842f99f31bb3",
+    "triplet+norm+disent":
+        "f305c69eb2601c6270638d60bf7a562b1b266326df54d726617e3bdb46cbb3b2",
+    "triplet+norm+disent+trackreg":
+        "69d1ad490aab86a7986facd407c01e8b4ae9bc64428147a0f4ae0f199638c75c",
+    "proxy+norm":
+        "e7eef53146716a73a8b538517b85129272d10cca036eafa85f854fa2b90691c5",
+    "proxy+norm+disent":
+        "7fe8e1c2fb62896a772eaa6ac69aeb19806eba9071d2136a049762d70232c4cb",
+    "classification":
+        "90551436a3defc34d55d2918e1be99efa66e481030d5b0a5e6e5e86c35e6b0de",
+    "classification+norm":
+        "e7eef53146716a73a8b538517b85129272d10cca036eafa85f854fa2b90691c5",
+    "classification+norm+disent":
+        "c82d16174aa231cebf1b6399e052645a2c97d4ab7be50af0034368242168e780",
+}
+
+
+def test_first_training_gradients_are_pinned(monkeypatch):
+    config = default_config(0, max_epochs=1)
+    train_ds, valid_ds, _ = load_or_generate(config)
+    grad = autodiff.grad
+    digests = {}
+    for variant in config.variants:
+        digest = hashlib.sha256()
+        steps = []
+
+        def recording_grad(loss, params):
+            grads = grad(loss, params)
+            if len(steps) < 3:
+                steps.append(1)
+                for g in grads.values():
+                    digest.update(np.asarray(g, dtype=np.float64).tobytes())
+            return grads
+
+        monkeypatch.setattr(autodiff, "grad", recording_grad)
+        result = train(variant, config.space, train_ds, valid_ds)
+        assert len(steps) == 3 and result.epochs == 1
+        digest.update(np.float64(result.curves[0][2]).tobytes())
+        digests[variant.name] = digest.hexdigest()
+    moved = [v for v in digests if digests[v] != GRADIENT_DIGESTS.get(v)]
+    assert not moved, f"gradients moved for {moved}: {digests}"
+
+
 def test_empty_split_rejected(splits):
     from disembed.data import Dataset
 
@@ -282,6 +336,22 @@ def test_load_model_rejects_wrong_params(splits, tmp_path):
     params["C"] = other.model.bank.weights
     save_params(f"{prefix}.params", params)
     with pytest.raises(ConfigurationError):
+        load_model(prefix)
+
+
+def test_load_model_rejects_unexpected_params(splits, tmp_path):
+    space, (train_ds, valid_ds, _) = splits
+    res = train(quick(family="triplet", max_epochs=1), space, train_ds,
+                valid_ds)
+    prefix = tmp_path / "m"
+    save_model(prefix, res.model)
+    from disembed.model import save_params
+
+    params = dict(res.model.net.params)
+    params["C"] = np.zeros((space.num_tags, space.embedding_dim))
+    params["H9"] = np.zeros((16, 2))
+    save_params(f"{prefix}.params", params)
+    with pytest.raises(ConfigurationError, match="unexpected parameters 'C', 'H9'"):
         load_model(prefix)
 
 
