@@ -73,23 +73,26 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce an output gradient back to a parent's shape.
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """``a`` and ``b`` as tensors of equal shape, or one of them a scalar.
 
-    Only the broadcasts the forward ops allow can occur here: scalar against
-    anything, or a length-d vector against the rows of a (B, d) matrix.
+    Those are the only broadcasts ``add`` and ``mul`` take, so a gradient
+    reduces to its parent's shape by at most a full sum.
     """
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum())
-    if g.ndim == 2 and shape == (g.shape[1],):
-        return g.sum(axis=0)
-    raise GraphError(f"cannot reduce gradient of shape {g.shape} to {shape}")
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape and () not in (a.shape, b.shape):
+        raise GraphError(f"cannot broadcast shapes {a.shape} and {b.shape}")
+    return a, b
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Reduce an output gradient back to a parent's shape (the same shape,
+    or a scalar broadcast against anything)."""
+    return g if g.shape == shape else np.asarray(g.sum())
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.values + b.values
 
     def backward(g):
@@ -99,7 +102,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = a.values * b.values
 
     def backward(g):

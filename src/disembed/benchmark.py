@@ -1,12 +1,15 @@
-"""Train-then-evaluate orchestration over a variant list."""
+"""Train-then-evaluate orchestration over a variant list: one training and
+one evaluation per distinct computation, one report row per variant."""
 
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
 from . import autodiff as ad
+from . import trainer
 from .config import ExperimentConfig
 from .data import Dataset, generate_splits, load_dataset
 from .errors import DisembedError
@@ -18,9 +21,10 @@ from .evaluation import (
     training_time_ratio,
     triplet_accuracy,
 )
+from .labelspace import LabelSpace
 from .model import class_scores, embed
 from .sampling import checked_sampler
-from .trainer import TrainedModel, TrainResult, train
+from .trainer import TrainedModel, TrainResult, VariantConfig
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +51,26 @@ def sample_eval_triplets(
         by_notion[notion] = sampler.tag_triplets(rng, per_notion, notion)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
     return by_notion, sampler.track_triplets(rng, per_notion)
+
+
+def train(
+    variant: VariantConfig,
+    space: LabelSpace,
+    train_ds: Dataset,
+    valid_ds: Dataset,
+    shared: TrainResult | None = None,
+) -> TrainResult:
+    """``trainer.train`` for one report row.
+
+    ``shared`` is the result of an earlier variant with the same
+    ``computation_key()``; it is returned for ``variant`` as it is, and
+    nothing is trained again.  Every row that has a training result passes
+    through here, so a per-variant hook on this name (``bench/probes.py``)
+    sees each row's epochs.
+    """
+    if shared is not None:
+        return shared
+    return trainer.train(variant, space, train_ds, valid_ds)
 
 
 def evaluate_model(
@@ -101,29 +125,55 @@ def evaluate_model(
 
 
 def run_benchmark(config: ExperimentConfig) -> dict:
-    """Train every variant, evaluate all tasks, and assemble the report set.
+    """Train every distinct computation once, evaluate all tasks, and assemble
+    one report per variant.
 
-    A failed variant is recorded in its report; the rest continue.
+    Variants with equal ``computation_key()`` (``proxy+norm`` and
+    ``classification+norm``) train the same parameters on the same stream,
+    so only the first is trained and evaluated.  Each later one gets a copy of
+    its report, timing and error included, with its own ``variant`` and
+    ``shared_with`` naming the first.  A failed variant is recorded in its
+    report; the rest continue.
     """
     train_ds, valid_ds, test_ds = load_or_generate(config)
     eval_triplets = sample_eval_triplets(
         test_ds, config.triplets_per_notion, config.seed
     )
 
-    def run_one(variant) -> EvalReport:
+    def run_one(variant) -> tuple[EvalReport, TrainResult | None]:
+        """The variant's report, and its training result without the model
+        (None if training raised), so no model outlives its evaluation."""
+        result = None
         try:
-            result: TrainResult = train(variant, config.space, train_ds, valid_ds)
+            trained = train(variant, config.space, train_ds, valid_ds)
+            result = replace(trained, model=None)
             report = evaluate_model(
-                result.model, train_ds, test_ds, config.eval_ks, eval_triplets
+                trained.model, train_ds, test_ds, config.eval_ks, eval_triplets
             )
-            report.wall_seconds = result.seconds
-            report.epochs = result.epochs
-            return report
+            report.wall_seconds = trained.seconds
+            report.cpu_seconds = trained.cpu_seconds
+            report.epochs = trained.epochs
         except DisembedError as exc:
             log.error("variant %s failed: %s", variant.name, exc)
-            return EvalReport(variant=variant.to_dict(), error=str(exc))
+            report = EvalReport(variant=variant.to_dict(), error=str(exc))
+        return report, result
 
-    reports = [run_one(v) for v in config.variants]
+    # key -> (first variant's name, its report, its model-less result)
+    done: dict[tuple, tuple[str, EvalReport, TrainResult | None]] = {}
+    reports = []
+    for variant in config.variants:
+        key = variant.computation_key()
+        if key in done:
+            name, first, result = done[key]
+            if result is not None:
+                train(variant, config.space, train_ds, valid_ds, shared=result)
+            reports.append(
+                replace(first, variant=variant.to_dict(), shared_with=name)
+            )
+        else:
+            report, result = run_one(variant)
+            done[key] = variant.name, report, result
+            reports.append(report)
 
     timings = {
         v.name: r.wall_seconds

@@ -222,8 +222,10 @@ def training_time_ratio(timings: dict) -> dict:
 class EvalReport:
     """Per-variant results for the four evaluation tasks.
 
-    Wall-clock derived values (wall_seconds, training_time_ratio) live in
-    dedicated fields so determinism checks can exclude them.
+    Clock derived values (wall_seconds, cpu_seconds, training_time_ratio) live
+    in dedicated fields so determinism checks can exclude them.
+    ``shared_with`` names the variant whose run this report copies; it is
+    serialized only when set.
     """
 
     variant: dict
@@ -232,11 +234,13 @@ class EvalReport:
     triplet_accuracy: dict = field(default_factory=dict)  # (space, notion) -> value
     training_time_ratio: float | None = None
     wall_seconds: float | None = None
+    cpu_seconds: float | None = None
     epochs: int | None = None
     error: str | None = None
+    shared_with: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "variant": dict(self.variant),
             "recall_at": {str(k): v for k, v in self.recall_at.items()},
             "auc": self.auc,
@@ -248,9 +252,13 @@ class EvalReport:
             "error": self.error,
             "timing": {
                 "wall_seconds": self.wall_seconds,
+                "cpu_seconds": self.cpu_seconds,
                 "training_time_ratio": self.training_time_ratio,
             },
         }
+        if self.shared_with is not None:
+            d["shared_with"] = self.shared_with
+        return d
 
 
 def strip_timing(report_dict: dict) -> dict:

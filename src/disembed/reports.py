@@ -36,10 +36,15 @@ def _render(headers, rows) -> str:
 
 
 def render_table1(reports: list[dict], ks) -> str:
-    """Training time ratio, R@K columns, and auto-tagging AUC per variant."""
+    """Training time ratio, R@K columns, and auto-tagging AUC per variant.
+
+    A row that shares another variant's run has its time ratio starred and a
+    footnote naming that variant, since its time was not measured again.
+    """
     headers = ["Model", "Norm", "Disent", "Time ratio"]
     headers += [f"R@{k}" for k in ks] + ["AUC"]
     rows = []
+    notes = []
     for r in reports:
         v = r["variant"]
         if r.get("error"):
@@ -49,16 +54,23 @@ def render_table1(reports: list[dict], ks) -> str:
                 + ["FAILED"] * (len(ks) + 2)
             )
             continue
+        ratio = _fmt(r["timing"]["training_time_ratio"], digits=2)
+        if r.get("shared_with"):
+            ratio += "*"
+            notes.append(
+                f"* same run as {r['shared_with']}: trained once, "
+                "time copied, not measured again"
+            )
         row = [
             _variant_label(v),
             _flag(v["normalization"]),
             _flag(v["disentanglement"]),
-            _fmt(r["timing"]["training_time_ratio"], digits=2),
+            ratio,
         ]
         row += [_fmt(r["recall_at"].get(str(k)), percent=True) for k in ks]
         row.append(_fmt(r["auc"]))
         rows.append(row)
-    return _render(headers, rows)
+    return _render(headers, rows) + "".join(f"{n}\n" for n in notes)
 
 
 def render_table2(reports: list[dict], notions) -> str:

@@ -112,6 +112,21 @@ class VariantConfig:
         d["hidden"] = list(self.hidden)
         return d
 
+    def computation_key(self) -> tuple:
+        """Configs with equal keys train and evaluate the same computation.
+
+        A proxy model is a normalized classifier: without disentanglement,
+        ``proxy`` and normalized ``classification`` get the same dense head,
+        init draws, batch stream and score formula, so ``proxy`` is folded
+        into ``classification``.  The disentangled pair stays apart: the
+        proxy's dense ``H`` draws other initial weights than the sub-dense
+        ``H{g}``.
+        """
+        d = asdict(self)
+        if self.family == "proxy" and not self.disentanglement:
+            d["family"] = "classification"
+        return tuple(sorted(d.items()))
+
     @classmethod
     def from_dict(cls, d: dict) -> "VariantConfig":
         d = dict(d)
@@ -155,6 +170,7 @@ class TrainResult:
     epochs: int
     curves: list  # (epoch, train_loss, valid_loss, lr)
     best_valid_loss: float
+    cpu_seconds: float  # process CPU time over the span of ``seconds``
 
 
 def build_model(
@@ -270,7 +286,7 @@ def train(
         raise ConfigurationError("training split is empty")
     model = build_model(variant, space, train_ds.feature_dim)
     if variant.max_epochs == 0:
-        return TrainResult(model, 0.0, 0, [], math.inf)
+        return TrainResult(model, 0.0, 0, [], math.inf, 0.0)
 
     params = _all_params(model)
     adam = Adam(params, lr=variant.lr)
@@ -291,7 +307,7 @@ def train(
     best_snapshot = adam.flat.copy()
     curves = []
     epochs_run = 0
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     for epoch in range(variant.max_epochs):
         rng = np.random.default_rng(
             np.random.SeedSequence([variant.seed, 3, epoch])
@@ -339,9 +355,10 @@ def train(
             log.info("%s: early stop at epoch %d", variant.name, epoch)
             break
     seconds = time.perf_counter() - t0
+    cpu_seconds = time.process_time() - c0
 
     adam.flat[:] = best_snapshot
-    return TrainResult(model, seconds, epochs_run, curves, best)
+    return TrainResult(model, seconds, epochs_run, curves, best, cpu_seconds)
 
 
 def _step(adam: Adam, params: dict, loss) -> None:

@@ -356,12 +356,15 @@ def test_report_serialization_and_strip_timing():
         triplet_accuracy={("full", "color"): 0.7},
         training_time_ratio=1.5,
         wall_seconds=3.2,
+        cpu_seconds=3.0,
         epochs=10,
     )
     d = rep.to_dict()
     assert d["recall_at"] == {"1": 0.5}
     assert d["triplet_accuracy"] == {"full/color": 0.7}
-    assert d["timing"] == {"wall_seconds": 3.2, "training_time_ratio": 1.5}
+    assert d["timing"] == {"wall_seconds": 3.2, "cpu_seconds": 3.0,
+                           "training_time_ratio": 1.5}
+    assert "shared_with" not in d  # only a row that copies another has it
     stripped = strip_timing(d)
     assert "timing" not in stripped
     assert d["timing"]["wall_seconds"] == 3.2  # original untouched
