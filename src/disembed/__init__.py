@@ -26,7 +26,7 @@ from .model import (
     init_params,
     masked_embed,
 )
-from .sampling import Triplet, TripletSampler, batch_iterator
+from .sampling import Triplet, TripletBatch, TripletSampler, batch_iterator
 from .evaluation import (
     EvalReport,
     auc_tags,

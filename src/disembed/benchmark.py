@@ -23,7 +23,7 @@ from .evaluation import (
 )
 from .labelspace import LabelSpace
 from .model import class_scores, embed
-from .sampling import checked_sampler
+from .sampling import TripletBatch, checked_sampler
 from .trainer import TrainedModel, TrainResult, VariantConfig
 
 log = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ def load_or_generate(config: ExperimentConfig):
 
 def sample_eval_triplets(
     test_ds: Dataset, per_notion: int, seed: int
-) -> tuple[dict, list]:
+) -> tuple[dict[str, TripletBatch], TripletBatch]:
     """Fixed tag triplets per notion plus track triplets from the test split."""
     notions = [n.name for n in test_ds.space.notions]
     sampler = checked_sampler(test_ds, "test", notions, tracks=True)
@@ -175,16 +175,15 @@ def run_benchmark(config: ExperimentConfig) -> dict:
             done[key] = variant.name, report, result
             reports.append(report)
 
+    # keyed by row: rows may share a name but not a config (lr, epochs, ...)
     timings = {
-        v.name: r.wall_seconds
-        for v, r in zip(config.variants, reports)
+        i: r.wall_seconds
+        for i, r in enumerate(reports)
         if r.error is None and r.wall_seconds and r.wall_seconds > 0
     }
     if timings:
-        ratios = training_time_ratio(timings)
-        for v, r in zip(config.variants, reports):
-            if v.name in ratios:
-                r.training_time_ratio = ratios[v.name]
+        for i, ratio in training_time_ratio(timings).items():
+            reports[i].training_time_ratio = ratio
     return {
         "config": config.to_dict(),
         "reports": [r.to_dict() for r in reports],

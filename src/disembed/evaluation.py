@@ -12,6 +12,7 @@ from scipy.stats import rankdata
 from . import autodiff as ad
 from .errors import ConfigurationError
 from .labelspace import LabelSpace
+from .sampling import TripletBatch
 
 log = logging.getLogger(__name__)
 
@@ -143,7 +144,7 @@ def auc_tags(score_matrix, label_matrix) -> float:
 
 def triplet_accuracy(
     embeddings,
-    triplets,
+    triplets: TripletBatch,
     mode: str = "full",
     space: LabelSpace | None = None,
     disentangled: bool = False,
@@ -151,8 +152,9 @@ def triplet_accuracy(
     """Fraction of triplets with cos(anchor, positive) > cos(anchor, negative).
 
     ``embeddings`` are pre-normalization full-space embeddings, one row per
-    dataset item; triplets index into them.  mode="sub" restricts each triplet
-    to its notion's mask coordinates and requires a disentangled model.
+    dataset item; the ``TripletBatch`` ``triplets`` indexes into them.
+    mode="sub" restricts each triplet to its notion's block of ``space`` and
+    requires a disentangled model.
     Ties count as incorrect.
 
     Each cosine is dot(a, b) / (max(|a|, 1e-12) * max(|b|, 1e-12)), with the
@@ -171,23 +173,21 @@ def triplet_accuracy(
         if space is None:
             raise ConfigurationError("sub mode needs the label space for masks")
     E = np.asarray(embeddings, dtype=np.float64)
-    triplets = list(triplets)
-    if not triplets:
+    if len(triplets) == 0:
         raise ValueError("no triplets to evaluate")
-    index = np.array(
-        [(t.anchor, t.positive, t.negative) for t in triplets], dtype=np.intp
-    )
+    index = np.stack([triplets.anchor, triplets.positive, triplets.negative],
+                     axis=1)
     if mode == "full":
-        return _count_correct(E, index) / len(triplets)
-    notions = [t.notion for t in triplets]
-    if None in notions:
+        return _count_correct(E, index) / len(index)
+    if triplets.notion is None:
         raise ConfigurationError("track triplets carry no notion")
-    notion_of = np.array(notions, dtype=object)
+    # notion indices are positions in the batch's own label space
+    names = [notion.name for notion in triplets.space.notions]
     correct = 0
-    for notion in dict.fromkeys(notions):
-        group = index[notion_of == notion]
-        correct += _count_correct(E[:, space.block_slice(notion)], group)
-    return correct / len(triplets)
+    for k in dict.fromkeys(triplets.notion.tolist()):
+        group = index[triplets.notion == k]
+        correct += _count_correct(E[:, space.block_slice(names[k])], group)
+    return correct / len(index)
 
 
 def _count_correct(E: np.ndarray, index: np.ndarray) -> int:

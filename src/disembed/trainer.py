@@ -25,7 +25,7 @@ from .model import (
     save_params,
     score_blocks,
 )
-from .sampling import batch_iterator, checked_sampler
+from .sampling import TripletBatch, batch_iterator, checked_sampler
 
 log = logging.getLogger(__name__)
 
@@ -206,25 +206,21 @@ def _all_params(model: TrainedModel) -> dict[str, ad.Tensor]:
 def _triplet_loss(
     variant: VariantConfig, space: LabelSpace, embed_rows, tags, tracks
 ) -> ad.Tensor:
-    """The triplet family's loss on one batch of triplets.
+    """The triplet family's loss on one ``TripletBatch`` of tag triplets and,
+    with track regularization, one of track triplets.
 
     ``embed_rows(idx)`` returns the embeddings of dataset rows ``idx``.  Tag
     triplets are masked to their notion's block when disentangled; with track
     regularization, ``track_reg_weight`` times the unmasked loss of the track
     triplets is added.
     """
-    def batch_loss(triplets, masks=None):
+    def batch_loss(batch, masks=None):
         EA, EP, EN = (
-            embed_rows([getattr(t, role) for t in triplets])
-            for role in ("anchor", "positive", "negative")
+            embed_rows(rows) for rows in (batch.anchor, batch.positive, batch.negative)
         )
         return triplet_batch_loss(EA, EP, EN, variant.margin, masks)
 
-    masks = None
-    if variant.disentanglement:
-        masks = space.notion_block_mask[
-            [space.notion_index(t.notion) for t in tags]
-        ]
+    masks = space.notion_block_mask[tags.notion] if variant.disentanglement else None
     loss = batch_loss(tags, masks)
     if variant.track_reg:
         loss = loss + variant.track_reg_weight * batch_loss(tracks)
@@ -233,7 +229,7 @@ def _triplet_loss(
 
 def _fixed_validation_triplets(
     variant: VariantConfig, valid_ds: Dataset
-) -> tuple[list, list | None]:
+) -> tuple[TripletBatch, TripletBatch | None]:
     """One tag triplet per validation sample, same seed every epoch so the
     validation loss is comparable across epochs."""
     sampler = checked_sampler(valid_ds, "validation", tracks=variant.track_reg)

@@ -35,7 +35,7 @@ from disembed.model import (
     masked_embed,
     score_blocks,
 )
-from disembed.sampling import Triplet
+from disembed.sampling import TripletBatch
 from disembed.trainer import VariantConfig
 
 from conftest import finite_difference, relative_error
@@ -406,11 +406,10 @@ def test_metrics_match_brute_force_oracles():
         assert abs(auc_tags(S, L) - brute_auc_tags(S, L)) < 1e-9, \
             f"seed {seed}: auc"
 
-        triplets = [
-            Triplet(*(int(i) for i in rng.choice(n, size=3, replace=False)),
-                    None, None, "track")
-            for _ in range(15)
-        ]
+        rows = np.array([rng.choice(n, size=3, replace=False)
+                         for _ in range(15)]).T
+        # track triplets read no tag, so any label space serves
+        triplets = TripletBatch(*rows, None, None, default_label_space())
         assert triplet_accuracy(E, triplets, mode="full") == \
             brute_triplet_accuracy(E, triplets), f"seed {seed}: triplets"
 

@@ -139,3 +139,41 @@ def test_variants_with_equal_keys_build_and_score_identically(seed):
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
         assert np.array_equal(sa, sb)
         assert all(np.array_equal(ga[k], gb[k]) for k in ga)
+
+
+def tiny_config(variants) -> ExperimentConfig:
+    space = default_label_space()
+    return ExperimentConfig(
+        space=space,
+        synthetic=SyntheticSpec(space=space, tracks=60, excerpts_per_track=3,
+                                seed=13),
+        variants=variants,
+        triplets_per_notion=50,
+        seed=13,
+    )
+
+
+def ratios_and_walls(out) -> tuple[list, list]:
+    timings = [r["timing"] for r in out["reports"]]
+    return ([t["training_time_ratio"] for t in timings],
+            [t["wall_seconds"] for t in timings])
+
+
+def test_training_time_ratio_is_per_row_not_per_name():
+    # two rows named "classification" that differ in epochs and lr
+    rows = [VariantConfig(family="classification", normalization=False,
+                          max_epochs=epochs, lr=lr, hidden=(16, 16))
+            for epochs, lr in [(3, 0.01), (1, 0.02)]]
+    assert rows[0].name == rows[1].name
+    ratios, walls = ratios_and_walls(benchmark.run_benchmark(tiny_config(rows)))
+    assert ratios == [w / min(walls) for w in walls]
+
+
+def test_shared_pair_reads_equal_training_time_ratios():
+    variants = paper_variants(max_epochs=1, hidden=(16, 16), seed=13)
+    ratios, walls = ratios_and_walls(
+        benchmark.run_benchmark(tiny_config(variants)))
+    assert ratios == [w / min(walls) for w in walls]
+    names = [v.name for v in variants]
+    proxy, twin = names.index("proxy+norm"), names.index("classification+norm")
+    assert ratios[proxy] == ratios[twin]

@@ -17,7 +17,7 @@ from disembed.evaluation import (
     triplet_accuracy,
 )
 from disembed.labelspace import LabelSpace
-from disembed.sampling import Triplet
+from disembed.sampling import Triplet, TripletBatch
 
 
 # --- oracles ---------------------------------------------------------------
@@ -249,21 +249,41 @@ def test_prototypes_match_per_tag_means(seed):
 # --- triplet accuracy ------------------------------------------------------
 
 
-def make_triplets(n, items, rng, notion=None):
+def make_triplets(n, items, rng, notion=None, space=None):
+    """``n`` triplets of distinct ``items``: of the first tag of ``notion`` in
+    ``space``, or track triplets without a notion."""
+    tag = None
+    if notion is not None:
+        tag = next(t for t in space.tags if space.notion_of(t) == notion)
     out = []
     for _ in range(n):
         a, p, q = rng.choice(items, size=3, replace=False)
-        out.append(Triplet(int(a), int(p), int(q), None, notion,
+        out.append(Triplet(int(a), int(p), int(q), tag, notion,
                            "tag" if notion else "track"))
     return out
+
+
+def as_batch(records, space):
+    """The ``TripletBatch`` that iterates as ``records`` (all tag or all
+    track triplets)."""
+    rows = np.array([t[:3] for t in records], dtype=np.int64).reshape(-1, 3).T
+    if records and records[0].kind == "track":
+        batch = TripletBatch(*rows, None, None, space)
+    else:
+        tags = np.array([space.tag_index[t.tag] for t in records], dtype=np.int64)
+        notions = np.array([space.notion_index(t.notion) for t in records],
+                           dtype=np.int64)
+        batch = TripletBatch(*rows, tags, notions, space)
+    assert list(batch) == records
+    return batch
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_triplet_accuracy_matches_brute_force(seed, small_space):
     rng = np.random.default_rng(seed)
     E = rng.normal(size=(10, 8))
-    triplets = make_triplets(30, np.arange(10), rng, notion="color")
-    got = triplet_accuracy(E, triplets, mode="full")
+    triplets = make_triplets(30, np.arange(10), rng, "color", small_space)
+    got = triplet_accuracy(E, as_batch(triplets, small_space), mode="full")
     correct = 0
     for t in triplets:
         ca = np.dot(E[t.anchor], E[t.positive]) / (
@@ -278,54 +298,101 @@ def test_triplet_accuracy_matches_brute_force(seed, small_space):
 
 def test_triplet_accuracy_sub_space_uses_block(small_space, rng):
     E = rng.normal(size=(8, 8))
-    triplets = make_triplets(20, np.arange(8), rng, notion="shape")
+    batch = as_batch(make_triplets(20, np.arange(8), rng, "shape", small_space),
+                     small_space)
     got = triplet_accuracy(
-        E, triplets, mode="sub", space=small_space, disentangled=True
+        E, batch, mode="sub", space=small_space, disentangled=True
     )
     sl = small_space.block_slice("shape")
-    expect = triplet_accuracy(E[:, sl].copy(), triplets, mode="full")
+    expect = triplet_accuracy(E[:, sl].copy(), batch, mode="full")
     assert got == pytest.approx(expect)
 
 
 def test_triplet_accuracy_ties_are_incorrect(small_space):
     E = np.ones((3, 8))  # all cosines identical -> every comparison ties
-    triplets = [Triplet(0, 1, 2, None, "color", "tag")]
+    triplets = as_batch([Triplet(0, 1, 2, "red", "color", "tag")], small_space)
     assert triplet_accuracy(E, triplets, mode="full") == 0.0
+
+
+def test_triplet_accuracy_rejects_an_empty_batch(small_space):
+    with pytest.raises(ValueError, match="no triplets"):
+        triplet_accuracy(np.ones((3, 8)), as_batch([], small_space))
+
+
+def near_tied_embeddings(rng, n):
+    """Near-collinear rows of very different scales: cosines tie to within
+    a few ulps, so any change of summation order flips some comparisons."""
+    base = rng.normal(size=8)
+    E = (base + 1e-9 * rng.normal(size=(n, 8))) * rng.exponential(size=(n, 1))
+    E[:10] = tied_embeddings(rng, 10)
+    E[3] = 0.0
+    return E
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_triplet_accuracy_equals_loop_on_near_ties(seed, small_space):
     rng = np.random.default_rng(seed)
     n = 40
-    # near-collinear rows of very different scales: cosines tie to within
-    # a few ulps, so any change of summation order flips some comparisons
-    base = rng.normal(size=8)
-    E = (base + 1e-9 * rng.normal(size=(n, 8))) * rng.exponential(size=(n, 1))
-    E[:10] = tied_embeddings(rng, 10)
-    E[3] = 0.0
-    triplets = make_triplets(300, np.arange(n), rng, notion="color")
-    triplets += make_triplets(300, np.arange(n), rng, notion="shape")
+    E = near_tied_embeddings(rng, n)
+    triplets = make_triplets(300, np.arange(n), rng, "color", small_space)
+    triplets += make_triplets(300, np.arange(n), rng, "shape", small_space)
     rng.shuffle(triplets)
-    full = triplet_accuracy(E, triplets, mode="full")
+    batch = as_batch(triplets, small_space)
+    full = triplet_accuracy(E, batch, mode="full")
     sub = triplet_accuracy(
-        E, triplets, mode="sub", space=small_space, disentangled=True
+        E, batch, mode="sub", space=small_space, disentangled=True
     )
     assert full == loop_triplet_accuracy(E, triplets)
     assert sub == loop_triplet_accuracy(E, triplets, "sub", small_space)
     assert 0.0 < full < 1.0 and 0.0 < sub < 1.0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_triplet_batch_scores_like_its_records(seed, small_space):
+    rng = np.random.default_rng(seed)
+    n = 40
+    E = near_tied_embeddings(rng, n)
+    tags = rng.integers(small_space.num_tags, size=600)
+    notion_of_tag = [small_space.notion_index(small_space.notion_of(t))
+                     for t in small_space.tags]
+    rows = np.array([rng.choice(n, 3, replace=False) for _ in tags]).T
+    batch = TripletBatch(*rows, tags, np.take(notion_of_tag, tags), small_space)
+    records = list(batch)
+    assert {t.notion for t in records} == {"color", "shape"}
+    assert triplet_accuracy(E, batch) == loop_triplet_accuracy(E, records)
+    assert triplet_accuracy(E, batch, mode="sub", space=small_space,
+                            disentangled=True) == \
+        loop_triplet_accuracy(E, records, "sub", small_space)
+    tracks = TripletBatch(*rows, None, None, small_space)
+    assert triplet_accuracy(E, tracks) == loop_triplet_accuracy(E, records)
+
+
+def test_sub_mode_reads_notions_in_the_batch_space(small_space):
+    # the same notions in the other order: a batch's notion index 0 is
+    # 'color' in its own space and 'shape' in the one passed for the blocks
+    swapped = LabelSpace([("shape", ["round", "square"]),
+                          ("color", ["red", "blue"])], embedding_dim=8)
+    rng = np.random.default_rng(4)
+    E = near_tied_embeddings(rng, 40)
+    triplets = make_triplets(200, np.arange(40), rng, "color", small_space)
+    triplets += make_triplets(200, np.arange(40), rng, "shape", small_space)
+    batch = as_batch(triplets, small_space)
+    want = loop_triplet_accuracy(E, triplets, "sub", swapped)
+    assert want != loop_triplet_accuracy(E, triplets, "sub", small_space)
+    assert triplet_accuracy(E, batch, mode="sub", space=swapped,
+                            disentangled=True) == want
+
+
 def test_sub_mode_rejects_track_triplets(small_space):
     E = np.random.default_rng(0).normal(size=(4, 8))
-    t = [Triplet(0, 1, 2, None, "color", "tag"),
-         Triplet(1, 2, 3, None, None, "track")]
+    t = as_batch([Triplet(1, 2, 3, None, None, "track")], small_space)
     with pytest.raises(ConfigurationError, match="no notion"):
         triplet_accuracy(E, t, mode="sub", space=small_space, disentangled=True)
 
 
 def test_sub_mode_requires_disentangled(small_space):
     E = np.ones((3, 8))
-    t = [Triplet(0, 1, 2, None, "color", "tag")]
+    t = as_batch([Triplet(0, 1, 2, "red", "color", "tag")], small_space)
     with pytest.raises(ConfigurationError):
         triplet_accuracy(E, t, mode="sub", space=small_space, disentangled=False)
     with pytest.raises(ConfigurationError):
