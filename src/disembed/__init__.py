@@ -31,7 +31,6 @@ from .evaluation import (
     EvalReport,
     auc_tags,
     build_prototypes,
-    recall_at_k,
     retrieval_recall,
     training_time_ratio,
     triplet_accuracy,

@@ -84,14 +84,17 @@ def evaluate_model(
     variant = model.variant
     report = EvalReport(variant=variant.to_dict())
 
-    E_test = embed(model.net, test_ds.features)
+    # one test-split forward: pre-normalization rows for triplet accuracy,
+    # normalized as ``embed`` does for R@K; no graph outlives this line
+    E_pre = model.net.full_embedding(test_ds.features).values
+    E_test = ad.l2_rows(E_pre)[0] if model.net.config.normalize_output else E_pre
     report.recall_at = retrieval_recall(E_test, test_ds.labels, ks)
 
     if variant.family == "triplet":
         protos = build_prototypes(
             embed(model.net, train_ds.features), train_ds.labels
         )
-        U, P = (ad.l2_normalize(M).values for M in (E_test, protos))
+        U, P = (ad.l2_rows(M)[0] for M in (E_test, protos))
         scores = U @ P.T
     else:
         scores = class_scores(
@@ -100,7 +103,6 @@ def evaluate_model(
     report.auc = auc_tags(scores, test_ds.labels)
 
     by_notion, track_triplets = eval_triplets
-    E_pre = model.net.full_embedding(test_ds.features).values
     accs = {}
     for notion, triplets in by_notion.items():
         accs[("full", notion)] = triplet_accuracy(E_pre, triplets, mode="full")

@@ -16,21 +16,10 @@ from .sampling import TripletBatch
 
 log = logging.getLogger(__name__)
 
-# rows of the similarity matrix ranked at once by retrieval_recall
+# rows of the similarity matrix ranked at once by retrieval_recall, and the
+# most columns per group whose maxima set a row's candidate threshold
 _RECALL_BLOCK = 256
-
-
-def recall_at_k(query_labels, retrieved_label_sets) -> float:
-    """Fraction of a query's labels covered by the union of the retrieved
-    items' label sets.  Labels are multi-hot vectors; K is the number of
-    retrieved sets."""
-    q = np.asarray(query_labels) > 0
-    if q.sum() == 0:
-        raise ValueError("query must have at least one label")
-    covered = np.zeros_like(q)
-    for r in retrieved_label_sets:
-        covered |= np.asarray(r) > 0
-    return float((q & covered).sum() / q.sum())
+_RECALL_GROUP = 32
 
 
 def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
@@ -42,13 +31,15 @@ def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
     retrieves itself.  Zero-label queries are excluded from the average
     (logged); a ValueError is raised when no query has a label.
 
-    Memory: one n x n float64 similarity matrix, plus a partitioned copy of
-    one block of ``_RECALL_BLOCK`` rows at a time.
+    Memory: O(``_RECALL_BLOCK`` x n), never n x n: the float64 similarities
+    of one block of ``_RECALL_BLOCK`` query rows at a time, a boolean mask
+    of the same shape and index arrays over the block's candidates, plus
+    n x kmax neighbour indices.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(E).all():
         raise ValueError("embeddings must be finite")
-    E = ad.l2_normalize(E).values
+    E = ad.l2_rows(E)[0]
     L = np.asarray(labels) > 0
     n = len(E)
     label_counts = L.sum(axis=1)
@@ -70,27 +61,54 @@ def _top_neighbors(E: np.ndarray, kmax: int) -> np.ndarray:
     """Indices of each row's ``kmax`` most similar other rows of ``E``, in
     descending similarity with ties by ascending index.
 
-    The similarity matrix comes from one GEMM (a row-blocked product can
-    round tied similarities differently).  Per block of rows, everything at
-    or above the kmax-th largest similarity is a candidate; the candidates
-    are sorted by (row, -similarity, index) and the first kmax kept.
+    Similarities come one block of ``_RECALL_BLOCK`` query rows at a time,
+    ``E[block] @ E.T``, so each query is ranked by its own row of one block
+    GEMM, and exact ties are broken by index.  Per row, the columns are cut
+    into groups of ``c`` and the kmax-th largest group maximum is taken as a
+    threshold; it is at most the kmax-th largest similarity, so every
+    column at or above it is a candidate and the candidates hold the row's
+    top kmax with all their ties.  They are sorted by (row, -similarity,
+    index) and the first kmax kept.  With at least 4 kmax groups a row
+    keeps few candidates unless many of its similarities are equal.
     """
     n = len(E)
     top = np.empty((n, kmax), dtype=np.intp)
     if kmax == 0:
         return top
-    sims = E @ E.T
-    np.fill_diagonal(sims, -np.inf)
+    c = max(1, min(_RECALL_GROUP, n // (4 * kmax)))
     for start in range(0, n, _RECALL_BLOCK):
-        S = sims[start:start + _RECALL_BLOCK]
-        kth = np.partition(S, n - kmax, axis=1)[:, n - kmax, None]
-        rows, cols = np.nonzero(S >= kth)
-        order = np.lexsort((cols, -S[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
-        first = np.searchsorted(rows, rows)
-        keep = np.arange(len(rows)) - first < kmax
-        top[start:start + len(S)] = cols[keep].reshape(len(S), kmax)
+        top[start:start + _RECALL_BLOCK] = _block_top(
+            E[start:start + _RECALL_BLOCK] @ E.T, start, kmax, c
+        )
     return top
+
+
+def _block_top(S: np.ndarray, start: int, kmax: int, c: int) -> np.ndarray:
+    """``_top_neighbors`` of the query rows ``start, start + 1, ...`` from
+    their similarity rows ``S`` (overwritten at the self entries), with
+    groups of ``c`` columns.
+
+    A function of its own, so a block's arrays are freed before the next
+    block's GEMM allocates.
+    """
+    b, n = S.shape
+    rows = np.arange(b)
+    S[rows, start + rows] = -np.inf
+    # group g holds columns g, g + m, g + 2m, ...; the n % c last columns
+    # are groups of one
+    m = n // c
+    G = S[:, :c * m].reshape(b, c, m).max(axis=1)
+    if c * m < n:
+        G = np.concatenate([G, S[:, c * m:]], axis=1)
+    w = G.shape[1]
+    threshold = np.partition(G, w - kmax, axis=1)[:, w - kmax, None]
+    flat = np.flatnonzero(S >= threshold)
+    rows, cols = np.divmod(flat, n)
+    order = np.lexsort((cols, -S.ravel()[flat], rows))
+    rows, cols = rows[order], cols[order]
+    first = np.searchsorted(rows, rows)
+    keep = np.arange(len(rows)) - first < kmax
+    return cols[keep].reshape(b, kmax)
 
 
 def build_prototypes(embeddings, labels) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Evaluation metrics against independent brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from disembed.evaluation import (
     auc_rank,
     auc_tags,
     build_prototypes,
-    recall_at_k,
     retrieval_recall,
     strip_timing,
     training_time_ratio,
@@ -91,18 +92,6 @@ def tied_embeddings(rng, n, d=8):
 # --- recall ----------------------------------------------------------------
 
 
-def test_recall_at_k_hand_case():
-    q = np.array([1, 1, 0, 1])
-    retrieved = [np.array([1, 0, 0, 0]), np.array([0, 0, 1, 1])]
-    # union covers labels 0 and 3 of the query's three labels
-    assert recall_at_k(q, retrieved) == pytest.approx(2 / 3)
-
-
-def test_recall_at_k_rejects_empty_query():
-    with pytest.raises(ValueError):
-        recall_at_k(np.zeros(3), [np.ones(3)])
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_retrieval_recall_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
@@ -165,7 +154,7 @@ def test_retrieval_recall_rejects_non_finite_embeddings():
         retrieval_recall(E, np.eye(4), [1])
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("block", [1, 7, None])
 def test_retrieval_recall_exact_under_ties_across_blocks(block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(evaluation, "_RECALL_BLOCK", block)
@@ -177,6 +166,70 @@ def test_retrieval_recall_exact_under_ties_across_blocks(block, monkeypatch):
     ks = [1, 2, 5]
     got = retrieval_recall(E, L, ks)
     assert got == {k: brute_recall(E, L, k) for k in ks}
+
+
+@pytest.mark.parametrize("group", [1, 2, None])
+def test_retrieval_recall_block_mixes_tied_and_untied_kth(group, monkeypatch):
+    # rows of four +-1 entries (cosines are exact multiples of 1/4); each base
+    # row comes as a pair or a triple of exact copies, some scaled by a power
+    # of two.  With kmax = 2 a triple's two copies are its top 2 alone (and
+    # must come in index order), while a pair's second neighbour ties other
+    # items; both kinds of row share one block.  Groups of one column make
+    # the candidate threshold the kth similarity itself
+    if group is not None:
+        monkeypatch.setattr(evaluation, "_RECALL_GROUP", group)
+    rng = np.random.default_rng(7)
+    d, bases = 8, 24
+    base = np.zeros((bases, d))
+    for row in base:
+        row[rng.choice(d, size=4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    copies = np.where(np.arange(bases) % 2 == 0, 2, 3)
+    E = np.repeat(base, copies, axis=0)
+    E *= 2.0 ** rng.integers(0, 3, size=(len(E), 1))
+    E = E[rng.permutation(len(E))]
+    L = (rng.random((len(E), 12)) < 0.3).astype(float)
+    L[L.sum(axis=1) == 0, 0] = 1.0
+    ks = [1, 2]
+
+    U = E / np.linalg.norm(E, axis=1, keepdims=True)
+    S = U @ U.T
+    np.fill_diagonal(S, -np.inf)
+    kth = np.sort(S, axis=1)[:, -max(ks), None]
+    tied = np.count_nonzero(S >= kth, axis=1) > max(ks)
+    assert len(E) <= evaluation._RECALL_BLOCK
+    assert 0 < tied.sum() < len(E)
+
+    got = retrieval_recall(E, L, ks)
+    assert got == {k: brute_recall(E, L, k) for k in ks}
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_retrieval_recall_random_rows_with_partial_last_block(block,
+                                                              monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(evaluation, "_RECALL_BLOCK", block)
+    n = evaluation._RECALL_BLOCK + 37  # one full block and a partial one
+    rng = np.random.default_rng(block or 0)
+    E = rng.normal(size=(n, 6))
+    L = (rng.random((n, 8)) < 0.25).astype(float)
+    ks = [1, 3, 10]
+    got = retrieval_recall(E, L, ks)
+    assert got == {k: brute_recall(E, L, k) for k in ks}
+
+
+def test_retrieval_recall_memory_is_blocks_not_n_squared(rng):
+    # one n x n float64 similarity matrix is 8 n^2 bytes (72 MB here); the
+    # blocked ranking holds one 256 x n float64 block (6 MB) and a mask of it
+    n = 3000
+    E = rng.normal(size=(n, 16))
+    L = rng.random((n, 20)) < 0.2
+    tracemalloc.start()
+    try:
+        retrieval_recall(E, L, (1, 2, 4, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**2 / 4
 
 
 # --- AUC -------------------------------------------------------------------
