@@ -16,7 +16,7 @@ from .errors import (
     GraphError,
     TrainingDivergedError,
 )
-from .labelspace import LabelSpace, Mask, Notion, build_masks
+from .labelspace import LabelSpace, Notion
 from .model import (
     CentroidBank,
     EmbeddingNet,

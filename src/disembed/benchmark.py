@@ -98,7 +98,7 @@ def evaluate_model(
         scores = U @ P.T
     else:
         scores = class_scores(
-            model.net, model.bank, test_ds.features, variant.score_variant()
+            model.net, model.bank, test_ds.features, variant.disentanglement
         )
     report.auc = auc_tags(scores, test_ds.labels)
 

@@ -21,14 +21,6 @@ class Notion:
     tags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Binary selector for one notion's block of the embedding space."""
-
-    notion: str
-    vector: np.ndarray  # {0,1} floats, length d
-
-
 class LabelSpace:
     """Immutable declaration of notions, tags, and the embedding layout."""
 
@@ -109,10 +101,9 @@ class LabelSpace:
             )
         return tuple(t for t, x in zip(self.tags, vector) if x != 0)
 
-    def mask(self, notion: str) -> Mask:
-        v = np.zeros(self.embedding_dim)
-        v[self.block_slice(notion)] = 1.0
-        return Mask(notion, v)
+    def mask(self, notion: str) -> np.ndarray:
+        """Read-only length-d 0/1 selector of ``notion``'s block."""
+        return self.notion_block_mask[self.notion_index(notion)]
 
     @cached_property
     def notion_block_mask(self) -> np.ndarray:
@@ -144,10 +135,3 @@ class LabelSpace:
             return cls(notions, d["embedding_dim"])
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"bad label space declaration: {exc}") from exc
-
-
-def build_masks(space: LabelSpace) -> list[Mask]:
-    """One mask per notion; contiguous equal blocks in declaration order."""
-    if space.embedding_dim % space.num_notions != 0:
-        raise ConfigurationError("embedding_dim not divisible by notion count")
-    return [space.mask(n.name) for n in space.notions]

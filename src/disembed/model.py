@@ -1,21 +1,21 @@
-"""Embedding networks, the per-tag centroid/proxy bank, and score variants.
+"""Embedding networks, the per-tag centroid/proxy bank, and tag scores.
 
-The backbone is a relu MLP.  The head is either one dense layer of width d
-("dense") or one sub-dense layer of width d/G per notion ("subdense"); with
-the subdense head the full embedding is the concatenation of the sub-dense
-outputs in notion order.  The centroid bank holds one bias-free weight vector
-of length d per tag and serves as proxy and classification centroid
-interchangeably.
+The backbone is a relu MLP and the head one relu layer ``H`` of width d,
+whose output is the notion blocks side by side (d/G columns each, notion
+order).  A sub-dense head, one layer per notion, is this head with ``H``
+joined from per-block draws (``init_params(blockwise_head=True)``).  The
+centroid bank holds one bias-free weight vector of length d per tag and
+serves as proxy and classification centroid interchangeably.
 
-Every score variant is one formula over the full pre-normalization embedding
-F, the centroid bank C and a fixed (tags, d) mask M:
+Every proxy and classification model scores tags with one formula over the
+full pre-normalization embedding F, the centroid bank C and a fixed (tags, d)
+mask M, selected by two flags, (normalized, disentangled):
 
     S = sigmoid(N(F) @ (C * M).T)
 
-N is the identity (classification-plain), row L2 normalization (proxy,
-classification-normalized) or L2 normalization of each notion block
-(proxy-disentangled, classification-disentangled).  M is all ones, or for
-the disentangled variants the tag-by-dimension block mask that restricts
+N is the identity when not normalized, row L2 normalization when normalized,
+and L2 normalization of each notion block when also disentangled.  M is all
+ones, or when disentangled the tag-by-dimension block mask that restricts
 each centroid to its own notion's block.
 
 The backbone, the head and the score formula are one graph node each
@@ -37,32 +37,20 @@ from .autodiff import Tensor
 from .errors import ConfigurationError, GraphError
 from .labelspace import LabelSpace
 
-SCORE_VARIANTS = (
-    "proxy",
-    "proxy-disentangled",
-    "classification-plain",
-    "classification-normalized",
-    "classification-disentangled",
-)
-
-
 @dataclass
 class NetConfig:
     input_dim: int
     embedding_dim: int
     hidden: tuple[int, ...] = (128, 128)
-    head: str = "dense"  # "dense" | "subdense"
     normalize_output: bool = False
 
     def __post_init__(self):
-        if self.head not in ("dense", "subdense"):
-            raise ConfigurationError(f"unknown head kind: {self.head!r}")
         if self.input_dim <= 0 or self.embedding_dim <= 0:
             raise ConfigurationError("dimensions must be positive")
 
 
 class EmbeddingNet:
-    """MLP backbone plus dense or per-notion sub-dense embedding head."""
+    """MLP backbone plus one relu embedding head ``H`` of width d."""
 
     def __init__(self, config: NetConfig, space: LabelSpace):
         if config.embedding_dim != space.embedding_dim:
@@ -78,17 +66,9 @@ class EmbeddingNet:
                 np.zeros((dims[i], dims[i + 1])), requires_grad=True
             )
             self.params[f"b{i}"] = Tensor(np.zeros(dims[i + 1]), requires_grad=True)
-        width = dims[-1]
-        if config.head == "dense":
-            self.params["H"] = Tensor(
-                np.zeros((width, config.embedding_dim)), requires_grad=True
-            )
-        else:
-            block = space.block_size
-            for g in range(space.num_notions):
-                self.params[f"H{g}"] = Tensor(
-                    np.zeros((width, block)), requires_grad=True
-                )
+        self.params["H"] = Tensor(
+            np.zeros((dims[-1], config.embedding_dim)), requires_grad=True
+        )
 
     @property
     def n_hidden(self) -> int:
@@ -97,26 +77,20 @@ class EmbeddingNet:
     def backbone(self, x) -> Tensor:
         """f_{n-1}: the relu MLP as one graph node."""
         return relu_layers(ad.as_tensor(x), [
-            ([self.params[f"W{i}"]], self.params[f"b{i}"])
+            (self.params[f"W{i}"], self.params[f"b{i}"])
             for i in range(self.n_hidden)
         ])
 
     def head_blocks(self, fnm1: Tensor) -> Tensor:
-        """Sub-dense relu head outputs side by side, one (B, d) tensor.
-
-        Block g (width d/G, notion order) is relu(fnm1 @ H{g}); all blocks
-        come from one matmul against the H{g} joined column-wise.
-        """
-        if self.config.head == "dense":
-            raise ConfigurationError("head_blocks requires the subdense head")
-        blocks = [self.params[f"H{g}"] for g in range(self.space.num_notions)]
-        return relu_layers(fnm1, [(blocks, None)])
+        """The head, relu(fnm1 @ H): the notion blocks side by side, one
+        (B, d) tensor."""
+        return relu_layers(fnm1, [(self.params["H"], None)])
 
     def full_embedding(self, x) -> Tensor:
         """Pre-normalization full-space embedding of a (B, input_dim) batch.
 
-        The one forward of the package, as a graph tensor: relu(backbone @ H)
-        for the dense head, ``head_blocks(backbone(x))`` for the subdense one.
+        The one forward of the package, as a graph tensor:
+        ``head_blocks(backbone(x))``.
         """
         x = ad.as_tensor(x)
         if x.shape[-1] != self.config.input_dim:
@@ -124,43 +98,33 @@ class EmbeddingNet:
                 f"input width {x.shape[-1]} != net input_dim "
                 f"{self.config.input_dim}"
             )
-        if self.config.head == "subdense":
-            return self.head_blocks(self.backbone(x))
-        return relu_layers(self.backbone(x), [([self.params["H"]], None)])
+        return self.head_blocks(self.backbone(x))
 
 
 def relu_layers(x: Tensor, layers) -> Tensor:
     """relu(... relu(x @ W1 + b1) ... @ Wn + bn) of a 2-D x as one graph node.
 
-    ``layers`` holds, per layer, its weight as a list of column blocks, joined
-    for the forward and split back for their gradients, and its bias or None.
-    The forward keeps only each layer's output; the relu backward reads
+    ``layers`` holds a ``(W, b)`` pair per layer, b None for a layer without
+    bias.  The forward keeps only each layer's output; the relu backward reads
     ``h > 0``, which is ``z > 0``.
     """
     if x.values.ndim != 2:
         raise GraphError("relu_layers() expects a 2-D input")
     hs, weights, parents = [x.values], [], [x]
-    for blocks, b in layers:
-        W = (blocks[0].values if len(blocks) == 1
-             else np.concatenate([w.values for w in blocks], axis=-1))
-        z = hs[-1] @ W
+    for W, b in layers:
+        z = hs[-1] @ W.values
         if b is not None:
             z += b.values
         hs.append(np.maximum(z, 0.0, out=z))
-        weights.append(W)
-        parents += blocks if b is None else [*blocks, b]
+        weights.append(W.values)
+        parents += [W] if b is None else [W, b]
 
     def backward(g):
         grads = []
         for i in reversed(range(len(layers))):
-            blocks, b = layers[i]
             g = g * (hs[i + 1] > 0.0)
-            gb = [] if b is None else [g.sum(axis=0)]
-            gW = [hs[i].T @ g]
-            if len(blocks) > 1:
-                cuts = np.cumsum([w.values.shape[1] for w in blocks[:-1]])
-                gW = np.split(gW[0], cuts, axis=-1)
-            grads = [*gW, *gb, *grads]
+            gb = [] if layers[i][1] is None else [g.sum(axis=0)]
+            grads = [hs[i].T @ g, *gb, *grads]
             g = g @ weights[i].T if i > 0 or x.requires_grad else None
         return (g, *grads)
 
@@ -177,8 +141,18 @@ class CentroidBank:
         )
 
 
-def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None:
-    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in)."""
+def init_params(
+    net: EmbeddingNet,
+    bank: CentroidBank | None,
+    seed: int,
+    blockwise_head: bool = False,
+) -> None:
+    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in).
+
+    With ``blockwise_head`` the head is drawn as a sub-dense one, one
+    (width, d/G) block per notion in notion order, and ``H`` is those blocks
+    joined column-wise.
+    """
     rng = np.random.default_rng(np.uint64(seed))
     for name in sorted(net.params):
         p = net.params[name]
@@ -187,7 +161,13 @@ def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None
             continue
         fan_in = p.values.shape[0]
         bound = 1.0 / np.sqrt(fan_in)
-        p.values = rng.uniform(-bound, bound, size=p.values.shape)
+        if name == "H" and blockwise_head:
+            G = net.space.num_notions
+            width, d = p.values.shape
+            blocks = rng.uniform(-bound, bound, size=(G, width, d // G))
+            p.values = blocks.transpose(1, 0, 2).reshape(width, d)
+        else:
+            p.values = rng.uniform(-bound, bound, size=p.values.shape)
     if bank is not None:
         fan_in = bank.space.embedding_dim
         bound = 1.0 / np.sqrt(fan_in)
@@ -207,43 +187,37 @@ def embed(net: EmbeddingNet, x) -> np.ndarray:
 
 def masked_embed(net: EmbeddingNet, x, notion: str) -> np.ndarray:
     """Pre-normalization embedding Hadamard-multiplied with the notion mask."""
-    mask = net.space.mask(notion).vector
+    mask = net.space.mask(notion)
     x = np.asarray(x, dtype=np.float64)
     E = net.full_embedding(np.atleast_2d(x)).values * mask
     return E[0] if x.ndim == 1 else E
 
 
 def score_blocks(
-    net: EmbeddingNet, bank: CentroidBank, x, variant: str
-) -> list[tuple[np.ndarray, Tensor]]:
-    """Graph tensor of per-tag sigmoid scores as one all-tags block.
+    net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool
+) -> Tensor:
+    """Graph tensor of the (N, tags) sigmoid scores, tags in global order.
 
-    Returns ``[(arange(tags), S)]`` with ``S = sigmoid(N(F) @ (C * M).T)``
-    (see the module docstring): F is the net's full pre-normalization
-    embedding, N the variant's normalization (none, row L2 or per-notion
-    block L2) and M all ones or, for the disentangled variants, the tag-by-
-    dimension block mask, so each tag is scored in its own notion's block.
+    ``S = sigmoid(N(F) @ (C * M).T)`` (see the module docstring): F is the
+    net's full pre-normalization embedding, N row L2 normalization if the net
+    normalizes its output (per notion block if ``disentangled``) and M all
+    ones or, if ``disentangled``, the tag-by-dimension block mask, so each
+    tag is scored in its own notion's block.
     """
-    if variant not in SCORE_VARIANTS:
-        raise ConfigurationError(f"unknown score variant: {variant!r}")
-    space = net.space
-    head = "subdense" if variant == "classification-disentangled" else "dense"
-    if net.config.head != head:
-        raise ConfigurationError(f"{variant} requires the {head} head")
-
     F = net.full_embedding(np.atleast_2d(x))
-    return [(np.arange(space.num_tags), _score_node(F, bank.weights, variant,
-                                                    space))]
+    return _score_node(F, bank.weights, net.config.normalize_output,
+                       disentangled, net.space)
 
 
-def _score_node(F: Tensor, C: Tensor, variant: str, space: LabelSpace) -> Tensor:
+def _score_node(
+    F: Tensor, C: Tensor, normalized: bool, disentangled: bool,
+    space: LabelSpace,
+) -> Tensor:
     """``sigmoid(N(F) @ (C * M).T)`` as one graph node (module docstring).
 
     Both normalizations are guarded row L2: of F's rows, or of the rows of F
     cut into its notion blocks.
     """
-    disentangled = variant.endswith("-disentangled")
-    normalized = variant != "classification-plain"
     U, Cm = F.values, C.values
     if normalized:
         width = space.block_size if disentangled else U.shape[1]
@@ -271,12 +245,12 @@ def _score_node(F: Tensor, C: Tensor, variant: str, space: LabelSpace) -> Tensor
 
 
 def class_scores(
-    net: EmbeddingNet, bank: CentroidBank, x, variant: str
+    net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool
 ) -> np.ndarray:
     """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    [(_, S)] = score_blocks(net, bank, x, variant)
-    return S.values[0] if x.ndim == 1 else S.values
+    S = score_blocks(net, bank, x, disentangled).values
+    return S[0] if x.ndim == 1 else S
 
 
 # ---------------------------------------------------------------------------

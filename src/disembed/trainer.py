@@ -3,6 +3,7 @@ and best-validation-epoch restoration."""
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import time
@@ -93,20 +94,6 @@ class VariantConfig:
             parts.append("trackreg")
         return "+".join(parts)
 
-    def score_variant(self) -> str | None:
-        """The model-module score variant this config trains with."""
-        if self.family == "triplet":
-            return None
-        if self.family == "proxy":
-            return "proxy-disentangled" if self.disentanglement else "proxy"
-        if self.disentanglement:
-            return "classification-disentangled"
-        return (
-            "classification-normalized"
-            if self.normalization
-            else "classification-plain"
-        )
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["hidden"] = list(self.hidden)
@@ -116,11 +103,11 @@ class VariantConfig:
         """Configs with equal keys train and evaluate the same computation.
 
         A proxy model is a normalized classifier: without disentanglement,
-        ``proxy`` and normalized ``classification`` get the same dense head,
-        init draws, batch stream and score formula, so ``proxy`` is folded
-        into ``classification``.  The disentangled pair stays apart: the
-        proxy's dense ``H`` draws other initial weights than the sub-dense
-        ``H{g}``.
+        ``proxy`` and normalized ``classification`` get the same head, init
+        draws, batch stream and score formula, so ``proxy`` is folded into
+        ``classification``.  The disentangled pair differs only in the draw
+        order of ``H``: disentangled classification draws it block by block
+        (``init_params(blockwise_head=True)``), so its initial weights differ.
         """
         d = asdict(self)
         if self.family == "proxy" and not self.disentanglement:
@@ -176,23 +163,18 @@ class TrainResult:
 def build_model(
     variant: VariantConfig, space: LabelSpace, input_dim: int
 ) -> TrainedModel:
-    head = (
-        "subdense"
-        if variant.family == "classification" and variant.disentanglement
-        else "dense"
-    )
     net = EmbeddingNet(
         NetConfig(
             input_dim=input_dim,
             embedding_dim=space.embedding_dim,
             hidden=variant.hidden,
-            head=head,
             normalize_output=variant.normalization,
         ),
         space,
     )
     bank = None if variant.family == "triplet" else CentroidBank(space)
-    init_params(net, bank, variant.seed)
+    blockwise_head = variant.family == "classification" and variant.disentanglement
+    init_params(net, bank, variant.seed, blockwise_head=blockwise_head)
     return TrainedModel(net, bank, variant, space)
 
 
@@ -267,7 +249,7 @@ def validation_loss(
 def _bce(model: TrainedModel, X, Y) -> ad.Tensor:
     """Summed BCE of the model's scores for X against labels Y: one score
     graph and one loss call over all tags."""
-    [(_, S)] = score_blocks(model.net, model.bank, X, model.variant.score_variant())
+    S = score_blocks(model.net, model.bank, X, model.variant.disentanglement)
     return bce_sum(S, Y)
 
 
@@ -373,8 +355,6 @@ def save_curves(path, curves) -> None:
 
 
 def save_model(prefix, model: TrainedModel) -> None:
-    import json
-
     save_params(f"{prefix}.params", _all_params(model))
     meta = {
         "variant": model.variant.to_dict(),
@@ -382,7 +362,6 @@ def save_model(prefix, model: TrainedModel) -> None:
             "input_dim": model.net.config.input_dim,
             "embedding_dim": model.net.config.embedding_dim,
             "hidden": list(model.net.config.hidden),
-            "head": model.net.config.head,
             "normalize_output": model.net.config.normalize_output,
         },
         "space": model.space.to_dict(),
@@ -392,20 +371,29 @@ def save_model(prefix, model: TrainedModel) -> None:
 
 
 def load_model(prefix) -> TrainedModel:
-    import json
-
-    with open(f"{prefix}.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    space = LabelSpace.from_dict(meta["space"])
-    variant = VariantConfig.from_dict(meta["variant"])
-    netmeta = dict(meta["net"])
-    netmeta["hidden"] = tuple(netmeta["hidden"])
-    net = EmbeddingNet(NetConfig(**netmeta), space)
+    """The bundle ``save_model`` wrote at ``prefix``.  Invalid JSON, a missing
+    or unknown key and a malformed or mismatched ``.params`` file raise
+    ConfigurationError naming the file."""
+    path = f"{prefix}.json"
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        space = LabelSpace.from_dict(meta["space"])
+        variant = VariantConfig.from_dict(meta["variant"])
+        netmeta = dict(meta["net"])
+        netmeta["hidden"] = tuple(netmeta["hidden"])
+        net = EmbeddingNet(NetConfig(**netmeta), space)
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing key {exc}") from exc
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     bank = None if variant.family == "triplet" else CentroidBank(space)
+    model = TrainedModel(net, bank, variant, space)
     values = load_params(f"{prefix}.params")
-    params = dict(net.params)
-    if bank is not None:
-        params["C"] = bank.weights
+    params = _all_params(model)
     extra = sorted(set(values) - set(params))
     if extra:
         raise ConfigurationError(
@@ -419,4 +407,4 @@ def load_model(prefix) -> TrainedModel:
                 f"{prefix}.params: shape mismatch for {name!r}"
             )
         p.values = values[name]
-    return TrainedModel(net, bank, variant, space)
+    return model

@@ -55,31 +55,45 @@ def random_space(rng) -> LabelSpace:
     return LabelSpace(notions, embedding_dim=n_notions * block)
 
 
-def make_nets(space, input_dim, hidden, seed):
-    """Dense and sub-dense nets over the same backbone, plus a shared bank.
-
-    The sub-dense head matrices are the column blocks of the dense head, so
-    the two nets compute the same per-notion coordinates.
-    """
-    dense = EmbeddingNet(
+def make_net(space, input_dim, hidden, seed, blockwise_head=False):
+    """A normalizing net and a bank; ``blockwise_head`` draws H as the
+    sub-dense head, one block per notion."""
+    net = EmbeddingNet(
         NetConfig(input_dim=input_dim, embedding_dim=space.embedding_dim,
-                  hidden=hidden, head="dense"),
-        space,
-    )
-    sub = EmbeddingNet(
-        NetConfig(input_dim=input_dim, embedding_dim=space.embedding_dim,
-                  hidden=hidden, head="subdense"),
+                  hidden=hidden, normalize_output=True),
         space,
     )
     bank = CentroidBank(space)
-    init_params(dense, bank, seed)
-    for i in range(len(hidden)):
-        sub.params[f"W{i}"].values = dense.params[f"W{i}"].values.copy()
-        sub.params[f"b{i}"].values = dense.params[f"b{i}"].values.copy()
-    H = dense.params["H"].values
-    for g, notion in enumerate(space.notions):
-        sub.params[f"H{g}"].values = H[:, space.block_slice(notion.name)].copy()
-    return dense, sub, bank
+    init_params(net, bank, seed, blockwise_head=blockwise_head)
+    return net, bank
+
+
+def numpy_backbone(net, X):
+    h = np.asarray(X, dtype=np.float64)
+    for i in range(net.n_hidden):
+        h = np.maximum(h @ net.params[f"W{i}"].values
+                       + net.params[f"b{i}"].values, 0.0)
+    return h
+
+
+def subdense_block(net, h, notion):
+    """Notion ``notion``'s own sub-dense relu layer: relu(h @ H[:, block])."""
+    cut = net.space.block_slice(notion)
+    return np.maximum(h @ net.params["H"].values[:, cut], 0.0)
+
+
+def subdense_scores(net, bank, X):
+    """Sub-dense scoring in plain numpy, block by block: each notion's block
+    output, L2-normalized, dotted with its tags' centroids on that block."""
+    space, h = net.space, numpy_backbone(net, X)
+    S = np.empty((len(h), space.num_tags))
+    for notion in space.notions:
+        E = subdense_block(net, h, notion.name)
+        U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), ad.NORM_EPS)
+        tags = space.tag_indices_of_notion(notion.name)
+        C = bank.weights.values[tags][:, space.block_slice(notion.name)]
+        S[:, tags] = expit(U @ C.T)
+    return S
 
 
 # --- per-notion score identities -------------------------------------------
@@ -88,11 +102,13 @@ def make_nets(space, input_dim, hidden, seed):
 def test_disentangled_score_identities():
     """Per-tag scores agree across equivalent formulations.
 
-    Under head identification, per-notion masked scoring of a dense embedding
-    equals sub-dense per-block scoring (max difference below 1e-9 over 100
-    random instances), and proxy scoring equals normalized classification
-    scoring when the banks coincide (below 1e-12).  The whole sweep must
-    finish within ten seconds.
+    Disentangled scoring (per-notion masked scoring of the full embedding)
+    equals an independent numpy recomputation of sub-dense per-block
+    scoring, for the proxy's head and the classifier's block-drawn head (max
+    difference below 1e-9 over 100 random instances), and proxy scoring,
+    which is normalized classification scoring, equals an independent
+    recomputation (below 1e-12).  The whole sweep must finish within ten
+    seconds.
     """
     start = time.perf_counter()
     worst_disent = 0.0
@@ -101,27 +117,23 @@ def test_disentangled_score_identities():
         rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
         space = random_space(rng)
         input_dim = int(rng.integers(3, 7))
-        dense, sub, bank = make_nets(space, input_dim, (int(rng.integers(4, 8)),),
-                                     seed)
+        hidden = (int(rng.integers(4, 8)),)
+        dense, bank = make_net(space, input_dim, hidden, seed)
+        sub, sub_bank = make_net(space, input_dim, hidden, seed,
+                                 blockwise_head=True)
         X = rng.normal(size=(3, input_dim))
 
-        s_proxy_dis = class_scores(dense, bank, X, "proxy-disentangled")
-        s_class_dis = class_scores(sub, bank, X, "classification-disentangled")
-        worst_disent = max(worst_disent,
-                           float(np.abs(s_proxy_dis - s_class_dis).max()))
+        for net, b in ((dense, bank), (sub, sub_bank)):
+            worst_disent = max(worst_disent, float(np.abs(
+                class_scores(net, b, X, True) - subdense_scores(net, b, X)
+            ).max()))
 
         # independent recomputation: sigmoid of normalized-embedding dot bank
         E = dense.full_embedding(X).values
         U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), ad.NORM_EPS)
         expect = expit(U @ bank.weights.values.T)
-        s_proxy = class_scores(dense, bank, X, "proxy")
-        s_cnorm = class_scores(dense, bank, X, "classification-normalized")
-        worst_norm = max(
-            worst_norm,
-            float(np.abs(s_proxy - expect).max()),
-            float(np.abs(s_cnorm - expect).max()),
-            float(np.abs(s_proxy - s_cnorm).max()),
-        )
+        s_proxy = class_scores(dense, bank, X, False)
+        worst_norm = max(worst_norm, float(np.abs(s_proxy - expect).max()))
     elapsed = time.perf_counter() - start
     assert worst_disent < 1e-9, f"max disentangled score gap {worst_disent}"
     assert worst_norm < 1e-12, f"max proxy/normalized score gap {worst_norm}"
@@ -150,17 +162,12 @@ def _min_kink_distance(net, X) -> float:
         z = h @ net.params[f"W{i}"].values + net.params[f"b{i}"].values
         worst = min(worst, float(np.abs(z).min()))
         h = np.maximum(z, 0.0)
-    if net.config.head == "dense":
-        z = h @ net.params["H"].values
-        worst = min(worst, float(np.abs(z).min()))
-    else:
-        for g in range(net.space.num_notions):
-            z = h @ net.params[f"H{g}"].values
-            worst = min(worst, float(np.abs(z).min()))
-    return worst
+    z = h @ net.params["H"].values
+    return min(worst, float(np.abs(z).min()))
 
 
-def _safe_instance(seed, head, batch, loss_of, hinge_of=None, reject=None):
+def _safe_instance(seed, batch, loss_of, hinge_of=None, reject=None,
+                   blockwise_head=False):
     """Draw net/bank/input where the loss is differentiable near the point.
 
     Finite differences are only meaningful away from relu and hinge kinks and
@@ -170,13 +177,8 @@ def _safe_instance(seed, head, batch, loss_of, hinge_of=None, reject=None):
     space = grad_space()
     for attempt in range(60):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 43, attempt]))
-        net = EmbeddingNet(
-            NetConfig(input_dim=GRAD_INPUT_DIM, embedding_dim=space.embedding_dim,
-                      hidden=GRAD_HIDDEN, head=head),
-            space,
-        )
-        bank = CentroidBank(space)
-        init_params(net, bank, int(rng.integers(1 << 30)))
+        net, bank = make_net(space, GRAD_INPUT_DIM, GRAD_HIDDEN,
+                             int(rng.integers(1 << 30)), blockwise_head)
         X = rng.normal(size=(batch, GRAD_INPUT_DIM))
         if _min_kink_distance(net, X) < 1e-3:
             continue
@@ -191,10 +193,10 @@ def _safe_instance(seed, head, batch, loss_of, hinge_of=None, reject=None):
     raise AssertionError(f"no differentiable instance found for seed {seed}")
 
 
-def _check_model_gradient(seed, head, batch, loss_of, hinge_of=None,
-                          with_bank=True, reject=None):
-    net, bank, X, build = _safe_instance(seed, head, batch, loss_of, hinge_of,
-                                         reject)
+def _check_model_gradient(seed, batch, loss_of, hinge_of=None,
+                          with_bank=True, reject=None, blockwise_head=False):
+    net, bank, X, build = _safe_instance(seed, batch, loss_of, hinge_of,
+                                         reject, blockwise_head)
     params = dict(net.params)
     if with_bank:
         params["C"] = bank.weights
@@ -211,7 +213,7 @@ def _triplet_rows(space, rng, batch):
     XP = rng.normal(size=(batch, GRAD_INPUT_DIM))
     XN = rng.normal(size=(batch, GRAD_INPUT_DIM))
     masks = np.stack([
-        space.mask(space.notions[int(rng.integers(space.num_notions))].name).vector
+        space.mask(space.notions[int(rng.integers(space.num_notions))].name)
         for _ in range(batch)
     ])
     return XA, XP, XN, masks
@@ -254,7 +256,7 @@ def test_loss_gradients_match_finite_differences():
             EA, EP, EN = (net.full_embedding(Z).values for Z in (XA, XP, XN))
             return _hinge_args(EA, EP, EN, 0.3)
 
-        _check_model_gradient(seed, "dense", batch, plain_loss, plain_hinge,
+        _check_model_gradient(seed, batch, plain_loss, plain_hinge,
                               with_bank=False)
 
         # masked (per-notion) triplet
@@ -271,7 +273,7 @@ def test_loss_gradients_match_finite_differences():
                           for Z in (XA, XP, XN))
             return _hinge_args(EA, EP, EN, 0.3)
 
-        _check_model_gradient(seed, "dense", batch, masked_loss, masked_hinge,
+        _check_model_gradient(seed, batch, masked_loss, masked_hinge,
                               with_bank=False, reject=masked_rows_alive)
 
         # track-regularized sum: masked tag triplets plus full-space track ones
@@ -289,31 +291,27 @@ def test_loss_gradients_match_finite_differences():
                 _hinge_args(EP, EN, EA, 0.3),
             ])
 
-        _check_model_gradient(seed, "dense", batch, trackreg_loss,
+        _check_model_gradient(seed, batch, trackreg_loss,
                               trackreg_hinge, with_bank=False,
                               reject=masked_rows_alive)
 
-        # the three score-based binary cross entropies
-        def bce_loss(variant):
+        # the three score-based binary cross entropies: disentangled proxy,
+        # normalized classification, and disentangled classification with
+        # its block-drawn head
+        def bce_loss(disentangled):
             def loss_of(net, bank, X):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, 53]))
                 Y = (rng.random((batch, space.num_tags)) < 0.5).astype(float)
 
                 def build():
-                    total = None
-                    for tag_idx, block in score_blocks(net, bank, X, variant):
-                        term = bce_sum(block, Y[:, tag_idx])
-                        total = term if total is None else total + term
-                    return total
+                    return bce_sum(score_blocks(net, bank, X, disentangled), Y)
                 return build
             return loss_of
 
-        _check_model_gradient(seed, "dense", batch,
-                              bce_loss("proxy-disentangled"))
-        _check_model_gradient(seed, "dense", batch,
-                              bce_loss("classification-normalized"))
-        _check_model_gradient(seed, "subdense", batch,
-                              bce_loss("classification-disentangled"))
+        _check_model_gradient(seed, batch, bce_loss(True))
+        _check_model_gradient(seed, batch, bce_loss(False))
+        _check_model_gradient(seed, batch, bce_loss(True),
+                              blockwise_head=True)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"gradient sweep took {elapsed:.1f}s"
@@ -525,12 +523,13 @@ def test_disentangled_triplet_subspace_accuracy(benchmark_medians):
 
 def test_mask_partition_and_subdense_identity():
     """On randomized label spaces, the notion masks partition the embedding
-    coordinates orthogonally, and the masked dense embedding equals the
-    sub-dense block output, both to 1e-12."""
+    coordinates orthogonally, and each notion block of the full embedding,
+    like the masked embedding, is that notion's own sub-dense relu output,
+    all to 1e-12."""
     for seed in range(10):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 61]))
         space = random_space(rng)
-        vectors = [space.mask(n.name).vector for n in space.notions]
+        vectors = [space.mask(n.name) for n in space.notions]
         total = np.sum(vectors, axis=0)
         assert np.abs(total - 1.0).max() < 1e-12, f"seed {seed}: partition"
         for i in range(len(vectors)):
@@ -539,12 +538,18 @@ def test_mask_partition_and_subdense_identity():
                     f"seed {seed}: orthogonality"
 
         input_dim = int(rng.integers(3, 7))
-        dense, sub, _ = make_nets(space, input_dim, (5,), seed)
+        net, _ = make_net(space, input_dim, (5,), seed, blockwise_head=True)
         X = rng.normal(size=(4, input_dim))
-        E_sub = sub.full_embedding(X).values
+        E = net.full_embedding(X).values
+        h = net.backbone(X).values
         for notion in space.notions:
-            masked = masked_embed(dense, X, notion.name)
-            padded = E_sub * space.mask(notion.name).vector
+            cut = space.block_slice(notion.name)
+            block = subdense_block(net, h, notion.name)
+            assert np.abs(E[:, cut] - block).max() < 1e-12, \
+                f"seed {seed}: {notion.name} block of the full embedding"
+            masked = masked_embed(net, X, notion.name)
+            padded = np.zeros_like(masked)
+            padded[:, cut] = block
             assert np.abs(masked - padded).max() < 1e-12, \
                 f"seed {seed}: {notion.name} masked embedding"
 

@@ -48,7 +48,7 @@ def test_matmul_chain_gradient(seed):
     w = rng.normal(size=(5, 2))
 
     def build():
-        return weighted_sum(relu_layers(X, [([W0], b0), ([W1], b1)]), w)
+        return weighted_sum(relu_layers(X, [(W0, b0), (W1, b1)]), w)
 
     check_gradient(build, {"X": X, "W0": W0, "b0": b0, "W1": W1, "b1": b1})
 
@@ -63,7 +63,7 @@ def test_dead_relu_units_get_zero_gradient():
     w = rng.normal(size=(6, 3))
 
     def build():
-        return weighted_sum(relu_layers(X, [([W0], b0), ([H], None)]), w)
+        return weighted_sum(relu_layers(X, [(W0, b0), (H, None)]), w)
 
     check_gradient(build, {"W0": W0, "b0": b0, "H": H})
     g = grad(build(), [W0, b0, H])
@@ -75,9 +75,9 @@ def test_matmul_rejects_vector_vector():
     # one row per sample: the MLP node and the normalization take 2-D inputs
     W = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(GraphError):
-        relu_layers(Tensor([1.0, 2.0]), [([W], None)])
+        relu_layers(Tensor([1.0, 2.0]), [(W, None)])
     with pytest.raises(GraphError):
-        relu_layers(Tensor(np.ones((1, 1, 2))), [([W], None)])
+        relu_layers(Tensor(np.ones((1, 1, 2))), [(W, None)])
     with pytest.raises(GraphError):
         ad.l2_normalize(Tensor([1.0, 2.0]))
 
@@ -86,28 +86,29 @@ def test_matmul_rejects_vector_vector():
 
 
 def test_matmul_transpose_b_gradient(small_space):
-    # classification-plain: sigmoid(F @ C.T) with both operands trainable
+    # the plain classifier's score: sigmoid(F @ C.T), both operands trainable
     rng = np.random.default_rng(7)
     F = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
     C = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     w = rng.normal(size=(3, 4))
 
     def build():
-        return weighted_sum(_score_node(F, C, "classification-plain",
-                                        small_space), w)
+        return weighted_sum(_score_node(F, C, False, False, small_space), w)
 
     check_gradient(build, {"F": F, "C": C})
 
 
-@pytest.mark.parametrize("variant", ["proxy", "proxy-disentangled"])
-def test_normalized_score_gradient(small_space, variant):
+@pytest.mark.parametrize("disentangled", [False, True],
+                         ids=["proxy", "proxy-disentangled"])
+def test_normalized_score_gradient(small_space, disentangled):
     rng = np.random.default_rng(8)
     F = Tensor(rng.normal(size=(3, 8)) + 0.5, requires_grad=True)
     C = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     w = rng.normal(size=(3, 4))
 
     def build():
-        return weighted_sum(_score_node(F, C, variant, small_space), w)
+        return weighted_sum(_score_node(F, C, True, disentangled, small_space),
+                            w)
 
     check_gradient(build, {"F": F, "C": C})
 
@@ -123,9 +124,9 @@ def test_dead_notion_block_scores_one_half(small_space):
     w = rng.normal(size=(3, 4))
 
     def build():
-        return weighted_sum(_score_node(F, C, "proxy-disentangled", space), w)
+        return weighted_sum(_score_node(F, C, True, True, space), w)
 
-    S = _score_node(F, C, "proxy-disentangled", space).values
+    S = _score_node(F, C, True, True, space).values
     shape_tags = space.tag_indices_of_notion("shape")
     assert np.array_equal(S[:, shape_tags], np.full((3, 2), 0.5))
     analytic = grad(build(), [F, C])
@@ -139,13 +140,13 @@ def test_dead_notion_block_scores_one_half(small_space):
 
 def _relu_stage(t):
     W = Tensor(np.eye(4))
-    return weighted_sum(relu_layers(t, [([W], None)]),
+    return weighted_sum(relu_layers(t, [(W, None)]),
                         np.arange(1.0, 13.0).reshape(3, 4))
 
 
 def _sigmoid_stage(t):
     C = Tensor(np.eye(4))
-    return weighted_sum(_score_node(t, C, "classification-plain", None),
+    return weighted_sum(_score_node(t, C, False, False, None),
                         np.arange(1.0, 13.0).reshape(3, 4))
 
 
@@ -199,44 +200,30 @@ def test_sum_axis_and_mean_gradients():
         check_gradient(build, {"EA": EA, "EP": EP, "EN": EN})
 
 
-# --- the joined sub-dense head and the block normalization -------------------
+# --- the head and the block normalization -----------------------------------
 
 
 def test_reshape_and_concat_gradients(small_space):
-    # head blocks of unequal widths joined column-wise, then the notion blocks
-    # normalized by the disentangled score
+    # the head, then its notion blocks normalized by the disentangled score
     rng = np.random.default_rng(9)
     h = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    A = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    B = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
+    H = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
     C = Tensor(rng.normal(size=(4, 8)))
     w = rng.normal(size=(3, 4))
 
     def build():
-        F = relu_layers(h, [([A, B], None)])
-        return weighted_sum(_score_node(F, C, "proxy-disentangled",
-                                        small_space), w)
+        F = relu_layers(h, [(H, None)])
+        return weighted_sum(_score_node(F, C, True, True, small_space), w)
 
-    check_gradient(build, {"h": h, "A": A, "B": B}, tol=1e-5)
-
-
-def test_concat_values_and_axis():
-    rng = np.random.default_rng(4)
-    h = rng.normal(size=(2, 3))
-    a, b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4)))
-    out = relu_layers(Tensor(h), [([a, b], None)])
-    assert np.array_equal(out.values,
-                          np.maximum(h @ np.hstack([a.values, b.values]), 0.0))
-    grads = out._backward(np.ones_like(out.values))
-    assert [g.shape for g in grads[1:]] == [(3, 2), (3, 4)]
+    check_gradient(build, {"h": h, "H": H}, tol=1e-5)
 
 
 def test_constant_parents_get_no_gradient():
     # nodes skip the gradient of an input that needs none
     W = Tensor(np.ones((2, 2)), requires_grad=True)
     X = Tensor(np.ones((3, 2)))
-    outs = [ad.mul(X, 2.0), ad.mul(3.0, X), relu_layers(X, [([W], None)]),
-            _score_node(X, W, "proxy", None),
+    outs = [ad.mul(X, 2.0), ad.mul(3.0, X), relu_layers(X, [(W, None)]),
+            _score_node(X, W, True, False, None),
             bce_sum(X * 0.5, np.ones((3, 2))),
             triplet_batch_loss(X, X, X, 0.1)]
     for out in outs:

@@ -126,8 +126,8 @@ def test_variants_with_equal_keys_build_and_score_identically(seed):
         for variant in (a, b):
             model = build_model(variant, space, X.shape[1])
             params = {**model.net.params, "C": model.bank.weights}
-            [(_, S)] = score_blocks(model.net, model.bank, X,
-                                    variant.score_variant())
+            S = score_blocks(model.net, model.bank, X,
+                             variant.disentanglement)
             by_tensor = grad(bce_sum(S, Y), params.values())
             runs.append((
                 {k: p.values for k, p in params.items()},

@@ -202,6 +202,19 @@ def test_export_undecodable_data_is_exit_2(tiny_config, tmp_path, capsys):
     assert "not valid UTF-8" in capsys.readouterr().err
 
 
+def test_malformed_model_bundle_is_exit_1(tiny_config, capsys):
+    cfg_path, out = tiny_config
+    main(["train", "--config", str(cfg_path), "--variant-index", "0"])
+    prefix = out / "model_classification_norm"
+    meta_path = out / "model_classification_norm.json"
+    meta = json.loads(meta_path.read_text())
+    meta["net"]["head"] = "dense"  # a bundle saved before the one head
+    meta_path.write_text(json.dumps(meta))
+    code = main(["evaluate", "--config", str(cfg_path), "--model", str(prefix)])
+    assert code == 1
+    assert "'head'" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_exit_1():
     assert main(["benchmark", "--config", "/no/such/config.json"]) == 1
 

@@ -21,7 +21,9 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_report.json"
 
 
 def golden_config() -> ExperimentConfig:
-    """The configuration of test_benchmark_reports_are_deterministic."""
+    """The configuration of test_benchmark_reports_are_deterministic plus a
+    ``classification+norm+disent`` row, the one variant whose head is drawn
+    block by block."""
     space = default_label_space()
     return ExperimentConfig(
         space=space,
@@ -35,6 +37,8 @@ def golden_config() -> ExperimentConfig:
             VariantConfig(family="triplet", disentanglement=True,
                           track_reg=True, max_epochs=2, seed=13,
                           hidden=(32, 32)),
+            VariantConfig(family="classification", disentanglement=True,
+                          max_epochs=2, seed=13, hidden=(32, 32)),
         ],
         triplets_per_notion=100,
         seed=13,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from disembed.errors import ConfigurationError
-from disembed.labelspace import LabelSpace, Mask, Notion, build_masks
+from disembed.labelspace import LabelSpace, Notion
 
 
 def test_tag_ordering_is_concatenated_notion_order(small_space):
@@ -63,12 +63,12 @@ def test_block_slices_partition_dimension(small_space):
 
 
 def test_masks_partition_and_orthogonality(small_space):
-    masks = build_masks(small_space)
-    total = sum(m.vector for m in masks)
+    masks = [small_space.mask(n.name) for n in small_space.notions]
+    total = sum(masks)
     assert np.array_equal(total, np.ones(8))
     for i, mi in enumerate(masks):
         for mj in masks[i + 1 :]:
-            assert np.dot(mi.vector, mj.vector) == 0.0
+            assert np.dot(mi, mj) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -82,9 +82,9 @@ def test_masks_partition_random_spaces(seed):
         for i in range(g)
     ]
     space = LabelSpace(notions, embedding_dim=d)
-    masks = build_masks(space)
-    assert np.array_equal(sum(m.vector for m in masks), np.ones(d))
-    stacked = np.stack([m.vector for m in masks])
+    masks = [space.mask(n.name) for n in space.notions]
+    assert np.array_equal(sum(masks), np.ones(d))
+    stacked = np.stack(masks)
     # each dimension belongs to exactly one mask
     assert np.array_equal(stacked.sum(axis=0), np.ones(d))
     gram = stacked @ stacked.T
@@ -115,16 +115,20 @@ def test_notion_dataclass_accepted_directly():
 
 def test_mask_is_binary(small_space):
     m = small_space.mask("color")
-    assert isinstance(m, Mask)
-    assert set(np.unique(m.vector)) <= {0.0, 1.0}
+    assert np.array_equal(m, [1.0] * 4 + [0.0] * 4)
+    assert not m.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [8, 64])
 def test_cached_block_masks_equal_per_notion_masks(small_space, dim):
     space = LabelSpace([(n.name, n.tags) for n in small_space.notions], dim)
-    by_notion = np.stack([space.mask(n.name).vector for n in space.notions])
-    by_tag = np.stack([space.mask(space.notion_of(t)).vector
-                       for t in space.tags])
+    def block_mask(notion):
+        v = np.zeros(dim)
+        v[space.block_slice(notion)] = 1.0
+        return v
+
+    by_notion = np.stack([block_mask(n.name) for n in space.notions])
+    by_tag = np.stack([block_mask(space.notion_of(t)) for t in space.tags])
     for cached, want in ((space.notion_block_mask, by_notion),
                          (space.tag_block_mask, by_tag)):
         assert np.array_equal(cached, want)

@@ -1,4 +1,4 @@
-"""Embedding networks, score variants, and their structural identities."""
+"""Embedding networks, the score formula, and their structural identities."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from disembed.autodiff import NORM_EPS, grad
 from disembed.errors import ConfigurationError
 from disembed.losses import LOG_FLOOR, bce_sum
 from disembed.model import (
-    SCORE_VARIANTS,
     CentroidBank,
     EmbeddingNet,
     NetConfig,
@@ -22,42 +21,28 @@ from disembed.model import (
 )
 
 
-def make_net(space, head="dense", normalize=False, hidden=(12, 10), seed=0):
+def make_net(space, normalize=False, hidden=(12, 10), seed=0,
+             blockwise_head=False):
     net = EmbeddingNet(
         NetConfig(
             input_dim=6,
             embedding_dim=space.embedding_dim,
             hidden=hidden,
-            head=head,
             normalize_output=normalize,
         ),
         space,
     )
     bank = CentroidBank(space)
-    init_params(net, bank, seed)
+    init_params(net, bank, seed, blockwise_head=blockwise_head)
     return net, bank
 
 
-def subdense_from_dense(dense_net, space):
-    """Sub-dense net whose H{g} are the notion-block columns of the dense H."""
-    sub = EmbeddingNet(
-        NetConfig(
-            input_dim=dense_net.config.input_dim,
-            embedding_dim=space.embedding_dim,
-            hidden=dense_net.config.hidden,
-            head="subdense",
-        ),
-        space,
-    )
-    for name, p in dense_net.params.items():
-        if name == "H":
-            for g, notion in enumerate(space.notions):
-                sub.params[f"H{g}"].values = p.values[
-                    :, space.block_slice(notion.name)
-                ].copy()
-        else:
-            sub.params[name].values = p.values.copy()
-    return sub
+def per_block_embedding(net, X, notion):
+    """One notion's block of the head output as its own sub-dense relu layer:
+    relu(backbone(X) @ H[:, block]), in plain numpy."""
+    h = net.backbone(X).values
+    cut = net.space.block_slice(notion)
+    return np.maximum(h @ net.params["H"].values[:, cut], 0)
 
 
 # --- construction and init -------------------------------------------------
@@ -66,11 +51,6 @@ def subdense_from_dense(dense_net, space):
 def test_embedding_dim_must_match_space(small_space):
     with pytest.raises(ConfigurationError):
         EmbeddingNet(NetConfig(input_dim=6, embedding_dim=4), small_space)
-
-
-def test_unknown_head_rejected():
-    with pytest.raises(ConfigurationError):
-        NetConfig(input_dim=6, embedding_dim=8, head="conv")
 
 
 def test_init_bounds_and_determinism(small_space):
@@ -113,17 +93,15 @@ def test_embed_single_vector(small_space, rng):
 def test_embed_rejects_wrong_width(small_space):
     # one width check in the one forward covers embed, masked_embed and
     # class_scores, single vectors and batches alike
-    dense, bank = make_net(small_space)
-    sub = subdense_from_dense(dense, small_space)
+    net, bank = make_net(small_space, normalize=True)
     for x in (np.zeros(7), np.zeros((3, 5))):
         with pytest.raises(ConfigurationError, match="input width"):
-            embed(dense, x)
+            embed(net, x)
         with pytest.raises(ConfigurationError, match="input width"):
-            masked_embed(dense, x, "color")
-        for net, variant in ((dense, "proxy"),
-                             (sub, "classification-disentangled")):
+            masked_embed(net, x, "color")
+        for disentangled in (False, True):
             with pytest.raises(ConfigurationError, match="input width"):
-                class_scores(net, bank, x, variant)
+                class_scores(net, bank, x, disentangled)
 
 
 def test_embed_zero_weights_is_guarded(small_space, caplog):
@@ -152,21 +130,20 @@ def test_masks_sum_to_full_embedding(small_space, rng):
 
 
 def test_masked_equals_subdense_block(small_space, rng):
-    # the masked dense embedding is the sub-dense output zero-padded into
-    # place when the heads share weights (relu commutes with the 0/1 mask)
-    dense, _ = make_net(small_space)
-    sub = subdense_from_dense(dense, small_space)
-    X = rng.normal(size=(5, 6))
-    for g, notion in enumerate(small_space.notions):
-        masked = masked_embed(dense, X, notion.name)
-        cut = small_space.block_slice(notion.name)
-        block = sub.full_embedding(X).values[:, cut]
-        padded = np.zeros_like(masked)
-        padded[:, small_space.block_slice(notion.name)] = block
-        assert np.abs(masked - padded).max() < 1e-12
+    # the masked embedding is the notion's own sub-dense relu layer
+    # zero-padded into place (relu commutes with the 0/1 mask)
+    for blockwise_head in (False, True):
+        net, _ = make_net(small_space, blockwise_head=blockwise_head)
+        X = rng.normal(size=(5, 6))
+        for notion in small_space.notions:
+            masked = masked_embed(net, X, notion.name)
+            padded = np.zeros_like(masked)
+            padded[:, small_space.block_slice(notion.name)] = \
+                per_block_embedding(net, X, notion.name)
+            assert np.abs(masked - padded).max() < 1e-12
 
 
-# --- score variants --------------------------------------------------------
+# --- the score formula -----------------------------------------------------
 
 
 def test_hand_value_normalized_score(small_space):
@@ -183,80 +160,79 @@ def test_hand_value_normalized_score(small_space):
 
 
 def test_proxy_equals_classification_normalized(small_space, rng):
-    net, bank = make_net(small_space)
+    # a proxy and a normalized classifier are one call on a normalizing net:
+    # sigmoid of the row-normalized embedding against the bank
+    net, bank = make_net(small_space, normalize=True)
     X = rng.normal(size=(6, 6))
-    a = class_scores(net, bank, X, "proxy")
-    b = class_scores(net, bank, X, "classification-normalized")
-    assert np.abs(a - b).max() < 1e-12
+    F = net.full_embedding(X).values
+    U = F / np.maximum(np.linalg.norm(F, axis=1, keepdims=True), NORM_EPS)
+    expect = expit(U @ bank.weights.values.T)
+    assert np.abs(class_scores(net, bank, X, False) - expect).max() < 1e-12
 
 
 def test_disentangled_proxy_equals_subdense_classification(small_space, rng):
-    dense, bank = make_net(small_space)
-    sub = subdense_from_dense(dense, small_space)
-    X = rng.normal(size=(6, 6))
-    a = class_scores(dense, bank, X, "proxy-disentangled")
-    b = class_scores(sub, bank, X, "classification-disentangled")
-    assert np.abs(a - b).max() < 1e-9
+    # masked scoring of the full embedding equals scoring each notion's tags
+    # on that notion's own sub-dense relu layer, for either draw of the head
+    for blockwise_head in (False, True):
+        net, bank = make_net(small_space, normalize=True,
+                             blockwise_head=blockwise_head)
+        X = rng.normal(size=(6, 6))
+        got = class_scores(net, bank, X, True)
+        for notion in small_space.notions:
+            tags = small_space.tag_indices_of_notion(notion.name)
+            E = per_block_embedding(net, X, notion.name)
+            U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True),
+                               NORM_EPS)
+            C = bank.weights.values[tags][:, small_space.block_slice(notion.name)]
+            assert np.abs(got[:, tags] - expit(U @ C.T)).max() < 1e-9
 
 
 def test_scores_in_open_unit_interval(small_space, rng):
-    net, bank = make_net(small_space)
     X = rng.normal(size=(6, 6))
-    for variant in ("proxy", "proxy-disentangled", "classification-plain",
-                    "classification-normalized"):
-        s = class_scores(net, bank, X, variant)
+    for normalize, disentangled in ((True, False), (True, True),
+                                    (False, False)):
+        net, bank = make_net(small_space, normalize=normalize)
+        s = class_scores(net, bank, X, disentangled)
         assert s.shape == (6, 4)
         assert (s > 0).all() and (s < 1).all()
 
 
 def test_normalized_scores_scale_invariant(small_space, rng):
-    net, bank = make_net(small_space)
+    net, bank = make_net(small_space, normalize=True)
     X = rng.normal(size=(6, 6))
-    before = class_scores(net, bank, X, "proxy")
+    before = class_scores(net, bank, X, False)
     net.params["H"].values = net.params["H"].values * 7.5
-    after = class_scores(net, bank, X, "proxy")
+    after = class_scores(net, bank, X, False)
     assert np.abs(before - after).max() < 1e-9
-    # the plain variant is NOT scale invariant
+    # the plain classifier is NOT scale invariant
     net2, bank2 = make_net(small_space)
-    plain_before = class_scores(net2, bank2, X, "classification-plain")
+    plain_before = class_scores(net2, bank2, X, False)
     net2.params["H"].values = net2.params["H"].values * 7.5
-    plain_after = class_scores(net2, bank2, X, "classification-plain")
+    plain_after = class_scores(net2, bank2, X, False)
     assert np.abs(plain_before - plain_after).max() > 1e-6
 
 
-def test_variant_head_mismatch_raises(small_space, rng):
-    dense, bank = make_net(small_space)
-    sub = subdense_from_dense(dense, small_space)
-    X = rng.normal(size=(2, 6))
-    with pytest.raises(ConfigurationError):
-        class_scores(dense, bank, X, "classification-disentangled")
-    with pytest.raises(ConfigurationError):
-        class_scores(sub, bank, X, "proxy")
-    with pytest.raises(ConfigurationError):
-        class_scores(dense, bank, X, "not-a-variant")
-
-
 def test_subdense_full_embedding_is_head_blocks(small_space, rng):
-    dense, _ = make_net(small_space)
-    sub = subdense_from_dense(dense, small_space)
     X = rng.normal(size=(3, 6))
-    F = sub.full_embedding(X).values
-    assert np.array_equal(F, sub.head_blocks(sub.backbone(X)).values)
-    # with shared weights both heads give the same full embedding
-    assert np.abs(F - dense.full_embedding(X).values).max() < 1e-12
-    with pytest.raises(ConfigurationError):
-        dense.head_blocks(dense.backbone(np.zeros((1, 6))))
+    for blockwise_head in (False, True):
+        net, _ = make_net(small_space, blockwise_head=blockwise_head)
+        F = net.full_embedding(X).values
+        assert np.array_equal(F, net.head_blocks(net.backbone(X)).values)
+        for notion in small_space.notions:
+            block = F[:, small_space.block_slice(notion.name)]
+            assert np.abs(block - per_block_embedding(net, X, notion.name)
+                          ).max() < 1e-12
 
 
 def test_score_blocks_is_one_all_tags_block(small_space, rng):
-    dense, bank = make_net(small_space)
-    sub = subdense_from_dense(dense, small_space)
     X = rng.normal(size=(3, 6))
-    for variant in SCORE_VARIANTS:
-        net = sub if variant == "classification-disentangled" else dense
-        [(tags, S)] = score_blocks(net, bank, X, variant)
-        assert np.array_equal(tags, np.arange(small_space.num_tags))
+    for normalize, disentangled in ((True, False), (True, True),
+                                    (False, False)):
+        net, bank = make_net(small_space, normalize=normalize)
+        S = score_blocks(net, bank, X, disentangled)
         assert S.shape == (3, small_space.num_tags)
+        assert np.array_equal(S.values, class_scores(net, bank, X,
+                                                     disentangled))
 
 
 def reference_disentangled(net, bank, X, Y):
@@ -271,10 +247,7 @@ def reference_disentangled(net, bank, X, Y):
     hs = [X]
     for i in range(net.n_hidden):
         hs.append(np.maximum(hs[-1] @ P[f"W{i}"].values + P[f"b{i}"].values, 0))
-    if net.config.head == "dense":
-        H = P["H"].values
-    else:
-        H = np.hstack([P[f"H{g}"].values for g in range(space.num_notions)])
+    H = P["H"].values
     F = np.maximum(hs[-1] @ H, 0)
     C = bank.weights.values
     S, dF, dC = np.zeros(Y.shape), np.zeros_like(F), np.zeros_like(C)
@@ -294,14 +267,8 @@ def reference_disentangled(net, bank, X, Y):
         dU = dZ @ Cg
         radial = U * (U * dU).sum(axis=1, keepdims=True)
         dF[:, cut] = np.where(norm < NORM_EPS, dU, dU - radial) / den
-    grads = {"C": dC}
     g = dF * (F > 0)
-    dH = hs[-1].T @ g
-    if net.config.head == "dense":
-        grads["H"] = dH
-    else:
-        for k, notion in enumerate(space.notions):
-            grads[f"H{k}"] = dH[:, space.block_slice(notion.name)]
+    grads = {"C": dC, "H": hs[-1].T @ g}
     g = g @ H.T
     for i in reversed(range(net.n_hidden)):
         g = g * (hs[i + 1] > 0)
@@ -315,18 +282,18 @@ def reference_disentangled(net, bank, X, Y):
 def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion):
     for seed in range(5):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        dense, bank = make_net(small_space, seed=seed)
-        if dead_notion is not None:
-            # a zero notion block takes the normalization guard path
-            cut = small_space.block_slice(small_space.notions[dead_notion].name)
-            dense.params["H"].values[:, cut] = 0.0
-        sub = subdense_from_dense(dense, small_space)
         X = rng.normal(size=(5, 6))
         Y = (rng.random((5, small_space.num_tags)) < 0.5).astype(float)
-        for net, variant in ((dense, "proxy-disentangled"),
-                             (sub, "classification-disentangled")):
+        for blockwise_head in (False, True):
+            net, bank = make_net(small_space, normalize=True, seed=seed,
+                                 blockwise_head=blockwise_head)
+            if dead_notion is not None:
+                # a zero notion block takes the normalization guard path
+                cut = small_space.block_slice(
+                    small_space.notions[dead_notion].name)
+                net.params["H"].values[:, cut] = 0.0
             params = {**net.params, "C": bank.weights}
-            [(_, S)] = score_blocks(net, bank, X, variant)
+            S = score_blocks(net, bank, X, True)
             got = grad(bce_sum(S, Y), params.values())
             ref_S, want = reference_disentangled(net, bank, X, Y)
             assert np.abs(S.values - ref_S).max() < 1e-12

@@ -1,6 +1,7 @@
 """Training loop: variant legality, determinism, model selection, persistence."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -83,39 +84,40 @@ def test_illegal_variants_rejected(kw):
         VariantConfig(**kw)
 
 
-def test_score_variant_dispatch():
-    assert quick(family="triplet").score_variant() is None
-    assert quick(family="proxy").score_variant() == "proxy"
-    assert (
-        quick(family="proxy", disentanglement=True).score_variant()
-        == "proxy-disentangled"
-    )
-    assert (
-        quick(family="classification", normalization=False).score_variant()
-        == "classification-plain"
-    )
-    assert (
-        quick(family="classification").score_variant()
-        == "classification-normalized"
-    )
-    assert (
-        quick(family="classification", disentanglement=True).score_variant()
-        == "classification-disentangled"
-    )
-
-
 def test_variant_dict_round_trip():
     v = quick(family="triplet", disentanglement=True, track_reg=True, seed=7)
     assert VariantConfig.from_dict(v.to_dict()) == v
 
 
 def test_build_model_head_selection(splits):
+    # disentangled classification draws its head as G per-block draws joined
+    # column-wise (the sub-dense head); every other variant draws H whole.
+    # Both read the same words, so the generator goes on to W0 alike
     space, _ = splits
-    m = build_model(quick(family="classification", disentanglement=True), space, 16)
-    assert m.net.config.head == "subdense"
+    width, G, block = 16, space.num_notions, space.block_size
+    bound = 1.0 / np.sqrt(width)
+
+    def first_draws(blockwise):
+        rng = np.random.default_rng(np.uint64(4))
+        if blockwise:
+            H = np.hstack([rng.uniform(-bound, bound, size=(width, block))
+                           for _ in range(G)])
+        else:
+            H = rng.uniform(-bound, bound, size=(width, G * block))
+        return H, rng.uniform(-1 / 4, 1 / 4, size=(16, 16))
+
+    m = build_model(quick(family="classification", disentanglement=True,
+                          seed=4), space, 16)
+    H, W0 = first_draws(True)
+    assert np.array_equal(m.net.params["H"].values, H)
+    assert np.array_equal(m.net.params["W0"].values, W0)
     assert m.bank is not None
-    m = build_model(quick(family="triplet"), space, 16)
-    assert m.net.config.head == "dense"
+    for kw in (dict(family="proxy", disentanglement=True),
+               dict(family="triplet")):
+        m = build_model(quick(seed=4, **kw), space, 16)
+        H, W0 = first_draws(False)
+        assert np.array_equal(m.net.params["H"].values, H)
+        assert np.array_equal(m.net.params["W0"].values, W0)
     assert m.bank is None
 
 
@@ -225,7 +227,7 @@ def test_triplet_validation_loss_matches_numpy_reference(splits, kw):
         tags, tracks = _fixed_validation_triplets(variant, valid_ds)
         masks = None
         if variant.disentanglement:
-            masks = np.stack([space.mask(t.notion).vector for t in tags])
+            masks = np.stack([space.mask(t.notion) for t in tags])
         ref = reference_triplet_losses(E, tags, masks, variant.margin).mean()
         if variant.track_reg:
             ref += variant.track_reg_weight * reference_triplet_losses(
@@ -263,7 +265,7 @@ GRADIENT_DIGESTS = {
     "classification+norm":
         "e7eef53146716a73a8b538517b85129272d10cca036eafa85f854fa2b90691c5",
     "classification+norm+disent":
-        "c82d16174aa231cebf1b6399e052645a2c97d4ab7be50af0034368242168e780",
+        "a725d2a4933bc6c698f833886e14275c7e9aceb5868b20405d8a79f0479bd69a",
 }
 
 
@@ -352,6 +354,35 @@ def test_load_model_rejects_unexpected_params(splits, tmp_path):
     params["H9"] = np.zeros((16, 2))
     save_params(f"{prefix}.params", params)
     with pytest.raises(ConfigurationError, match="unexpected parameters 'C', 'H9'"):
+        load_model(prefix)
+
+
+BUNDLE_FAULTS = {
+    # saved before every net had one head: "head" is no longer a key
+    "old_head_key": lambda meta: meta["net"].update(head="dense"),
+    "unknown_net_key": lambda meta: meta["net"].update(depth=3),
+    "unknown_variant_key": lambda meta: meta["variant"].update(colour="red"),
+    "missing_hidden": lambda meta: meta["net"].pop("hidden"),
+    "missing_variant": lambda meta: meta.pop("variant"),
+    "illegal_variant": lambda meta: meta["variant"].update(family="knn"),
+    "invalid_json": None,
+}
+
+
+@pytest.mark.parametrize("fault", list(BUNDLE_FAULTS))
+def test_load_model_rejects_malformed_bundle(splits, tmp_path, fault):
+    space, (train_ds, valid_ds, _) = splits
+    res = train(quick(family="proxy", max_epochs=1), space, train_ds, valid_ds)
+    prefix = tmp_path / "m"
+    save_model(prefix, res.model)
+    path = tmp_path / "m.json"
+    if BUNDLE_FAULTS[fault] is None:
+        path.write_text(path.read_text()[:-3])
+    else:
+        meta = json.loads(path.read_text())
+        BUNDLE_FAULTS[fault](meta)
+        path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigurationError, match=r"m\.json"):
         load_model(prefix)
 
 
