@@ -5,7 +5,7 @@ shared masked embedding layout, with a unified evaluation harness: training
 time ratio, multi-label R@K, tag AUC, and triplet prediction.
 """
 
-from .autodiff import Adam, PlateauSchedule, Tensor, grad
+from .autodiff import Adam, Param, PlateauSchedule, grad
 from .benchmark import evaluate_model, run_benchmark
 from .config import ExperimentConfig, default_config, default_label_space
 from .data import Dataset, Item, SyntheticSpec, generate_splits, generate_synthetic
@@ -13,7 +13,6 @@ from .errors import (
     ConfigurationError,
     DatasetError,
     DisembedError,
-    GraphError,
     TrainingDivergedError,
 )
 from .labelspace import LabelSpace, Notion

@@ -78,15 +78,15 @@ def evaluate_model(
     train_ds: Dataset,
     test_ds: Dataset,
     ks,
-    eval_triplets: tuple[dict, list],
+    eval_triplets: tuple[dict[str, TripletBatch], TripletBatch],
 ) -> EvalReport:
     """All four tasks for one trained model (ratio filled in by the caller)."""
     variant = model.variant
     report = EvalReport(variant=variant.to_dict())
 
     # one test-split forward: pre-normalization rows for triplet accuracy,
-    # normalized as ``embed`` does for R@K; no graph outlives this line
-    E_pre = model.net.full_embedding(test_ds.features).values
+    # normalized as ``embed`` does for R@K; its backward is dropped here
+    E_pre = model.net.full_embedding(test_ds.features)[0]
     E_test = ad.l2_rows(E_pre)[0] if model.net.config.normalize_output else E_pre
     report.recall_at = retrieval_recall(E_test, test_ds.labels, ks)
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import numbers
+import os
 from dataclasses import dataclass, field
 
 from .data import SyntheticSpec
@@ -57,6 +59,16 @@ class ExperimentConfig:
             raise ConfigurationError("eval_ks must be positive and ascending")
         if self.synthetic is None and self.dataset_paths is None:
             raise ConfigurationError("need a synthetic spec or dataset paths")
+        paths = self.dataset_paths
+        if paths is not None and not (
+            isinstance(paths, dict)
+            and all(isinstance(paths.get(k), (str, os.PathLike))
+                    for k in ("train", "valid", "test"))
+        ):
+            raise ConfigurationError(
+                "config key 'dataset' must map 'train', 'valid' and 'test' "
+                f"to file paths, got {paths!r}"
+            )
         if self.triplets_per_notion < 1:
             raise ConfigurationError("triplets_per_notion must be >= 1")
 
@@ -90,17 +102,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config a JSON object describes.  A missing label space, a
+        value of the wrong type or an unknown ``synthetic`` key raises
+        ConfigurationError naming the key."""
         try:
             space = LabelSpace.from_dict(d["label_space"])
         except KeyError as exc:
             raise ConfigurationError("config is missing 'label_space'") from exc
-        seed = int(d.get("seed", 0))
+        d = _converted(d, "", {"seed": _int, "eval_ks": _ints,
+                               "triplets_per_notion": _int,
+                               "fractions": _floats})
+        seed = d.get("seed", 0)
         synthetic = None
         if d.get("synthetic") is not None:
-            syn = dict(d["synthetic"])
+            if not isinstance(d["synthetic"], dict):
+                raise ConfigurationError(
+                    f"config key 'synthetic' must be an object, got "
+                    f"{d['synthetic']!r}"
+                )
+            syn = _converted(d["synthetic"], "synthetic.", SYNTHETIC_TYPES)
             syn["space"] = space.to_dict()
             syn.setdefault("seed", seed)
-            synthetic = SyntheticSpec.from_dict(syn)
+            try:
+                synthetic = SyntheticSpec.from_dict(syn)
+            except TypeError as exc:  # an unknown key
+                raise ConfigurationError(
+                    f"config key 'synthetic': {exc}") from exc
         variants_d = d.get("variants")
         if variants_d is None:
             variants = paper_variants(
@@ -113,16 +140,16 @@ class ExperimentConfig:
                 vd.setdefault("seed", seed)
                 try:
                     variants.append(VariantConfig.from_dict(vd))
-                except TypeError as exc:
+                except (TypeError, ValueError) as exc:
                     raise ConfigurationError(f"bad variant entry: {exc}") from exc
         return cls(
             space=space,
             synthetic=synthetic,
             dataset_paths=d.get("dataset"),
             variants=variants,
-            eval_ks=tuple(d.get("eval_ks", DEFAULT_KS)),
-            triplets_per_notion=int(d.get("triplets_per_notion", 2000)),
-            fractions=tuple(d.get("fractions", DEFAULT_FRACTIONS)),
+            eval_ks=d.get("eval_ks", DEFAULT_KS),
+            triplets_per_notion=d.get("triplets_per_notion", 2000),
+            fractions=d.get("fractions", DEFAULT_FRACTIONS),
             output_dir=d.get("output_dir", "out"),
             seed=seed,
         )
@@ -135,6 +162,48 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _ints(v) -> tuple:
+    return tuple(map(_int, v))
+
+
+def _floats(v) -> tuple:
+    return tuple(map(_float, v))
+
+
+SYNTHETIC_TYPES = {
+    "feature_dim": _int, "tracks": _int, "excerpts_per_track": _int,
+    "tags_per_notion_range": _ints, "sigma_within": _float,
+    "sigma_excerpt": _float, "seed": _int,
+}
+
+
+def _converted(d: dict, prefix: str, types: dict) -> dict:
+    """A copy of ``d`` with each value whose key is in ``types`` passed
+    through its converter; one that fails raises ConfigurationError naming
+    ``prefix`` + the key."""
+    out = dict(d)
+    for key, convert in types.items():
+        if key in out:
+            try:
+                out[key] = convert(out[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"config key {prefix + key!r}: {exc}") from exc
+    return out
 
 
 def default_config(seed: int = 0, max_epochs: int = DEFAULT_MAX_EPOCHS) -> ExperimentConfig:

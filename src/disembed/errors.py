@@ -13,10 +13,6 @@ class DatasetError(DisembedError):
     """Unusable dataset: parse failures, degenerate label structure, bad splits."""
 
 
-class GraphError(DisembedError):
-    """Contract violation in the computation graph (non-scalar loss, shape mismatch)."""
-
-
 class TrainingDivergedError(DisembedError):
     """Training produced a non-finite loss."""
 

@@ -18,13 +18,15 @@ and L2 normalization of each notion block when also disentangled.  M is all
 ones, or when disentangled the tag-by-dimension block mask that restricts
 each centroid to its own notion's block.
 
-The backbone, the head and the score formula are one graph node each
-(``relu_layers``, ``_score_node``), with a hand-written backward.
+The relu MLP with the head (``relu_layers``) and the score formula
+(``_score_node``) each return their value and a ``backward`` closure with a
+hand-written gradient.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -33,9 +35,13 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigurationError, GraphError
+from .autodiff import Param
+from .errors import ConfigurationError
 from .labelspace import LabelSpace
+
+# the centroid bank's parameter name next to the net's W{i}, b{i} and H
+BANK_PARAM = "C"
+
 
 @dataclass
 class NetConfig:
@@ -47,6 +53,17 @@ class NetConfig:
     def __post_init__(self):
         if self.input_dim <= 0 or self.embedding_dim <= 0:
             raise ConfigurationError("dimensions must be positive")
+        check_hidden(self.hidden)
+
+
+def check_hidden(hidden) -> None:
+    """Raise ConfigurationError unless every hidden width is an int >= 1."""
+    for width in hidden:
+        if (isinstance(width, bool) or not isinstance(width, numbers.Integral)
+                or width < 1):
+            raise ConfigurationError(
+                f"hidden widths must be integers >= 1, got {tuple(hidden)}"
+            )
 
 
 class EmbeddingNet:
@@ -59,76 +76,80 @@ class EmbeddingNet:
             )
         self.config = config
         self.space = space
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Param] = {}
         dims = [config.input_dim, *config.hidden]
         for i in range(len(dims) - 1):
-            self.params[f"W{i}"] = Tensor(
-                np.zeros((dims[i], dims[i + 1])), requires_grad=True
-            )
-            self.params[f"b{i}"] = Tensor(np.zeros(dims[i + 1]), requires_grad=True)
-        self.params["H"] = Tensor(
-            np.zeros((dims[-1], config.embedding_dim)), requires_grad=True
-        )
+            self.params[f"W{i}"] = Param(np.zeros((dims[i], dims[i + 1])))
+            self.params[f"b{i}"] = Param(np.zeros(dims[i + 1]))
+        self.params["H"] = Param(np.zeros((dims[-1], config.embedding_dim)))
 
     @property
     def n_hidden(self) -> int:
         return len(self.config.hidden)
 
-    def backbone(self, x) -> Tensor:
-        """f_{n-1}: the relu MLP as one graph node."""
-        return relu_layers(ad.as_tensor(x), [
-            (self.params[f"W{i}"], self.params[f"b{i}"])
-            for i in range(self.n_hidden)
-        ])
+    def _layers(self):
+        """The ``(W, b)`` pairs of the MLP then ``(H, None)``, as arrays."""
+        P = self.params
+        return [(P[f"W{i}"].values, P[f"b{i}"].values)
+                for i in range(self.n_hidden)] + [(P["H"].values, None)]
 
-    def head_blocks(self, fnm1: Tensor) -> Tensor:
-        """The head, relu(fnm1 @ H): the notion blocks side by side, one
-        (B, d) tensor."""
-        return relu_layers(fnm1, [(self.params["H"], None)])
+    def backbone(self, x) -> np.ndarray:
+        """f_{n-1}: the relu MLP's output for a 2-D x."""
+        return relu_layers(np.asarray(x, dtype=np.float64),
+                           self._layers()[:-1])[0]
 
-    def full_embedding(self, x) -> Tensor:
-        """Pre-normalization full-space embedding of a (B, input_dim) batch.
+    def head_blocks(self, fnm1) -> np.ndarray:
+        """The head, relu(fnm1 @ H): the notion blocks side by side."""
+        return relu_layers(np.asarray(fnm1, dtype=np.float64),
+                           self._layers()[-1:])[0]
 
-        The one forward of the package, as a graph tensor:
-        ``head_blocks(backbone(x))``.
+    def full_embedding(self, x):
+        """Pre-normalization full-space embedding of a (B, input_dim) batch,
+        ``head_blocks(backbone(x))``: the one forward of the package.
+
+        Returns the (B, d) embedding and ``backward(g)``, which returns one
+        ``(name, gradient)`` pair per parameter, in ``params`` order.
         """
-        x = ad.as_tensor(x)
+        x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.config.input_dim:
             raise ConfigurationError(
                 f"input width {x.shape[-1]} != net input_dim "
                 f"{self.config.input_dim}"
             )
-        return self.head_blocks(self.backbone(x))
+        F, backward = relu_layers(x, self._layers())
+        return F, lambda g: zip(self.params, backward(g))
 
 
-def relu_layers(x: Tensor, layers) -> Tensor:
-    """relu(... relu(x @ W1 + b1) ... @ Wn + bn) of a 2-D x as one graph node.
+def relu_layers(x: np.ndarray, layers):
+    """relu(... relu(x @ W1 + b1) ... @ Wn + bn) of a 2-D x.
 
-    ``layers`` holds a ``(W, b)`` pair per layer, b None for a layer without
-    bias.  The forward keeps only each layer's output; the relu backward reads
-    ``h > 0``, which is ``z > 0``.
+    ``layers`` holds a ``(W, b)`` pair of arrays per layer, b None for a layer
+    without bias.  Returns the output and ``backward(g)``, which returns the
+    gradients of W1, b1, ..., Wn, bn in that order (x needs none).  The
+    forward keeps only each layer's output; the relu backward reads ``h > 0``,
+    which is ``z > 0``.
     """
-    if x.values.ndim != 2:
-        raise GraphError("relu_layers() expects a 2-D input")
-    hs, weights, parents = [x.values], [], [x]
+    if x.ndim != 2:
+        raise ValueError(f"relu_layers() expects a 2-D input, got {x.shape}")
+    hs = [x]
     for W, b in layers:
-        z = hs[-1] @ W.values
+        z = hs[-1] @ W
         if b is not None:
-            z += b.values
+            z += b
         hs.append(np.maximum(z, 0.0, out=z))
-        weights.append(W.values)
-        parents += [W] if b is None else [W, b]
 
     def backward(g):
         grads = []
         for i in reversed(range(len(layers))):
+            W, b = layers[i]
             g = g * (hs[i + 1] > 0.0)
-            gb = [] if layers[i][1] is None else [g.sum(axis=0)]
+            gb = [] if b is None else [g.sum(axis=0)]
             grads = [hs[i].T @ g, *gb, *grads]
-            g = g @ weights[i].T if i > 0 or x.requires_grad else None
-        return (g, *grads)
+            if i > 0:
+                g = g @ W.T
+        return grads
 
-    return Tensor(hs[-1], _parents=tuple(parents), _backward=backward)
+    return hs[-1], backward
 
 
 class CentroidBank:
@@ -136,9 +157,7 @@ class CentroidBank:
 
     def __init__(self, space: LabelSpace):
         self.space = space
-        self.weights = Tensor(
-            np.zeros((space.num_tags, space.embedding_dim)), requires_grad=True
-        )
+        self.weights = Param(np.zeros((space.num_tags, space.embedding_dim)))
 
 
 def init_params(
@@ -179,46 +198,52 @@ def init_params(
 def embed(net: EmbeddingNet, x) -> np.ndarray:
     """Forward pass; L2-normalized iff the net was configured to normalize."""
     x = np.asarray(x, dtype=np.float64)
-    E = net.full_embedding(np.atleast_2d(x))
+    E = net.full_embedding(np.atleast_2d(x))[0]
     if net.config.normalize_output:
-        E = ad.l2_normalize(E)
-    return E.values[0] if x.ndim == 1 else E.values
+        E = ad.l2_rows(E)[0]
+    return E[0] if x.ndim == 1 else E
 
 
 def masked_embed(net: EmbeddingNet, x, notion: str) -> np.ndarray:
     """Pre-normalization embedding Hadamard-multiplied with the notion mask."""
     mask = net.space.mask(notion)
     x = np.asarray(x, dtype=np.float64)
-    E = net.full_embedding(np.atleast_2d(x)).values * mask
+    E = net.full_embedding(np.atleast_2d(x))[0] * mask
     return E[0] if x.ndim == 1 else E
 
 
-def score_blocks(
-    net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool
-) -> Tensor:
-    """Graph tensor of the (N, tags) sigmoid scores, tags in global order.
+def score_blocks(net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool):
+    """The (N, tags) sigmoid scores, tags in global order.
 
     ``S = sigmoid(N(F) @ (C * M).T)`` (see the module docstring): F is the
     net's full pre-normalization embedding, N row L2 normalization if the net
     normalizes its output (per notion block if ``disentangled``) and M all
     ones or, if ``disentangled``, the tag-by-dimension block mask, so each
-    tag is scored in its own notion's block.
+    tag is scored in its own notion's block.  Returns S and ``backward(g)``,
+    which returns one ``(name, gradient)`` pair per parameter of the net and
+    then the bank's (``BANK_PARAM``).
     """
-    F = net.full_embedding(np.atleast_2d(x))
-    return _score_node(F, bank.weights, net.config.normalize_output,
-                       disentangled, net.space)
+    F, net_backward = net.full_embedding(np.atleast_2d(x))
+    S, score_backward = _score_node(F, bank.weights.values,
+                                    net.config.normalize_output,
+                                    disentangled, net.space)
+
+    def backward(g):
+        gF, gC = score_backward(g)
+        return [*net_backward(gF), (BANK_PARAM, gC)]
+
+    return S, backward
 
 
-def _score_node(
-    F: Tensor, C: Tensor, normalized: bool, disentangled: bool,
-    space: LabelSpace,
-) -> Tensor:
-    """``sigmoid(N(F) @ (C * M).T)`` as one graph node (module docstring).
+def _score_node(F: np.ndarray, C: np.ndarray, normalized: bool,
+                disentangled: bool, space: LabelSpace):
+    """``sigmoid(N(F) @ (C * M).T)`` (module docstring).
 
     Both normalizations are guarded row L2: of F's rows, or of the rows of F
-    cut into its notion blocks.
+    cut into its notion blocks.  Returns S and ``backward(g)``, which returns
+    the gradients of F and C.
     """
-    U, Cm = F.values, C.values
+    U, Cm = F, C
     if normalized:
         width = space.block_size if disentangled else U.shape[1]
         y, n, d = ad.l2_rows(U.reshape(-1, width))
@@ -229,19 +254,16 @@ def _score_node(
 
     def backward(g):
         gz = g * S * (1.0 - S)
-        gF = gC = None
-        if F.requires_grad:
-            gF = gz @ Cm
-            if normalized:
-                gF = ad.l2_rows_backward(y, n, d, gF.reshape(y.shape))
-                gF = gF.reshape(U.shape)
-        if C.requires_grad:
-            gC = (U.T @ gz).T
-            if disentangled:
-                gC = gC * space.tag_block_mask
-        return (gF, gC)
+        gF = gz @ Cm
+        if normalized:
+            gF = ad.l2_rows_backward(y, n, d, gF.reshape(y.shape))
+            gF = gF.reshape(U.shape)
+        gC = (U.T @ gz).T
+        if disentangled:
+            gC = gC * space.tag_block_mask
+        return gF, gC
 
-    return Tensor(S, _parents=(F, C), _backward=backward)
+    return S, backward
 
 
 def class_scores(
@@ -249,7 +271,7 @@ def class_scores(
 ) -> np.ndarray:
     """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    S = score_blocks(net, bank, x, disentangled).values
+    S = score_blocks(net, bank, x, disentangled)[0]
     return S[0] if x.ndim == 1 else S
 
 
@@ -261,7 +283,7 @@ _MAGIC = b"DEMB"
 _VERSION = 1
 
 
-def save_params(path, params: dict[str, np.ndarray | Tensor]) -> None:
+def save_params(path, params: dict[str, np.ndarray | Param]) -> None:
     names = sorted(params)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -270,7 +292,7 @@ def save_params(path, params: dict[str, np.ndarray | Tensor]) -> None:
         for name in names:
             a = params[name]
             a = np.ascontiguousarray(
-                a.values if isinstance(a, Tensor) else a, dtype="<f8"
+                a.values if isinstance(a, Param) else a, dtype="<f8"
             )
             arrays.append(a)
             enc = name.encode("utf-8")

@@ -1,5 +1,11 @@
 """Variant-dispatching training loop: Adam, plateau schedule, early stopping,
-and best-validation-epoch restoration."""
+and best-validation-epoch restoration.
+
+A training step runs the family's forward, then chains the backward closures
+of its layers by hand (``_triplet_loss`` for the triplet family, ``_bce`` for
+proxy and classification) and writes the parameter gradients into one flat
+vector (``autodiff.grad``) that ``Adam.step`` reads in place.
+"""
 
 from __future__ import annotations
 
@@ -18,9 +24,11 @@ from .errors import ConfigurationError, TrainingDivergedError
 from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
 from .model import (
+    BANK_PARAM,
     CentroidBank,
     EmbeddingNet,
     NetConfig,
+    check_hidden,
     init_params,
     load_params,
     save_params,
@@ -82,6 +90,7 @@ class VariantConfig:
         if self.max_epochs < 0:
             raise ConfigurationError("max_epochs must be >= 0")
         self.hidden = tuple(self.hidden)
+        check_hidden(self.hidden)
 
     @property
     def name(self) -> str:
@@ -178,35 +187,53 @@ def build_model(
     return TrainedModel(net, bank, variant, space)
 
 
-def _all_params(model: TrainedModel) -> dict[str, ad.Tensor]:
+def _all_params(model: TrainedModel) -> dict[str, ad.Param]:
     params = dict(model.net.params)
     if model.bank is not None:
-        params["C"] = model.bank.weights
+        params[BANK_PARAM] = model.bank.weights
     return params
 
 
 def _triplet_loss(
     variant: VariantConfig, space: LabelSpace, embed_rows, tags, tracks
-) -> ad.Tensor:
+):
     """The triplet family's loss on one ``TripletBatch`` of tag triplets and,
     with track regularization, one of track triplets.
 
-    ``embed_rows(idx)`` returns the embeddings of dataset rows ``idx``.  Tag
-    triplets are masked to their notion's block when disentangled; with track
+    ``embed_rows(idx)`` returns the embeddings of dataset rows ``idx`` and
+    their backward (``EmbeddingNet.full_embedding``).  Tag triplets are
+    masked to their notion's block when disentangled; with track
     regularization, ``track_reg_weight`` times the unmasked loss of the track
-    triplets is added.
+    triplets is added.  Returns the loss and ``backward()``, which yields the
+    ``(name, gradient)`` pieces of every forward for ``autodiff.grad``.
     """
-    def batch_loss(batch, masks=None):
-        EA, EP, EN = (
+    steps = []  # per triplet batch: the loss's backward, its weight, the rows'
+
+    def batch_loss(batch, masks, weight):
+        (EA, bA), (EP, bP), (EN, bN) = (
             embed_rows(rows) for rows in (batch.anchor, batch.positive, batch.negative)
         )
-        return triplet_batch_loss(EA, EP, EN, variant.margin, masks)
+        loss, backward = triplet_batch_loss(EA, EP, EN, variant.margin, masks)
+        steps.append((backward, weight, bA, bP, bN))
+        return loss
 
     masks = space.notion_block_mask[tags.notion] if variant.disentanglement else None
-    loss = batch_loss(tags, masks)
+    loss = batch_loss(tags, masks, 1.0)
     if variant.track_reg:
-        loss = loss + variant.track_reg_weight * batch_loss(tracks)
-    return loss
+        w = variant.track_reg_weight
+        loss = loss + w * batch_loss(tracks, None, w)
+
+    def backward():
+        for loss_backward, weight, bA, bP, bN in steps:
+            gA, gP, gN = loss_backward(weight)
+            # a weight's gradient sums over the forwards as N + A + P, tag
+            # batch first: the order the pinned training gradients
+            # (tests/test_trainer.py) were recorded in
+            yield from bN(gN)
+            yield from bA(gA)
+            yield from bP(gP)
+
+    return loss, backward
 
 
 def _fixed_validation_triplets(
@@ -238,19 +265,27 @@ def validation_loss(
             val_triplets, val_track_triplets = _fixed_validation_triplets(
                 variant, valid_ds
             )
-        E = model.net.full_embedding(valid_ds.features).values
-        loss = _triplet_loss(variant, model.space, E.__getitem__,
-                             val_triplets, val_track_triplets)
-        return loss.item()
+        E = model.net.full_embedding(valid_ds.features)[0]
+        loss, _ = _triplet_loss(variant, model.space, lambda idx: (E[idx], None),
+                                val_triplets, val_track_triplets)
+        return float(loss)
     # BCE families: mean per-sample loss over the whole split
-    return _bce(model, valid_ds.features, valid_ds.labels).item() / len(valid_ds)
+    return float(_bce(model, valid_ds.features, valid_ds.labels)[0]) / len(valid_ds)
 
 
-def _bce(model: TrainedModel, X, Y) -> ad.Tensor:
+def _bce(model: TrainedModel, X, Y, scale=1.0):
     """Summed BCE of the model's scores for X against labels Y: one score
-    graph and one loss call over all tags."""
-    S = score_blocks(model.net, model.bank, X, model.variant.disentanglement)
-    return bce_sum(S, Y)
+    call and one loss call over all tags.  Returns the loss and
+    ``backward()``, which yields the ``(name, gradient)`` pieces of ``scale``
+    times the loss for ``autodiff.grad``."""
+    S, score_backward = score_blocks(model.net, model.bank, X,
+                                     model.variant.disentanglement)
+    loss, bce_backward = bce_sum(S, Y)
+
+    def backward():
+        yield from score_backward(bce_backward(scale))
+
+    return loss, backward
 
 
 def train(
@@ -281,6 +316,8 @@ def train(
     def embed_rows(idx):
         return model.net.full_embedding(train_ds.features[idx])
 
+    g, slots = ad.packed(params)  # the flat gradient, laid out like adam.flat
+
     best = math.inf
     best_snapshot = adam.flat.copy()
     curves = []
@@ -301,16 +338,19 @@ def train(
                 track_reg=variant.track_reg,
             )
             for tag_batch, track_batch in it:
-                loss = _triplet_loss(
+                loss, backward = _triplet_loss(
                     variant, space, embed_rows, tag_batch, track_batch
                 )
-                _step(adam, params, loss)
-                batch_losses.append(loss.item())
+                ad.grad(slots, backward())
+                adam.step(g)
+                batch_losses.append(float(loss))
         else:
             for X, Y in batch_iterator(train_ds, variant.batch_size, "sample", rng):
-                loss = _bce(model, X, Y) * (1.0 / len(X))
-                _step(adam, params, loss)
-                batch_losses.append(loss.item())
+                scale = 1.0 / len(X)
+                loss, backward = _bce(model, X, Y, scale)
+                ad.grad(slots, backward())
+                adam.step(g)
+                batch_losses.append(float(loss * scale))
         train_loss = float(np.mean(batch_losses))
         if not math.isfinite(train_loss):
             raise TrainingDivergedError(
@@ -337,11 +377,6 @@ def train(
 
     adam.flat[:] = best_snapshot
     return TrainResult(model, seconds, epochs_run, curves, best, cpu_seconds)
-
-
-def _step(adam: Adam, params: dict, loss) -> None:
-    by_tensor = ad.grad(loss, params.values())
-    adam.step({name: by_tensor[p] for name, p in params.items()})
 
 
 def save_curves(path, curves) -> None:

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import expit
 
 from disembed import autodiff as ad
-from disembed.autodiff import Tensor, grad
+from disembed.autodiff import grad, packed
 from disembed.benchmark import run_benchmark
 from disembed.config import ExperimentConfig, default_config, default_label_space
 from disembed.data import SyntheticSpec
@@ -25,7 +25,6 @@ from disembed.evaluation import (
     triplet_accuracy,
 )
 from disembed.labelspace import LabelSpace
-from disembed.losses import bce_sum, triplet_batch_loss
 from disembed.model import (
     CentroidBank,
     EmbeddingNet,
@@ -33,10 +32,9 @@ from disembed.model import (
     class_scores,
     init_params,
     masked_embed,
-    score_blocks,
 )
 from disembed.sampling import TripletBatch
-from disembed.trainer import VariantConfig
+from disembed.trainer import TrainedModel, VariantConfig, _bce, _triplet_loss
 
 from conftest import finite_difference, relative_error
 
@@ -129,7 +127,7 @@ def test_disentangled_score_identities():
             ).max()))
 
         # independent recomputation: sigmoid of normalized-embedding dot bank
-        E = dense.full_embedding(X).values
+        E = dense.full_embedding(X)[0]
         U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), ad.NORM_EPS)
         expect = expit(U @ bank.weights.values.T)
         s_proxy = class_scores(dense, bank, X, False)
@@ -144,7 +142,8 @@ def test_disentangled_score_identities():
 
 
 GRAD_INPUT_DIM = 5
-GRAD_HIDDEN = (6,)
+# no hidden layer, one and two
+GRAD_HIDDENS = ((), (6,), (6, 5))
 
 
 def grad_space() -> LabelSpace:
@@ -166,7 +165,7 @@ def _min_kink_distance(net, X) -> float:
     return min(worst, float(np.abs(z).min()))
 
 
-def _safe_instance(seed, batch, loss_of, hinge_of=None, reject=None,
+def _safe_instance(seed, hidden, batch, loss_of, hinge_of=None, reject=None,
                    blockwise_head=False):
     """Draw net/bank/input where the loss is differentiable near the point.
 
@@ -177,12 +176,12 @@ def _safe_instance(seed, batch, loss_of, hinge_of=None, reject=None,
     space = grad_space()
     for attempt in range(60):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 43, attempt]))
-        net, bank = make_net(space, GRAD_INPUT_DIM, GRAD_HIDDEN,
+        net, bank = make_net(space, GRAD_INPUT_DIM, hidden,
                              int(rng.integers(1 << 30)), blockwise_head)
         X = rng.normal(size=(batch, GRAD_INPUT_DIM))
         if _min_kink_distance(net, X) < 1e-3:
             continue
-        E = net.full_embedding(X).values
+        E = net.full_embedding(X)[0]
         if np.linalg.norm(E, axis=1).min() < 1e-2:
             continue
         if reject is not None and reject(net, bank, X):
@@ -193,124 +192,136 @@ def _safe_instance(seed, batch, loss_of, hinge_of=None, reject=None,
     raise AssertionError(f"no differentiable instance found for seed {seed}")
 
 
-def _check_model_gradient(seed, batch, loss_of, hinge_of=None,
+def _check_model_gradient(seed, hidden, batch, loss_of, hinge_of=None,
                           with_bank=True, reject=None, blockwise_head=False):
-    net, bank, X, build = _safe_instance(seed, batch, loss_of, hinge_of,
-                                         reject, blockwise_head)
+    """``loss_of(net, bank, X)`` returns ``build()``, a training step's
+    ``(loss, backward)``; the flat gradient ``grad`` writes from its pieces
+    must match finite differences of the loss."""
+    net, bank, X, build = _safe_instance(seed, hidden, batch, loss_of,
+                                         hinge_of, reject, blockwise_head)
     params = dict(net.params)
     if with_bank:
         params["C"] = bank.weights
-    analytic = grad(build(), params.values())
-    numeric = finite_difference(lambda: build().item(), params, step=1e-6)
-    for name, p in params.items():
-        err = relative_error(analytic[p], numeric[name], floor=1e-6)
-        assert err < 1e-4, f"seed {seed} param {name}: rel err {err}"
+    analytic = packed(params)[1]
+    grad(analytic, build()[1]())
+    numeric = finite_difference(lambda: float(build()[0]), params, step=1e-6)
+    for name in params:
+        err = relative_error(analytic[name], numeric[name], floor=1e-6)
+        assert err < 1e-4, f"seed {seed} hidden {hidden} param {name}: rel err {err}"
 
 
 def _triplet_rows(space, rng, batch):
-    """Random anchor/positive/negative input rows plus per-row notion masks."""
+    """Random anchor/positive/negative input rows plus per-row notion
+    indices."""
     XA = rng.normal(size=(batch, GRAD_INPUT_DIM))
     XP = rng.normal(size=(batch, GRAD_INPUT_DIM))
     XN = rng.normal(size=(batch, GRAD_INPUT_DIM))
-    masks = np.stack([
-        space.mask(space.notions[int(rng.integers(space.num_notions))].name)
-        for _ in range(batch)
-    ])
-    return XA, XP, XN, masks
+    notions = np.array([int(rng.integers(space.num_notions))
+                        for _ in range(batch)])
+    return XA, XP, XN, notions
 
 
 def test_loss_gradients_match_finite_differences():
-    """Reverse-mode gradients of all six training losses, taken through the
-    whole network graph, agree with central finite differences to a relative
-    error of 1e-4 on twenty random instances per loss, inside a minute."""
+    """The gradients of all six training losses, taken by the trainer's own
+    step through the whole network and written by ``grad``, agree with
+    central finite differences to a relative error of 1e-4 on twenty random
+    instances per loss and per depth (no hidden layer, one and two), inside
+    a minute."""
     start = time.perf_counter()
     space = grad_space()
     batch = 3
+    rows = [np.arange(i * batch, (i + 1) * batch) for i in range(3)]
 
     def triplet_inputs(seed):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 47]))
         return _triplet_rows(space, rng, batch)
 
-    for seed in range(20):
-        XA, XP, XN, masks = triplet_inputs(seed)
+    for hidden, seed in ((h, s) for h in GRAD_HIDDENS for s in range(20)):
+        XA, XP, XN, notions = triplet_inputs(seed)
+        masks = space.notion_block_mask[notions]
+        XT = np.vstack([XA, XP, XN])
+        tags = TripletBatch(*rows, notions, notions, space)
+        # track triplets (p, n, a) over the same rows, unmasked
+        tracks = TripletBatch(rows[1], rows[2], rows[0], None, None, space)
 
-        def masked_rows_alive(net, bank, X):
-            # a masked row collapsing to zero would hit the degenerate-cosine
-            # guard, which is a kink finite differences cannot straddle
-            return any(
-                np.linalg.norm(net.full_embedding(Z).values * masks,
-                               axis=1).min() < 1e-2
-                for Z in (XA, XP, XN)
-            )
+        def triplet_loss(**flags):
+            variant = VariantConfig(family="triplet", margin=0.3,
+                                    track_reg_weight=0.7, **flags)
+
+            def loss_of(net, bank, X):
+                def build():
+                    return _triplet_loss(
+                        variant, space,
+                        lambda idx: net.full_embedding(XT[idx]), tags, tracks)
+                return build
+            return loss_of
+
+        def rows_collapse(masks):
+            # a (masked) row collapsing to zero would hit the degenerate-
+            # cosine guard, which is a kink finite differences cannot
+            # straddle; with two hidden layers, all-dead first-layer units
+            # give such rows unmasked too
+            def reject(net, bank, X):
+                return any(
+                    np.linalg.norm(net.full_embedding(Z)[0] * masks,
+                                   axis=1).min() < 1e-2
+                    for Z in (XA, XP, XN)
+                )
+            return reject
 
         # plain triplet over full embeddings
-        def plain_loss(net, bank, X):
-            def build():
-                return triplet_batch_loss(
-                    net.full_embedding(XA), net.full_embedding(XP),
-                    net.full_embedding(XN), 0.3,
-                )
-            return build
-
         def plain_hinge(net, bank, X):
-            EA, EP, EN = (net.full_embedding(Z).values for Z in (XA, XP, XN))
+            EA, EP, EN = (net.full_embedding(Z)[0] for Z in (XA, XP, XN))
             return _hinge_args(EA, EP, EN, 0.3)
 
-        _check_model_gradient(seed, batch, plain_loss, plain_hinge,
-                              with_bank=False)
+        _check_model_gradient(seed, hidden, batch, triplet_loss(),
+                              plain_hinge, with_bank=False,
+                              reject=rows_collapse(1.0))
 
         # masked (per-notion) triplet
-        def masked_loss(net, bank, X):
-            def build():
-                return triplet_batch_loss(
-                    net.full_embedding(XA), net.full_embedding(XP),
-                    net.full_embedding(XN), 0.3, masks=masks,
-                )
-            return build
-
         def masked_hinge(net, bank, X):
-            EA, EP, EN = (net.full_embedding(Z).values * masks
+            EA, EP, EN = (net.full_embedding(Z)[0] * masks
                           for Z in (XA, XP, XN))
             return _hinge_args(EA, EP, EN, 0.3)
 
-        _check_model_gradient(seed, batch, masked_loss, masked_hinge,
-                              with_bank=False, reject=masked_rows_alive)
+        _check_model_gradient(seed, hidden, batch,
+                              triplet_loss(disentanglement=True),
+                              masked_hinge, with_bank=False,
+                              reject=rows_collapse(masks))
 
         # track-regularized sum: masked tag triplets plus full-space track ones
-        def trackreg_loss(net, bank, X):
-            def build():
-                EA, EP, EN = (net.full_embedding(Z) for Z in (XA, XP, XN))
-                tag = triplet_batch_loss(EA, EP, EN, 0.3, masks=masks)
-                return tag + 0.7 * triplet_batch_loss(EP, EN, EA, 0.3)
-            return build
-
         def trackreg_hinge(net, bank, X):
-            EA, EP, EN = (net.full_embedding(Z).values for Z in (XA, XP, XN))
+            EA, EP, EN = (net.full_embedding(Z)[0] for Z in (XA, XP, XN))
             return np.concatenate([
                 _hinge_args(EA * masks, EP * masks, EN * masks, 0.3),
                 _hinge_args(EP, EN, EA, 0.3),
             ])
 
-        _check_model_gradient(seed, batch, trackreg_loss,
+        _check_model_gradient(seed, hidden, batch,
+                              triplet_loss(disentanglement=True,
+                                           track_reg=True),
                               trackreg_hinge, with_bank=False,
-                              reject=masked_rows_alive)
+                              reject=rows_collapse(masks))
 
         # the three score-based binary cross entropies: disentangled proxy,
         # normalized classification, and disentangled classification with
         # its block-drawn head
-        def bce_loss(disentangled):
+        def bce_loss(family, disentangled):
+            variant = VariantConfig(family=family,
+                                    disentanglement=disentangled)
+
             def loss_of(net, bank, X):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, 53]))
                 Y = (rng.random((batch, space.num_tags)) < 0.5).astype(float)
-
-                def build():
-                    return bce_sum(score_blocks(net, bank, X, disentangled), Y)
-                return build
+                model = TrainedModel(net, bank, variant, space)
+                return lambda: _bce(model, X, Y)
             return loss_of
 
-        _check_model_gradient(seed, batch, bce_loss(True))
-        _check_model_gradient(seed, batch, bce_loss(False))
-        _check_model_gradient(seed, batch, bce_loss(True),
+        _check_model_gradient(seed, hidden, batch, bce_loss("proxy", True))
+        _check_model_gradient(seed, hidden, batch,
+                              bce_loss("classification", False))
+        _check_model_gradient(seed, hidden, batch,
+                              bce_loss("classification", True),
                               blockwise_head=True)
 
     elapsed = time.perf_counter() - start
@@ -540,8 +551,8 @@ def test_mask_partition_and_subdense_identity():
         input_dim = int(rng.integers(3, 7))
         net, _ = make_net(space, input_dim, (5,), seed, blockwise_head=True)
         X = rng.normal(size=(4, input_dim))
-        E = net.full_embedding(X).values
-        h = net.backbone(X).values
+        E = net.full_embedding(X)[0]
+        h = net.backbone(X)
         for notion in space.notions:
             cut = space.block_slice(notion.name)
             block = subdense_block(net, h, notion.name)

@@ -118,3 +118,41 @@ def test_from_dict_rejects_bad_variant(small_space):
     }
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict(d)
+
+
+def _base(small_space) -> dict:
+    return {"label_space": small_space.to_dict(), "synthetic": {}}
+
+
+WRONG_TYPES = {
+    "triplets_per_notion": ({"triplets_per_notion": "many"},
+                            "'triplets_per_notion'"),
+    "seed": ({"seed": "x"}, "'seed'"),
+    "eval_ks": ({"eval_ks": ["a"]}, "'eval_ks'"),
+    "fractions": ({"fractions": [0.8, "x", 0.15]}, "'fractions'"),
+    "synthetic_tracks": ({"synthetic": {"tracks": "x"}},
+                         "'synthetic.tracks'"),
+    "synthetic_unknown_key": ({"synthetic": {"colour": 1}}, "colour"),
+    "synthetic_not_a_dict": ({"synthetic": "x"}, "'synthetic'"),
+    "dataset_not_a_dict": ({"synthetic": None, "dataset": "notadict"},
+                           "'dataset'"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_from_dict_names_the_key_of_a_wrong_type(small_space, case):
+    fields, key = WRONG_TYPES[case]
+    with pytest.raises(ConfigurationError, match=key):
+        ExperimentConfig.from_dict({**_base(small_space), **fields})
+
+
+def test_cli_reports_a_wrong_type_without_traceback(small_space, tmp_path,
+                                                     capsys):
+    from disembed.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_base(small_space), "seed": "x"}))
+    assert main(["generate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: config key 'seed'")
+    assert "Traceback" not in err

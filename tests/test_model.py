@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from disembed.autodiff import NORM_EPS, grad
+from disembed.autodiff import NORM_EPS, grad, packed
 from disembed.errors import ConfigurationError
 from disembed.losses import LOG_FLOOR, bce_sum
 from disembed.model import (
@@ -40,7 +40,7 @@ def make_net(space, normalize=False, hidden=(12, 10), seed=0,
 def per_block_embedding(net, X, notion):
     """One notion's block of the head output as its own sub-dense relu layer:
     relu(backbone(X) @ H[:, block]), in plain numpy."""
-    h = net.backbone(X).values
+    h = net.backbone(X)
     cut = net.space.block_slice(notion)
     return np.maximum(h @ net.params["H"].values[:, cut], 0)
 
@@ -51,6 +51,12 @@ def per_block_embedding(net, X, notion):
 def test_embedding_dim_must_match_space(small_space):
     with pytest.raises(ConfigurationError):
         EmbeddingNet(NetConfig(input_dim=6, embedding_dim=4), small_space)
+
+
+@pytest.mark.parametrize("hidden", [(0,), (128, 0), (-3,), (4.0,)])
+def test_net_rejects_hidden_widths_below_one(small_space, hidden):
+    with pytest.raises(ConfigurationError, match="hidden widths"):
+        NetConfig(input_dim=6, embedding_dim=8, hidden=hidden)
 
 
 def test_init_bounds_and_determinism(small_space):
@@ -118,7 +124,7 @@ def test_masked_embed_zeroes_other_blocks(small_space, rng):
     X = rng.normal(size=(4, 6))
     m = masked_embed(net, X, "color")
     assert np.array_equal(m[:, 4:], np.zeros((4, 4)))
-    full = net.full_embedding(X).values
+    full = net.full_embedding(X)[0]
     assert np.array_equal(m[:, :4], full[:, :4])
 
 
@@ -126,7 +132,7 @@ def test_masks_sum_to_full_embedding(small_space, rng):
     net, _ = make_net(small_space)
     X = rng.normal(size=(4, 6))
     total = sum(masked_embed(net, X, n.name) for n in small_space.notions)
-    assert np.allclose(total, net.full_embedding(X).values, atol=0)
+    assert np.allclose(total, net.full_embedding(X)[0], atol=0)
 
 
 def test_masked_equals_subdense_block(small_space, rng):
@@ -164,7 +170,7 @@ def test_proxy_equals_classification_normalized(small_space, rng):
     # sigmoid of the row-normalized embedding against the bank
     net, bank = make_net(small_space, normalize=True)
     X = rng.normal(size=(6, 6))
-    F = net.full_embedding(X).values
+    F = net.full_embedding(X)[0]
     U = F / np.maximum(np.linalg.norm(F, axis=1, keepdims=True), NORM_EPS)
     expect = expit(U @ bank.weights.values.T)
     assert np.abs(class_scores(net, bank, X, False) - expect).max() < 1e-12
@@ -216,8 +222,8 @@ def test_subdense_full_embedding_is_head_blocks(small_space, rng):
     X = rng.normal(size=(3, 6))
     for blockwise_head in (False, True):
         net, _ = make_net(small_space, blockwise_head=blockwise_head)
-        F = net.full_embedding(X).values
-        assert np.array_equal(F, net.head_blocks(net.backbone(X)).values)
+        F = net.full_embedding(X)[0]
+        assert np.array_equal(F, net.head_blocks(net.backbone(X)))
         for notion in small_space.notions:
             block = F[:, small_space.block_slice(notion.name)]
             assert np.abs(block - per_block_embedding(net, X, notion.name)
@@ -229,10 +235,9 @@ def test_score_blocks_is_one_all_tags_block(small_space, rng):
     for normalize, disentangled in ((True, False), (True, True),
                                     (False, False)):
         net, bank = make_net(small_space, normalize=normalize)
-        S = score_blocks(net, bank, X, disentangled)
+        S = score_blocks(net, bank, X, disentangled)[0]
         assert S.shape == (3, small_space.num_tags)
-        assert np.array_equal(S.values, class_scores(net, bank, X,
-                                                     disentangled))
+        assert np.array_equal(S, class_scores(net, bank, X, disentangled))
 
 
 def reference_disentangled(net, bank, X, Y):
@@ -293,16 +298,17 @@ def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion
                     small_space.notions[dead_notion].name)
                 net.params["H"].values[:, cut] = 0.0
             params = {**net.params, "C": bank.weights}
-            S = score_blocks(net, bank, X, True)
-            got = grad(bce_sum(S, Y), params.values())
+            S, score_backward = score_blocks(net, bank, X, True)
+            got = packed(params)[1]
+            grad(got, score_backward(bce_sum(S, Y)[1](1.0)))
             ref_S, want = reference_disentangled(net, bank, X, Y)
-            assert np.abs(S.values - ref_S).max() < 1e-12
+            assert np.abs(S - ref_S).max() < 1e-12
             if dead_notion is not None:
                 tags = small_space.tag_indices_of_notion(
                     small_space.notions[dead_notion].name)
-                assert np.array_equal(S.values[:, tags], np.full((5, 2), 0.5))
-            for name, p in params.items():
-                assert np.abs(got[p] - want[name]).max() < 1e-12, name
+                assert np.array_equal(S[:, tags], np.full((5, 2), 0.5))
+            for name in params:
+                assert np.abs(got[name] - want[name]).max() < 1e-12, name
 
 
 # --- parameter files -------------------------------------------------------
