@@ -141,9 +141,9 @@ def cmd_export_embeddings(args) -> int:
         E = E[:, model.space.block_slice(space_arg)]
     out_path = args.out or "embeddings.tsv"
     with open(out_path, "w", encoding="utf-8") as fh:
-        for item, row in zip(dataset.items, E):
+        for item_id, track_id, row in zip(dataset.ids, dataset.track_ids, E):
             coords = "\t".join(f"{x:.17g}" for x in row)
-            fh.write(f"{item.id}\t{item.track_id}\t{coords}\n")
+            fh.write(f"{item_id}\t{track_id}\t{coords}\n")
     print(f"wrote {len(dataset)} x {E.shape[1]} embeddings to {out_path}")
     return 0
 

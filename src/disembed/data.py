@@ -1,4 +1,9 @@
-"""Datasets: items, file ingestion, splits, and a synthetic multi-notion generator.
+"""Datasets: file ingestion, splits, and a synthetic multi-notion generator.
+
+A ``Dataset`` holds its rows once, as parallel arrays (ids, track ids, a
+feature matrix and a multi-hot label matrix).  The generator and the TSV
+reader write each row in place, and a split indexes the arrays; ``Item``
+records only build small datasets by hand.
 
 The synthetic generator stands in for a large tagged-audio corpus: each tag
 owns a centroid inside its notion's block of feature space, a track mixes one
@@ -21,6 +26,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Item:
+    """One row of a hand-built dataset; see ``Dataset.from_items``."""
+
     id: str
     track_id: str
     features: np.ndarray
@@ -28,42 +35,68 @@ class Item:
 
 
 class Dataset:
-    """Immutable collection of items with stacked feature/label matrices."""
+    """Rows held once, as parallel arrays: ``ids`` and ``track_ids`` (lists
+    of str), ``features`` (n, d) float64 and ``labels`` (n, tags) float64
+    multi-hot over ``space``."""
 
-    def __init__(self, items, space: LabelSpace):
-        items = list(items)
+    def __init__(self, space: LabelSpace, ids, track_ids, features, labels):
         self.space = space
-        self.items = items
-        if items:
-            widths = {len(i.features) for i in items}
-            if len(widths) != 1:
-                raise DatasetError(f"inconsistent feature widths: {sorted(widths)}")
-            for i in items:
-                if len(i.labels) != space.num_tags:
-                    raise DatasetError(
-                        f"item {i.id!r}: label vector length {len(i.labels)} "
-                        f"!= tag count {space.num_tags}"
-                    )
-            self.features = np.stack([i.features for i in items]).astype(np.float64)
-            self.labels = np.stack([i.labels for i in items]).astype(np.float64)
-        else:
-            self.features = np.zeros((0, 0))
-            self.labels = np.zeros((0, space.num_tags))
-        self.ids = [i.id for i in items]
-        self.track_ids = [i.track_id for i in items]
+        self.ids = list(ids)
+        self.track_ids = list(track_ids)
+        self.features = np.asarray(features, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.float64)
+        n = len(self.ids)
+        if (len(self.track_ids) != n or self.features.ndim != 2
+                or len(self.features) != n):
+            raise DatasetError(
+                f"{n} ids, {len(self.track_ids)} track ids and features of "
+                f"shape {self.features.shape} do not describe the same rows"
+            )
+        if self.labels.shape != (n, space.num_tags):
+            raise DatasetError(
+                f"labels of shape {self.labels.shape}, expected "
+                f"{(n, space.num_tags)}"
+            )
+
+    @classmethod
+    def from_items(cls, items, space: LabelSpace) -> "Dataset":
+        """Stack ``Item`` records into a dataset."""
+        items = list(items)
+        if not items:
+            return cls(space, [], [], np.zeros((0, 0)), np.zeros((0, space.num_tags)))
+        widths = {len(i.features) for i in items}
+        if len(widths) != 1:
+            raise DatasetError(f"inconsistent feature widths: {sorted(widths)}")
+        for i in items:
+            if len(i.labels) != space.num_tags:
+                raise DatasetError(
+                    f"item {i.id!r}: label vector length {len(i.labels)} "
+                    f"!= tag count {space.num_tags}"
+                )
+        return cls(
+            space,
+            [i.id for i in items],
+            [i.track_id for i in items],
+            np.stack([i.features for i in items]),
+            np.stack([i.labels for i in items]),
+        )
 
     def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, idx) -> Item:
-        return self.items[idx]
+        return len(self.ids)
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        return Dataset([self.items[i] for i in indices], self.space)
+        idx = list(indices)
+        return Dataset(
+            self.space,
+            [self.ids[i] for i in idx],
+            [self.track_ids[i] for i in idx],
+            self.features[idx],
+            self.labels[idx],
+        )
 
 
 @dataclass
@@ -131,12 +164,20 @@ def tag_centroids(spec: SyntheticSpec) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Deterministic synthetic dataset; every item carries >= 1 tag per notion."""
+    """Deterministic synthetic dataset; every item carries >= 1 tag per notion.
+
+    Rows are written in place: track ``tr``'s excerpts are rows
+    ``tr * excerpts_per_track`` onwards.
+    """
     space = spec.space
     cents = tag_centroids(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
     lo, hi = spec.tags_per_notion_range
-    items = []
+    per = spec.excerpts_per_track
+    n = spec.tracks * per
+    features = np.empty((n, spec.feature_dim))
+    labels = np.empty((n, space.num_tags))
+    ids, track_ids = [], []
     for tr in range(spec.tracks):
         track_id = f"track{tr:05d}"
         chosen = []
@@ -144,20 +185,18 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             k = int(rng.integers(lo, hi + 1))
             idx = rng.choice(len(notion.tags), size=k, replace=False)
             chosen.extend(notion.tags[i] for i in sorted(idx))
-        labels = space.multi_hot(chosen)
-        base = cents[labels > 0].sum(axis=0)
+        rows = slice(tr * per, (tr + 1) * per)
+        hot = space.multi_hot(chosen)
+        labels[rows] = hot
+        base = cents[hot > 0].sum(axis=0)
         base = base + spec.sigma_within * rng.normal(size=spec.feature_dim)
-        for ex in range(spec.excerpts_per_track):
-            feat = base + spec.sigma_excerpt * rng.normal(size=spec.feature_dim)
-            items.append(
-                Item(
-                    id=f"{track_id}_x{ex}",
-                    track_id=track_id,
-                    features=np.asarray(feat, dtype=np.float64),
-                    labels=labels,
-                )
-            )
-    return Dataset(items, space)
+        # one draw of per x d normals is the stream of per draws of d
+        features[rows] = base + spec.sigma_excerpt * rng.normal(
+            size=(per, spec.feature_dim)
+        )
+        ids.extend(f"{track_id}_x{ex}" for ex in range(per))
+        track_ids.extend([track_id] * per)
+    return Dataset(space, ids, track_ids, features, labels)
 
 
 def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
@@ -171,17 +210,17 @@ def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
     blocks = _feature_blocks(spec.feature_dim, space.num_notions)
     hits = 0
     total = 0
-    for item in dataset.items:
+    for features, labels in zip(dataset.features, dataset.labels):
         for g, notion in enumerate(space.notions):
             block = blocks[g]
             true_tags = {
-                t for t in notion.tags if item.labels[space.tag_index[t]] > 0
+                t for t in notion.tags if labels[space.tag_index[t]] > 0
             }
             k = len(true_tags)
             tag_idx = [space.tag_index[t] for t in notion.tags]
             # score each tag by how much its centroid explains the block
             scores = [
-                float(np.dot(item.features[block], cents[ti, block]))
+                float(np.dot(features[block], cents[ti, block]))
                 for ti in tag_idx
             ]
             top = {notion.tags[i] for i in np.argsort(scores)[::-1][:k]}
@@ -209,10 +248,8 @@ def split(
     if by_track:
         seen = dict.fromkeys(dataset.track_ids)  # first-appearance order
         granules = list(seen)
-        key = lambda item: item.track_id
     else:
         granules = list(range(len(dataset)))
-        key = None
     n = len(granules)
     if n < len(fractions):
         raise DatasetError(
@@ -266,23 +303,37 @@ def _reseeded(spec: SyntheticSpec, seed: int) -> SyntheticSpec:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    fmt = ",".join(["%.17g"] * dataset.feature_dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#feature_dim={dataset.feature_dim}\n")
         fh.write("#tags=" + ",".join(dataset.space.tags) + "\n")
-        for item in dataset.items:
-            feats = ",".join(f"{x:.17g}" for x in item.features)
-            tags = ";".join(dataset.space.decode(item.labels))
+        for item_id, track_id, features, labels in zip(
+            dataset.ids, dataset.track_ids, dataset.features, dataset.labels
+        ):
+            tags = ";".join(dataset.space.decode(labels))
             if not tags:
-                raise DatasetError(f"item {item.id!r} has no tags; format forbids it")
-            fh.write(f"{item.id}\t{item.track_id}\t{feats}\t{tags}\n")
+                raise DatasetError(f"item {item_id!r} has no tags; format forbids it")
+            feats = fmt % tuple(features.tolist())
+            fh.write(f"{item_id}\t{track_id}\t{feats}\t{tags}\n")
+
+
+def _count_lines(path) -> int:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return sum(1 for _ in fh)
 
 
 def load_dataset(path, space: LabelSpace) -> Dataset:
     """Read a dataset file; any malformed line (bad field count, duplicate
     id, non-numeric or non-finite feature, unknown tag, invalid UTF-8) raises
-    DatasetError naming the line."""
+    DatasetError naming the line.
+
+    Each line is parsed straight into its row of ``features`` and
+    ``labels``, allocated for every line of the file once the first line has
+    proven the header's width.
+    """
     errors = []
-    items = []
+    ids, track_ids = [], []
+    features = labels = None
     seen_ids = set()
     # undecodable bytes become lone surrogates, reported per line below
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -324,26 +375,32 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
                     f"line {lineno}: {len(feats)} features, header says {width}"
                 )
                 continue
+            if features is None:
+                rows = _count_lines(path) - 2
+                features = np.empty((rows, width))
+                labels = np.empty((rows, space.num_tags))
+            row = len(ids)
             try:
-                fv = np.array([float(x) for x in feats])
+                features[row] = [float(x) for x in feats]
             except ValueError:
                 errors.append(f"line {lineno}: non-numeric feature value")
                 continue
-            if not np.isfinite(fv).all():
+            if not np.isfinite(features[row]).all():
                 errors.append(f"line {lineno}: non-finite feature value")
                 continue
             if not tag_s:
                 errors.append(f"line {lineno}: empty tag field")
                 continue
             try:
-                labels = space.multi_hot(tag_s.split(";"))
+                labels[row] = space.multi_hot(tag_s.split(";"))
             except ConfigurationError as exc:
                 errors.append(f"line {lineno}: {exc}")
                 continue
             seen_ids.add(item_id)
-            items.append(Item(item_id, track_id, fv, labels))
+            ids.append(item_id)
+            track_ids.append(track_id)
     if errors:
         raise DatasetError(f"{path}: " + "; ".join(errors))
-    if not items:
+    if not ids:
         raise DatasetError(f"{path}: no data rows")
-    return Dataset(items, space)
+    return Dataset(space, ids, track_ids, features[:len(ids)], labels[:len(ids)])

@@ -1,5 +1,10 @@
 """Evaluation tasks: training-time ratio, multi-label R@K, tag AUC, triplet
-prediction, and the per-variant report record."""
+prediction, and the per-variant report record.
+
+Tag AUC is the rank statistic (Hanley & McNeil 1982), ranked with numpy
+alone: one stable argsort of the score matrix with average ranks for ties,
+the values ``scipy.stats.rankdata`` gives, without importing ``scipy.stats``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .errors import ConfigurationError
@@ -127,13 +131,45 @@ def build_prototypes(embeddings, labels) -> np.ndarray:
     return protos
 
 
+def _average_ranks(S: np.ndarray) -> np.ndarray:
+    """1-based ranks of each column of the 2-D ``S`` along axis 0, tied
+    values sharing the mean of their ranks (``scipy.stats.rankdata``'s
+    "average").
+
+    One stable argsort per column; a tie group spanning sorted positions
+    i..j gets rank (i + j + 2) / 2, a half-integer, so any sum of ranks
+    below 2**52 is exact in every summation order.
+    """
+    n = len(S)
+    order = np.argsort(S, axis=0, kind="stable")
+    ordered = np.take_along_axis(S, order, axis=0)
+    pos = np.arange(n)[:, None]
+    changes = ordered[1:] != ordered[:-1]  # -0.0 == 0.0 ties, as in rankdata
+    first = np.ones_like(ordered, dtype=bool)
+    first[1:] = changes
+    last = np.ones_like(ordered, dtype=bool)
+    last[:-1] = changes
+    start = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
+    end = np.minimum.accumulate(np.where(last, pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(S.shape)
+    np.put_along_axis(ranks, order, (start + end + 2) / 2, axis=0)
+    return ranks
+
+
+def _finite_scores(scores) -> np.ndarray:
+    S = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(S).all():
+        raise ValueError("scores must be finite")
+    return S
+
+
 def auc_rank(pos_scores, neg_scores) -> float:
     """Exact ROC AUC of one tag via the rank statistic; ties credited 0.5."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
+    pos = _finite_scores(pos_scores)
+    neg = _finite_scores(neg_scores)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("need at least one positive and one negative")
-    ranks = rankdata(np.concatenate([pos, neg]))
+    ranks = _average_ranks(np.concatenate([pos, neg])[:, None])[:, 0]
     n_pos, n_neg = len(pos), len(neg)
     return float(
         (ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
@@ -141,22 +177,26 @@ def auc_rank(pos_scores, neg_scores) -> float:
 
 
 def auc_tags(score_matrix, label_matrix) -> float:
-    """Macro-averaged per-tag ROC AUC; tags without both classes are skipped."""
-    S = np.asarray(score_matrix, dtype=np.float64)
+    """Macro-averaged per-tag ROC AUC; tags without both classes are skipped.
+
+    Every tag is ranked at once by ``_average_ranks`` over the columns of
+    the score matrix; per tag, the AUC is ``auc_rank``'s formula on the
+    rank sum of its positives.
+    """
+    S = _finite_scores(score_matrix)
     L = np.asarray(label_matrix) > 0
-    aucs = []
-    skipped = 0
-    for t in range(L.shape[1]):
-        pos = S[L[:, t], t]
-        neg = S[~L[:, t], t]
-        if len(pos) == 0 or len(neg) == 0:
-            skipped += 1
-            continue
-        aucs.append(auc_rank(pos, neg))
+    n_pos = L.sum(axis=0)
+    n_neg = len(L) - n_pos
+    evaluable = (n_pos > 0) & (n_neg > 0)
+    skipped = int((~evaluable).sum())
     if skipped:
         log.info("auc_tags skipped %d single-class tag(s)", skipped)
-    if not aucs:
+    if not evaluable.any():
         raise ValueError("no evaluable tag has both positives and negatives")
+    S, L = S[:, evaluable], L[:, evaluable]
+    n_pos, n_neg = n_pos[evaluable], n_neg[evaluable]
+    rank_sums = np.where(L, _average_ranks(S), 0.0).sum(axis=0)
+    aucs = (rank_sums - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return float(np.mean(aucs))
 
 

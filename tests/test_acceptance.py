@@ -256,13 +256,15 @@ def test_loss_gradients_match_finite_differences():
                 return build
             return loss_of
 
-        def rows_collapse(masks):
-            # a (masked) row collapsing to zero would hit the degenerate-
-            # cosine guard, which is a kink finite differences cannot
-            # straddle; with two hidden layers, all-dead first-layer units
-            # give such rows unmasked too
+        def triplet_reject(masks):
+            # the triplet losses embed XA, XP and XN, not X, so their relus
+            # must be away from a kink on those rows.  A (masked) row
+            # collapsing to zero would hit the degenerate-cosine guard,
+            # which is a kink finite differences cannot straddle; with two
+            # hidden layers, all-dead first-layer units give such rows
+            # unmasked too
             def reject(net, bank, X):
-                return any(
+                return _min_kink_distance(net, XT) < 1e-3 or any(
                     np.linalg.norm(net.full_embedding(Z)[0] * masks,
                                    axis=1).min() < 1e-2
                     for Z in (XA, XP, XN)
@@ -276,7 +278,7 @@ def test_loss_gradients_match_finite_differences():
 
         _check_model_gradient(seed, hidden, batch, triplet_loss(),
                               plain_hinge, with_bank=False,
-                              reject=rows_collapse(1.0))
+                              reject=triplet_reject(1.0))
 
         # masked (per-notion) triplet
         def masked_hinge(net, bank, X):
@@ -287,7 +289,7 @@ def test_loss_gradients_match_finite_differences():
         _check_model_gradient(seed, hidden, batch,
                               triplet_loss(disentanglement=True),
                               masked_hinge, with_bank=False,
-                              reject=rows_collapse(masks))
+                              reject=triplet_reject(masks))
 
         # track-regularized sum: masked tag triplets plus full-space track ones
         def trackreg_hinge(net, bank, X):
@@ -301,7 +303,7 @@ def test_loss_gradients_match_finite_differences():
                               triplet_loss(disentanglement=True,
                                            track_reg=True),
                               trackreg_hinge, with_bank=False,
-                              reject=rows_collapse(masks))
+                              reject=triplet_reject(masks))
 
         # the three score-based binary cross entropies: disentangled proxy,
         # normalized classification, and disentangled classification with

@@ -1,5 +1,7 @@
 """Synthetic generator, splits, and the dataset file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from disembed.data import (
     split,
     tag_centroids,
 )
+from disembed.config import default_config, default_label_space
 from disembed.errors import ConfigurationError, DatasetError
 from disembed.labelspace import LabelSpace
 
@@ -53,8 +56,8 @@ def test_every_item_has_a_tag_per_notion(spec):
 def test_excerpts_share_track_labels(spec):
     ds = generate_synthetic(spec)
     by_track = {}
-    for item in ds.items:
-        by_track.setdefault(item.track_id, []).append(item.labels)
+    for track_id, labels in zip(ds.track_ids, ds.labels):
+        by_track.setdefault(track_id, []).append(labels)
     for labels in by_track.values():
         assert len(labels) == spec.excerpts_per_track
         for l in labels[1:]:
@@ -74,8 +77,8 @@ def test_noiseless_identical_tag_sets_identical_features(small_space):
     )
     ds = generate_synthetic(spec)
     by_tags = {}
-    for item in ds.items:
-        by_tags.setdefault(tuple(item.labels), []).append(item.features)
+    for features, labels in zip(ds.features, ds.labels):
+        by_tags.setdefault(tuple(labels), []).append(features)
     for feats in by_tags.values():
         for f in feats[1:]:
             assert np.array_equal(f, feats[0])
@@ -152,13 +155,13 @@ def test_dataset_rejects_ragged_features(small_space):
         Item("b", "t1", np.zeros(5), small_space.multi_hot(["red", "round"])),
     ]
     with pytest.raises(DatasetError):
-        Dataset(items, small_space)
+        Dataset.from_items(items, small_space)
 
 
 def test_dataset_rejects_wrong_label_length(small_space):
     items = [Item("a", "t0", np.zeros(4), np.zeros(3))]
     with pytest.raises(DatasetError):
-        Dataset(items, small_space)
+        Dataset.from_items(items, small_space)
 
 
 # --- file format ----------------------------------------------------------
@@ -220,6 +223,59 @@ def test_save_twice_is_byte_identical(spec, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _arrays_digest(ds) -> str:
+    """sha256 over a dataset's float64 feature and label bytes, then its ids
+    and track ids joined by newlines."""
+    assert ds.features.dtype == ds.labels.dtype == np.float64
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(ds.features).tobytes())
+    h.update(np.ascontiguousarray(ds.labels).tobytes())
+    h.update("\n".join(ds.ids).encode())
+    h.update("\n".join(ds.track_ids).encode())
+    return h.hexdigest()
+
+
+# sha256 of each split's saved file, then of its arrays (as generated and as
+# loaded back, which agree), recorded from the item-list implementation that
+# the array-backed generator, writer and reader replaced
+TSV_PINS = {
+    "default": {
+        "train": ("bb2be690971bdcad87ff4ea823e8a98fecec9c28ca098f11803af7c7cdff058c",
+                  "33c04ddb8835c267976a1e5adaeec9ec3a09023fe50a888d8b179809dd5090bc"),
+        "valid": ("a213b195a4880ba96ec807420eb7ff864c6a1e6a21979159b8892f191cf60c9f",
+                  "3fd83b0f56c796ee9e666f1423bd4c55b33ab3cffb27fe12df506b8fc706b46e"),
+        "test": ("75a1d105d93a439c1e1f53c22e5a9d62a5daba16ab6430ac438df2e21c25f2fb",
+                 "639bdde660c2c0896564c779b8842baabb294a5ed1f4d944b1ea93fa81559f3a"),
+    },
+    "eval_heavy": {
+        "train": ("ce93cd8120dd6f76288c99389fbd9d42765edfaea81ed9a365c75494b62672c7",
+                  "5bf5a09284232a801f506015d155d76f8f0ae4014a8c7a2ba39b5dbcaad97910"),
+        "valid": ("9195bd4529c8bc429121f56690744303fb5414a0c45fb6cd5faca0b19f4b3d00",
+                  "ccabdd1ece53f0bff9348c75b3e8381da6441376fac4dd348780e6a7ec094a61"),
+        "test": ("52dc2599d22c53dfa4836e32950abc45a35fff4766353f446130d93553c83642",
+                 "c968fc98ff794fcc0445ec325a96e5f377291f8027ef5bef0e1e253bc20ab2ce"),
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TSV_PINS))
+def test_generated_saved_and_loaded_bytes_are_pinned(shape, tmp_path):
+    # the default config's splits, and an eval_heavy-shaped spec: 1,500
+    # tracks split 0.3 / 0.05 / 0.65
+    if shape == "default":
+        parts = generate_splits(default_config(0).synthetic)
+    else:
+        spec = SyntheticSpec(space=default_label_space(), tracks=1500, seed=0)
+        parts = generate_splits(spec, fractions=(0.3, 0.05, 0.65))
+    for key, ds in zip(("train", "valid", "test"), parts):
+        tsv_pin, arrays_pin = TSV_PINS[shape][key]
+        path = tmp_path / f"{key}.tsv"
+        save_dataset(ds, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == tsv_pin, key
+        assert _arrays_digest(ds) == arrays_pin, key
+        assert _arrays_digest(load_dataset(path, ds.space)) == arrays_pin, key
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
 def test_load_rejects_non_finite_features(small_space, tmp_path, token):
     path = tmp_path / "nonfinite.tsv"
@@ -253,10 +309,12 @@ def _fuzz_lines() -> list[str]:
     """The lines of a small saved dataset (two headers, six rows)."""
     spec = SyntheticSpec(space=FUZZ_SPACE, feature_dim=3, tracks=2,
                          excerpts_per_track=3, seed=5)
+    ds = generate_synthetic(spec)
     rows = [
-        f"{i.id}\t{i.track_id}\t" + ",".join(f"{x:.17g}" for x in i.features)
-        + "\t" + ";".join(FUZZ_SPACE.decode(i.labels))
-        for i in generate_synthetic(spec).items
+        f"{item_id}\t{track_id}\t" + ",".join(f"{x:.17g}" for x in features)
+        + "\t" + ";".join(FUZZ_SPACE.decode(labels))
+        for item_id, track_id, features, labels in zip(
+            ds.ids, ds.track_ids, ds.features, ds.labels)
     ]
     return ["#feature_dim=3", "#tags=" + ",".join(FUZZ_SPACE.tags), *rows]
 

@@ -1,9 +1,14 @@
 """Evaluation metrics against independent brute-force oracles."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from disembed import evaluation
 from disembed.errors import ConfigurationError
@@ -34,6 +39,25 @@ def brute_auc(pos, neg):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def rankdata_auc(pos, neg):
+    """The rank-statistic AUC as computed with ``scipy.stats.rankdata``."""
+    ranks = rankdata(np.concatenate([pos, neg]))
+    n_pos, n_neg = len(pos), len(neg)
+    return float(
+        (ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    )
+
+
+def rankdata_auc_tags(S, L):
+    """Macro mean of ``rankdata_auc`` over the tags with both classes."""
+    aucs = [
+        rankdata_auc(S[L[:, t] > 0, t], S[L[:, t] <= 0, t])
+        for t in range(L.shape[1])
+        if 0 < (L[:, t] > 0).sum() < len(L)
+    ]
+    return float(np.mean(aucs))
 
 
 def brute_recall(E, L, k):
@@ -280,6 +304,56 @@ def test_auc_tags_all_single_class_raises():
     L = np.ones((4, 2))
     with pytest.raises(ValueError):
         auc_tags(S, L)
+
+
+def tie_heavy_scores(rng, shape):
+    """Scores on a coarse grid with many exact ties, about a fifth of them
+    signed zeros of either sign."""
+    S = rng.integers(-3, 4, size=shape) * rng.choice([1.0, 0.25], size=shape)
+    zeros = rng.random(shape) < 0.2
+    S[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return S
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_auc_is_bit_identical_to_rankdata(seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 71]))
+    n, T = int(rng.integers(2, 120)), int(rng.integers(1, 9))
+    S = tie_heavy_scores(rng, (n, T))
+    L = rng.random((n, T)) < rng.random(T)
+    L[:, 0] = True  # a single-class tag, skipped by both
+    L[0, -1], L[1, -1] = True, False  # a tag with both classes
+    assert auc_tags(S, L) == rankdata_auc_tags(S, L)
+    for t in range(1, T):
+        pos, neg = S[L[:, t], t], S[~L[:, t], t]
+        if len(pos) and len(neg):
+            assert auc_rank(pos, neg) == rankdata_auc(pos, neg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        auc_rank([0.9, bad], [0.1])
+    with pytest.raises(ValueError, match="finite"):
+        auc_rank([0.9], [bad, 0.1])
+    S = np.random.default_rng(0).random((6, 3))
+    L = np.arange(18).reshape(6, 3) % 2
+    S[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        auc_tags(S, L)
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the import's memory; AUC ranks with numpy
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, disembed, disembed.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- prototypes ------------------------------------------------------------

@@ -41,7 +41,7 @@ def toy_dataset(small_space):
              small_space.multi_hot(tags))
         for i, tr, tags in rows
     ]
-    return Dataset(items, small_space)
+    return Dataset.from_items(items, small_space)
 
 
 def test_underpopulated_tags_excluded(small_space):
@@ -129,7 +129,7 @@ def regular_dataset(small_space):
              ["blue", "round"], ["red", "round"], ["blue", "square"],
              ["red", "square"]] * 3)
     ]
-    return Dataset(items, small_space)
+    return Dataset.from_items(items, small_space)
 
 
 def test_tag_triplets_match_rng_choice_reference(small_space):
@@ -148,7 +148,7 @@ def test_tag_triplets_match_rng_choice_reference(small_space):
 
 def test_empty_dataset_rejected(small_space):
     with pytest.raises(DatasetError):
-        TripletSampler(Dataset([], small_space))
+        TripletSampler(Dataset.from_items([], small_space))
 
 
 def test_track_sampling_needs_multi_item_track(small_space):
@@ -156,7 +156,7 @@ def test_track_sampling_needs_multi_item_track(small_space):
         Item("a", "trA", np.zeros(4), small_space.multi_hot(["red", "round"])),
         Item("b", "trB", np.zeros(4), small_space.multi_hot(["blue", "round"])),
     ]
-    sampler = TripletSampler(Dataset(items, small_space))
+    sampler = TripletSampler(Dataset.from_items(items, small_space))
     with pytest.raises(DatasetError):
         sampler.track_triplets(np.random.default_rng(0), 1)
 
@@ -296,7 +296,7 @@ def edge_dataset(small_space):
             ("blue", "round", "t4")]
     items = [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot([c, sh]))
              for k, (c, sh, tr) in enumerate(rows)]
-    return Dataset(items, small_space)
+    return Dataset.from_items(items, small_space)
 
 
 def test_batch_draws_equal_per_triplet_reference(small_space,
@@ -433,7 +433,7 @@ def track_dataset(small_space):
     anchor's track with probability 1/4."""
     items = [Item(f"i{k}", f"t{k // 3}", np.zeros(4),
                   small_space.multi_hot(["red", "round"])) for k in range(12)]
-    return Dataset(items, small_space)
+    return Dataset.from_items(items, small_space)
 
 
 def test_kernel_redraws_a_track_negative_mid_batch(small_space):
@@ -544,18 +544,19 @@ def test_checked_sampler_names_split_and_notion(small_space):
     ds = edge_dataset(small_space)
     assert checked_sampler(ds, "test", ["color", "shape"], tracks=True)
     with pytest.raises(DatasetError, match="validation split is empty"):
-        checked_sampler(Dataset([], small_space), "validation")
-    only_blue = Dataset([Item(f"b{k}", f"t{k}", np.zeros(4),
-                              small_space.multi_hot(["blue", "round"]))
-                         for k in range(3)], small_space)
+        checked_sampler(Dataset.from_items([], small_space), "validation")
+    only_blue = Dataset.from_items(
+        [Item(f"b{k}", f"t{k}", np.zeros(4),
+              small_space.multi_hot(["blue", "round"])) for k in range(3)],
+        small_space)
     with pytest.raises(DatasetError, match="test split: .* notion 'color'"):
         checked_sampler(only_blue, "test", ["color", "shape"])
     with pytest.raises(DatasetError, match="validation split: no sampleable"):
         checked_sampler(only_blue, "validation")
-    singles = Dataset([Item(f"s{k}", f"t{k}", np.zeros(4),
-                            small_space.multi_hot([c, "round"]))
-                       for k, c in enumerate(["red", "red", "blue"])],
-                      small_space)
+    singles = Dataset.from_items(
+        [Item(f"s{k}", f"t{k}", np.zeros(4), small_space.multi_hot([c, "round"]))
+         for k, c in enumerate(["red", "red", "blue"])],
+        small_space)
     assert checked_sampler(singles, "test", ["color"])
     with pytest.raises(DatasetError, match="test split: track triplets"):
         checked_sampler(singles, "test", ["color"], tracks=True)
@@ -571,9 +572,10 @@ def test_eval_triplets_error_names_test_split_and_notion():
 
 def test_validation_triplets_error_names_validation_split(small_space):
     train_ds = edge_dataset(small_space)
-    valid_ds = Dataset([Item(f"v{k}", f"t{k}", np.zeros(4),
-                             small_space.multi_hot(["blue", "round"]))
-                        for k in range(3)], small_space)
+    valid_ds = Dataset.from_items(
+        [Item(f"v{k}", f"t{k}", np.zeros(4),
+              small_space.multi_hot(["blue", "round"])) for k in range(3)],
+        small_space)
     variant = VariantConfig(family="triplet", max_epochs=1, hidden=(4,))
     with pytest.raises(DatasetError, match="validation split: no sampleable"):
         train(variant, small_space, train_ds, valid_ds)

@@ -304,7 +304,7 @@ def test_empty_split_rejected(splits):
 
     space, (train_ds, valid_ds, _) = splits
     with pytest.raises(ConfigurationError):
-        train(quick(family="proxy"), space, Dataset([], space), valid_ds)
+        train(quick(family="proxy"), space, Dataset.from_items([], space), valid_ds)
 
 
 # --- persistence -----------------------------------------------------------
