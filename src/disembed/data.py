@@ -14,6 +14,7 @@ excerpt-level noise.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -303,6 +304,12 @@ def _reseeded(spec: SyntheticSpec, seed: int) -> SyntheticSpec:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` as a TSV file; a tagless item raises DatasetError
+    before the file is opened, so a file already at ``path`` is left as is."""
+    tagless = np.flatnonzero(~dataset.labels.any(axis=1))
+    if len(tagless):
+        item_id = dataset.ids[tagless[0]]
+        raise DatasetError(f"item {item_id!r} has no tags; format forbids it")
     fmt = ",".join(["%.17g"] * dataset.feature_dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#feature_dim={dataset.feature_dim}\n")
@@ -311,10 +318,14 @@ def save_dataset(dataset: Dataset, path) -> None:
             dataset.ids, dataset.track_ids, dataset.features, dataset.labels
         ):
             tags = ";".join(dataset.space.decode(labels))
-            if not tags:
-                raise DatasetError(f"item {item_id!r} has no tags; format forbids it")
             feats = fmt % tuple(features.tolist())
             fh.write(f"{item_id}\t{track_id}\t{feats}\t{tags}\n")
+
+
+# what a feature field may hold: %.17g numbers and nan/inf spellings, comma
+# separated; float() alone also takes "_" digit separators, padding
+# whitespace and non-ASCII digits
+_FEATURE_FIELD = re.compile(r"[0-9A-Za-z+\-.,]*")
 
 
 def _count_lines(path) -> int:
@@ -374,6 +385,9 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
                 errors.append(
                     f"line {lineno}: {len(feats)} features, header says {width}"
                 )
+                continue
+            if not _FEATURE_FIELD.fullmatch(feat_s):
+                errors.append(f"line {lineno}: non-numeric feature value")
                 continue
             if features is None:
                 rows = _count_lines(path) - 2

@@ -16,7 +16,9 @@ mask M, selected by two flags, (normalized, disentangled):
 N is the identity when not normalized, row L2 normalization when normalized,
 and L2 normalization of each notion block when also disentangled.  M is all
 ones, or when disentangled the tag-by-dimension block mask that restricts
-each centroid to its own notion's block.
+each centroid to its own notion's block.  The sigmoid is numpy's
+(``sigmoid``), within 4 ULP of ``scipy.special.expit``; the package needs no
+scipy at run time.
 
 The relu MLP with the head (``relu_layers``) and the score formula
 (``_score_node``) each return their value and a ``backward`` closure with a
@@ -32,7 +34,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Param
@@ -235,6 +236,17 @@ def score_blocks(net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool):
     return S, backward
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))``, the formula of ``scipy.special.expit``.
+
+    numpy's SIMD ``exp`` may differ from libm's in the last bits, so this is
+    within 4 ULP of ``expit``, not bit-equal.  ``exp`` overflows to inf
+    for z < -709.78, where the result is the exact 0.0 ``expit`` gives too.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _score_node(F: np.ndarray, C: np.ndarray, normalized: bool,
                 disentangled: bool, space: LabelSpace):
     """``sigmoid(N(F) @ (C * M).T)`` (module docstring).
@@ -250,7 +262,7 @@ def _score_node(F: np.ndarray, C: np.ndarray, normalized: bool,
         U = y.reshape(U.shape)
     if disentangled:
         Cm = Cm * space.tag_block_mask
-    S = expit(U @ Cm.T)
+    S = sigmoid(U @ Cm.T)
 
     def backward(g):
         gz = g * S * (1.0 - S)

@@ -276,7 +276,8 @@ def test_generated_saved_and_loaded_bytes_are_pinned(shape, tmp_path):
         assert _arrays_digest(load_dataset(path, ds.space)) == arrays_pin, key
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999",
+                                   "+Infinity"])
 def test_load_rejects_non_finite_features(small_space, tmp_path, token):
     path = tmp_path / "nonfinite.tsv"
     path.write_text(
@@ -286,6 +287,60 @@ def test_load_rejects_non_finite_features(small_space, tmp_path, token):
     )
     with pytest.raises(DatasetError, match="line 4: non-finite"):
         load_dataset(path, small_space)
+
+
+@pytest.mark.parametrize("field", [
+    "1_0,2.5",            # digit separator
+    "1.0, 2.5",           # space after the comma
+    "1.0,2.5 ",           # trailing padding
+    " 1.0,2.5",           # leading padding
+    "1.0,\x0c2.5",        # other ASCII whitespace
+    "1.0,\u0661\u0662",   # Arabic-Indic digits
+    "1.0,2.5\u00a0",      # non-ASCII space
+    "1.0,\uff12",         # full-width digit
+])
+def test_load_rejects_what_only_python_float_accepts(small_space, tmp_path,
+                                                      field):
+    # float() would read each of these; the file format holds ASCII numbers
+    path = tmp_path / "loose.tsv"
+    path.write_text(
+        "#feature_dim=2\n#tags=red,blue,round,square\n"
+        "a\tt0\t1.0,2.0\tred;round\n"
+        f"b\tt0\t{field}\tred;round\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DatasetError, match="line 4: non-numeric feature value"):
+        load_dataset(path, small_space)
+
+
+def test_load_accepts_signs_and_exponents(small_space, tmp_path):
+    path = tmp_path / "signed.tsv"
+    path.write_text(
+        "#feature_dim=3\n#tags=red,blue,round,square\n"
+        "a\tt0\t-1.5e-3,+2E+2,.5\tred;round\n"
+    )
+    ds = load_dataset(path, small_space)
+    assert ds.features.tolist() == [[-1.5e-3, 200.0, 0.5]]
+
+
+@pytest.mark.parametrize("existing", [None, b"keep me\n"])
+def test_save_rejects_a_tagless_item_before_writing(small_space, tmp_path,
+                                                    existing):
+    items = [
+        Item(f"i{k}", "t0", np.full(2, float(k)),
+             small_space.multi_hot(["red"]) if k != 2 else np.zeros(4))
+        for k in range(4)
+    ]
+    ds = Dataset.from_items(items, small_space)
+    path = tmp_path / "out.tsv"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(DatasetError, match="item 'i2' has no tags"):
+        save_dataset(ds, path)
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
 
 
 def test_load_rejects_invalid_utf8(small_space, tmp_path):

@@ -356,6 +356,20 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_the_package_loads_no_scipy():
+    # the package needs numpy only; scipy.special alone costs about 25 MB
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, disembed, disembed.benchmark, disembed.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # --- prototypes ------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Embedding networks, the score formula, and their structural identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -18,6 +20,7 @@ from disembed.model import (
     masked_embed,
     save_params,
     score_blocks,
+    sigmoid,
 )
 
 
@@ -163,6 +166,26 @@ def test_hand_value_normalized_score(small_space):
     # bypass the network: score formula on a known unit vector
     s = expit(u @ C.T)
     assert s[0] == pytest.approx(0.88079707797788, abs=1e-10)
+
+
+def test_sigmoid_within_4_ulp_of_expit():
+    # numpy's exp is not libm's in the last bits; expit is the reference.
+    # The sweep spans both overflow points, signed zeros and subnormals.
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([-1000.0, -0.0, 0.0, 1000.0, tiny, -tiny,
+                      1e-310, -1e-310, -709.78, -709.79, 36.8, 37.5, 745.2])
+    z = np.concatenate([np.linspace(-800.0, 800.0, 200_001), edges,
+                        np.random.default_rng(0).normal(scale=20.0, size=50_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
+    want = expit(z)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    # both lie in [0, 1], where the int64 views are monotone in the value
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4
+    at = sigmoid(np.array([-1000.0, -0.0, 0.0, 1000.0]))
+    assert at.tolist() == [0.0, 0.5, 0.5, 1.0]
+    assert not np.signbit(at[0])
 
 
 def test_proxy_equals_classification_normalized(small_space, rng):
