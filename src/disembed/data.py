@@ -230,63 +230,48 @@ def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
     return hits / total if total else 0.0
 
 
-def split(
-    dataset: Dataset,
-    fractions,
-    seed: int,
-    by_track: bool = True,
-) -> tuple[Dataset, ...]:
-    """Deterministic partition into len(fractions) subsets.
-
-    With by_track=True every excerpt of a track lands in the same subset.
-    """
+def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
+    """Deterministic partition into len(fractions) subsets; every excerpt of
+    a track lands in the same subset."""
     fractions = [float(f) for f in fractions]
     if any(f <= 0 for f in fractions):
         raise ConfigurationError("split fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"split fractions must sum to 1, got {sum(fractions)}")
     rng = np.random.default_rng(seed)
-    if by_track:
-        seen = dict.fromkeys(dataset.track_ids)  # first-appearance order
-        granules = list(seen)
-    else:
-        granules = list(range(len(dataset)))
-    n = len(granules)
+    tracks = list(dict.fromkeys(dataset.track_ids))  # first-appearance order
+    n = len(tracks)
     if n < len(fractions):
-        raise DatasetError(
-            f"{n} track(s)/item(s) cannot fill {len(fractions)} splits"
-        )
+        raise DatasetError(f"{n} track(s) cannot fill {len(fractions)} splits")
     perm = rng.permutation(n)
     bounds = np.round(np.cumsum([0.0] + fractions) * n).astype(int)
     parts = []
     for i in range(len(fractions)):
-        chosen = {granules[j] for j in perm[bounds[i] : bounds[i + 1]]}
-        if by_track:
-            idx = [k for k, t in enumerate(dataset.track_ids) if t in chosen]
-        else:
-            idx = sorted(chosen)
+        chosen = {tracks[j] for j in perm[bounds[i] : bounds[i + 1]]}
+        idx = [k for k, t in enumerate(dataset.track_ids) if t in chosen]
         parts.append(dataset.subset(idx))
     return tuple(parts)
 
 
+# draws of generate_splits before it gives up
+_SPLIT_ATTEMPTS = 20
+
+
 def generate_splits(
-    spec: SyntheticSpec,
-    fractions=(0.8, 0.05, 0.15),
-    by_track: bool = True,
-    max_retries: int = 20,
+    spec: SyntheticSpec, fractions=(0.8, 0.05, 0.15)
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Generate and split, re-drawing until every tag has a train positive."""
-    for attempt in range(max_retries):
+    for attempt in range(_SPLIT_ATTEMPTS):
         sp = spec if attempt == 0 else _reseeded(spec, spec.seed + 1000 + attempt)
         ds = generate_synthetic(sp)
-        parts = split(ds, fractions, seed=sp.seed, by_track=by_track)
+        parts = split(ds, fractions, seed=sp.seed)
         train = parts[0]
         if len(train) and (train.labels.sum(axis=0) > 0).all():
             return parts
         log.info("resampling synthetic data: some tag has no train positive")
     raise DatasetError(
         f"could not generate a dataset with all tags present in train "
-        f"after {max_retries} attempts"
+        f"after {_SPLIT_ATTEMPTS} attempts"
     )
 
 

@@ -1,12 +1,11 @@
-"""Triplet mining predicates, sampling uniformity, batch iteration, and the
-replay of numpy's draws that the batch sampler relies on."""
+"""Triplet mining predicates, sampling uniformity, and batch iteration."""
 
 import hashlib
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from disembed import sampling
 from disembed.benchmark import load_or_generate, sample_eval_triplets
 from disembed.config import default_config
 from disembed.data import Dataset, Item, SyntheticSpec, generate_splits
@@ -14,10 +13,6 @@ from disembed.errors import DatasetError
 from disembed.sampling import (
     Triplet,
     TripletSampler,
-    _bounded,
-    _pair,
-    _replay,
-    _take,
     batch_iterator,
     checked_sampler,
 )
@@ -108,19 +103,9 @@ def test_tag_sampling_is_two_stage_uniform(small_space):
         assert abs(c - n / 3) < 200, f"{tag}: {c}"
 
 
-def reference_tag_triplet(sampler, rng, notion=None):
-    """Tag triplet drawn with rng.choice for the negative as well."""
-    tags = sampler.sampleable if notion is None else sampler.by_notion[notion]
-    tag = tags[rng.integers(len(tags))]
-    a, p = rng.choice(sampler.pos[tag], size=2, replace=False)
-    n = rng.choice(sampler.neg[tag])
-    return Triplet(int(a), int(p), int(n), tag, sampler.space.notion_of(tag),
-                   "tag")
-
-
 def regular_dataset(small_space):
-    """Every tag has 9 or 12 positives and negatives, so no tag draw has a
-    bound of 1."""
+    """Every tag has 9 or 12 positives and 12 or 9 negatives; tracks hold two
+    items, the last one one."""
     items = [
         Item(f"i{k}", f"tr{k // 2}", np.zeros(4),
              small_space.multi_hot(tags))
@@ -130,20 +115,6 @@ def regular_dataset(small_space):
              ["red", "square"]] * 3)
     ]
     return Dataset.from_items(items, small_space)
-
-
-def test_tag_triplets_match_rng_choice_reference(small_space):
-    sampler = TripletSampler(regular_dataset(small_space))
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        ref_rng = np.random.default_rng(seed)
-        for i in range(60):
-            # interleave other draws on the same stream, as training does
-            notion = (None, "color", "shape")[i % 3]
-            assert sampler.tag_triplets(rng, 1, notion=notion)[0] == \
-                reference_tag_triplet(sampler, ref_rng, notion=notion)
-            assert sampler.track_triplets(rng, 1)[0] == \
-                reference_track_triplet(sampler, ref_rng)
 
 
 def test_empty_dataset_rejected(small_space):
@@ -200,12 +171,8 @@ def test_triplet_mode_with_track_reg(small_space, rng):
 def test_triplet_count_override(small_space, rng):
     ds = toy_dataset(small_space)
     sampler = TripletSampler(ds)
-    total = sum(
-        len(b)
-        for b, _ in batch_iterator(ds, 4, "triplet", rng, sampler=sampler,
-                                   n_triplets=10)
-    )
-    assert total == 10
+    batches = sampler.batches(rng, 4, 10)
+    assert [len(tags) for tags, _ in batches] == [4, 4, 2]
 
 
 def test_bad_mode_and_batch_size(small_space, rng):
@@ -224,8 +191,7 @@ def test_negative_triplet_count_rejected(small_space, rng):
     with pytest.raises(ValueError):
         sampler.track_triplets(rng, -1)
     with pytest.raises(ValueError):
-        list(batch_iterator(ds, 2, "triplet", rng, sampler=sampler,
-                            n_triplets=-1))
+        sampler.batches(rng, 2, -1)
 
 
 def test_zero_triplets_leave_the_generator_untouched(small_space, rng):
@@ -237,58 +203,13 @@ def test_zero_triplets_leave_the_generator_untouched(small_space, rng):
     assert rng.bit_generator.state == state
 
 
-# --- replay of numpy's draws ------------------------------------------------
-
-# 2**31 + 1 rejects about half of all words; 2**32 - 1 and 2**32 are the
-# largest ranges the 32-bit method serves, the latter without a product
-BOUNDS = [1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32]
-
-
-@pytest.fixture(params=[5, 1], ids=["block", "tiny-block"])
-def words_per_triplet(request, monkeypatch):
-    """The block size factor; at 1 a block runs out within the batch, so the
-    replay must rewind and start again on a larger block."""
-    monkeypatch.setattr(sampling, "_WORDS_PER_TRIPLET", request.param)
-
-
-@pytest.mark.parametrize("n", BOUNDS)
-def test_bounded_draws_equal_rng_integers(n, words_per_triplet):
-    for seed in range(20):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        [got] = _replay(rng, (40, lambda word: (_bounded(word, n),), None))
-        assert got[0].tolist() == [int(ref.integers(n)) for _ in range(40)], (n, seed)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_pair_draws_equal_rng_choice_without_replacement(words_per_triplet):
-    for n in range(2, 61):
-        for seed in range(5):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = [tuple(r) for r in
-                   _replay(rng, (8, lambda word: _pair(word, n), None))[0].T.tolist()]
-            want = [tuple(int(i) for i in ref.choice(n, 2, replace=False))
-                    for _ in range(8)]
-            assert got == want, (n, seed)
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def reference_track_triplet(sampler, rng):
-    """Track triplet drawn with one rng call per draw."""
-    track = sampler.multi_tracks[rng.integers(len(sampler.multi_tracks))]
-    a, p = rng.choice(sampler.track_index[track], size=2, replace=False)
-    while True:
-        n = rng.integers(len(sampler.dataset))
-        if sampler.dataset.track_ids[n] != track:
-            break
-    return Triplet(int(a), int(p), int(n), None, None, "track")
+# --- properties of the vectorized draws ----------------------------------------
 
 
 def edge_dataset(small_space):
-    """'red' has exactly two positives (its pair draw reads one word less),
-    'round' exactly one negative (its negative draw reads none), 'square' one
-    positive (excluded, so notion 'shape' has one tag and its tag draw reads
-    none); tracks hold one, two or three items, so negatives are often
-    redrawn."""
+    """'red' has exactly two positives, 'round' exactly one negative, 'square'
+    one positive (excluded, so notion 'shape' has one sampleable tag); tracks
+    hold one, two or three items, so track negatives are often redrawn."""
     rows = [("red", "round", "t0"), ("red", "round", "t0"),
             ("blue", "round", "t1"), ("blue", "round", "t1"),
             ("blue", "round", "t1"), ("blue", "square", "t2"),
@@ -299,225 +220,117 @@ def edge_dataset(small_space):
     return Dataset.from_items(items, small_space)
 
 
-def test_batch_draws_equal_per_triplet_reference(small_space,
-                                                 words_per_triplet):
-    sampler = TripletSampler(edge_dataset(small_space))
-    assert len(sampler.pos["red"]) == 2 and len(sampler.neg["round"]) == 1
-    assert sampler.by_notion["shape"] == ("round",)
-    calls = [("tag", None, 5), ("track", None, 3), ("direct", None, 0),
-             ("tag", "color", 1), ("tag", "shape", 17), ("track", None, 1),
-             ("tag", None, 0), ("direct", None, 0), ("tag", "color", 64),
-             ("track", None, 40)]
-    for seed in range(50):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for kind, notion, count in calls:
-            if kind == "tag":
-                got = sampler.tag_triplets(rng, count, notion)
-                want = [reference_tag_triplet(sampler, ref, notion)
-                        for _ in range(count)]
-            elif kind == "track":
-                got = sampler.track_triplets(rng, count)
-                want = [reference_track_triplet(sampler, ref)
-                        for _ in range(count)]
-            else:
-                # direct draws between batches, as the trainer's other code
-                # may make: 64-bit draws after an odd number of 32-bit words
-                got = [rng.random(), rng.integers(1000), rng.normal(size=3)]
-                want = [ref.random(), ref.integers(1000), ref.normal(size=3)]
-                got[2], want[2] = got[2].tolist(), want[2].tolist()
-            if kind != "direct":
-                got = list(got)
-            assert got == want, (seed, kind, notion, count)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            if kind != "direct":
-                assert all(type(i) is int for t in got
-                           for i in (t.anchor, t.positive, t.negative))
+def assert_valid(ds, tags, tracks, notion=None):
+    """Tag triplets share their tag between anchor and positive and not with
+    the negative; track triplets share a track, and the negative does not."""
+    space = ds.space
+    assert tags.kind == "tag" and tracks.kind == "track"
+    for rows in (tags.anchor, tags.positive):
+        assert (ds.labels[rows, tags.tag] > 0).all()
+    assert (ds.labels[tags.negative, tags.tag] == 0).all()
+    assert (tags.anchor != tags.positive).all()
+    names = [space.tags[t] for t in tags.tag.tolist()]
+    assert tags.notion.tolist() == [
+        space.notion_index(space.notion_of(t)) for t in names]
+    if notion is not None:
+        assert {space.notion_of(t) for t in names} <= {notion}
+    track = np.asarray(ds.track_ids)
+    assert (track[tracks.anchor] == track[tracks.positive]).all()
+    assert (track[tracks.negative] != track[tracks.anchor]).all()
+    assert (tracks.anchor != tracks.positive).all()
 
 
-def test_epoch_batches_equal_alternating_batch_calls(small_space,
-                                                    words_per_triplet):
-    sampler = TripletSampler(edge_dataset(small_space))
-    for seed in range(10):
-        for batch_size, total, track_reg in [(4, 9, True), (64, 150, True),
-                                             (7, 30, False), (3, 0, True)]:
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sampler.batches(rng, batch_size, total, track_reg)
-            want = []
-            for start in range(0, total, batch_size):
-                count = min(batch_size, total - start)
-                want.append((sampler.tag_triplets(ref, count),
-                             sampler.track_triplets(ref, count)
-                             if track_reg else None))
-            assert len(got) == len(want)
-            for (tags, tracks), (ref_tags, ref_tracks) in zip(got, want):
-                assert list(tags) == list(ref_tags)
-                assert (tracks is None) == (not track_reg)
-                if track_reg:
-                    assert list(tracks) == list(ref_tracks)
-            assert rng.bit_generator.state == ref.bit_generator.state
+@pytest.mark.parametrize("count", [1, 2, 7, 64, 500])
+def test_tag_and_track_triplets_are_valid(small_space, count):
+    for make in (toy_dataset, regular_dataset, edge_dataset):
+        ds = make(small_space)
+        sampler = TripletSampler(ds)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for notion in (None, *sampler.by_notion):
+                tags = sampler.tag_triplets(rng, count, notion)
+                tracks = sampler.track_triplets(rng, count)
+                assert len(tags) == len(tracks) == count
+                assert_valid(ds, tags, tracks, notion)
 
 
-# --- the batch kernel against the scalar replay on crafted words ---------------
+def chi_square_p(draws, cells):
+    """p-value of the draws (indices into ``cells`` equally likely cells)."""
+    return chisquare(np.bincount(draws, minlength=cells)).pvalue
 
 
-def word_for(k: int, n: int) -> int:
-    """A word that ``integers(n)`` maps to k without Lemire's test firing."""
-    return -(-(k << 32) // n) + 1
+def test_tag_pair_and_negative_stages_are_uniform(small_space):
+    # regular_dataset's tags have 9 or 12 positives: stage one is uniform over
+    # the four tags, stage two over a tag's n(n-1) ordered pairs of positives,
+    # stage three over the tag's negatives
+    ds = regular_dataset(small_space)
+    sampler = TripletSampler(ds)
+    ids = [small_space.tag_index[t] for t in sampler.sampleable]
+    for seed in (0, 1, 2):
+        batch = sampler.tag_triplets(np.random.default_rng(seed), 40_000)
+        tag = np.searchsorted(ids, batch.tag)
+        assert chi_square_p(tag, len(ids)) > 1e-4, seed
+        for col in ids:
+            mine = batch.tag == col
+            pos = np.flatnonzero(ds.labels[:, col] > 0)
+            neg = np.flatnonzero(ds.labels[:, col] == 0)
+            a = np.searchsorted(pos, batch.anchor[mine])
+            p = np.searchsorted(pos, batch.positive[mine])
+            assert (a != p).all()
+            # ordered pair (a, p) with p != a as one of n(n-1) cells
+            pair = a * (len(pos) - 1) + p - (p > a)
+            assert chi_square_p(pair, len(pos) * (len(pos) - 1)) > 1e-4, (seed, col)
+            k = np.searchsorted(neg, batch.negative[mine])
+            assert chi_square_p(k, len(neg)) > 1e-4, (seed, col)
 
 
-def random_block(seed: int, size: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 2**32, size=size,
-                                                dtype=np.uint32)
-
-
-def kernel_vs_scalar(pools, block, count):
-    """The kernel's and the per-triplet scalar replay's ``_take`` of
-    ``count`` triplets on the same words, the sizes of the windows the
-    kernel computed, and the number of triplets it replayed with the scalar
-    code."""
-    sizes, replays = [], 0
-
-    def window(W):
-        sizes.append(len(W))
-        return pools.window(W)
-
-    def draw(word):
-        nonlocal replays
-        replays += 1
-        return pools.draw(word)
-
-    got = _take(block, (count, draw, window))
-    want = _take(block, (count, pools.draw, None))
-    assert (got is None) == (want is None)
-    if got is None:
-        return None, sizes, replays
-    assert np.array_equal(got[0][0], want[0][0]) and got[1] == want[1]
-    return (got[0][0], got[1]), sizes, replays
-
-
-def test_kernel_replays_a_lemire_rejection(small_space):
-    sampler = TripletSampler(regular_dataset(small_space))
-    pools = sampler._tag_pools[None][0]
-    red = sampler.sampleable.index("red")
-    assert len(sampler.pos["red"]) == 12  # 2**32 % 11 == 4: a zero rejects
-    for j in (0, 30, 63):
-        block = random_block(j, 400)
-        block[5 * j] = word_for(red, len(sampler.sampleable))
-        block[5 * j + 1] = 0
-        (columns, used), sizes, _ = kernel_vs_scalar(pools, block, 64)
-        assert used == 5 * 64 + 1 and columns[3, j] == red
-        # one window up to the rejection; it read six words, so the next
-        # triplet is replayed too, and a window resumes after that one,
-        # unless the first window kept too few triplets: then the rest of
-        # the batch is replayed
-        if j < sampling._MIN_KEEP:
-            assert sizes == [64]
-        else:
-            assert sizes == [64] + ([62 - j] if j < 62 else [])
-
-
-def test_kernel_replays_bounds_of_one(small_space):
-    # edge_dataset: 'red' has two positives, 'round' one negative, and notion
-    # 'shape' one sampleable tag
-    sampler = TripletSampler(edge_dataset(small_space))
-    for notion in (None, "color"):
-        pools = sampler._tag_pools[notion][0]
-        for seed in range(30):
-            (columns, used), sizes, _ = kernel_vs_scalar(
-                pools, random_block(seed, 600), 64)
-            assert used < 5 * 64 and max(sizes) <= 64
-
-
-def track_dataset(small_space):
-    """Four three-item tracks: no bound is 1, and a negative lands in the
-    anchor's track with probability 1/4."""
-    items = [Item(f"i{k}", f"t{k // 3}", np.zeros(4),
-                  small_space.multi_hot(["red", "round"])) for k in range(12)]
-    return Dataset.from_items(items, small_space)
-
-
-def test_kernel_redraws_a_track_negative_mid_batch(small_space):
-    sampler = TripletSampler(track_dataset(small_space))
-    pools = sampler._track_pools
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        block = random_block(seed, 1000)
-        # triplets before j draw their negatives from other tracks
-        j = 20
-        for i in range(j):
-            track = int(rng.integers(4))
-            block[5 * i] = word_for(track, 4)
-            block[5 * i + 4] = word_for((3 * track + 3 + rng.integers(9)) % 12, 12)
-        block[5 * j] = word_for(1, 4)  # track t1, rows 3-5
-        block[5 * j + 4] = word_for(4, 12)  # negative row 4: redrawn
-        (columns, used), sizes, _ = kernel_vs_scalar(pools, block, 64)
-        assert columns[3, j] == 1 and columns[2, j] not in (3, 4, 5)
-        assert used > 5 * 64 and sizes[0] == 64 and len(sizes) >= 2
-
-
-def test_kernel_bound_when_every_triplet_is_irregular(small_space):
-    # notion 'shape' has one tag, so no triplet reads a tag word: one window
-    # is examined, then every triplet is replayed
-    sampler = TripletSampler(edge_dataset(small_space))
-    pools = sampler._tag_pools["shape"][0]
-    for count in (1, 64, 200):
-        (columns, used), sizes, _ = kernel_vs_scalar(
-            pools, random_block(count, 5 * count + 15), count)
-        assert sizes == [min(count, 64)]
-        assert used < 5 * count
-
-
-def mixed_pools(share, tags=40, seed=0):
-    """Tag pools where a ``share`` of the tags, mixed among the others, have
-    two positives: every triplet of those reads four words."""
-    rng = np.random.default_rng(seed)
-    irregular = round(share * tags)
-    sizes = rng.permutation([2] * irregular + [12] * (tags - irregular))
-    pos = [rng.choice(500, k, replace=False) for k in sizes]
-    neg = [rng.choice(500, 30, replace=False) for _ in sizes]
-    return sampling._Pools(*sampling._flat(pos), *sampling._flat(neg))
-
-
-@pytest.mark.parametrize("share", [0.05, 0.3, 0.5, 0.9])
-def test_kernel_bound_on_pools_mixing_regular_and_irregular_tags(share):
-    # a window either keeps _MIN_KEEP triplets, or is followed by _REPLAYS
-    # scalar replays, or is the last one
-    pools = mixed_pools(share)
-    count = 1000
+def test_track_negatives_in_the_anchors_track_are_redrawn(small_space):
+    # track 'big' holds 17 of 20 rows, so 17 in 20 first draws of its
+    # negatives land in it and are redrawn, some many times; 'pair' holds two
+    # rows and row 19 is a track of its own
+    tracks = ["big"] * 17 + ["pair"] * 2 + ["single"]
+    ds = Dataset.from_items(
+        [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot(["red", "round"]))
+         for k, tr in enumerate(tracks)], small_space)
+    sampler = TripletSampler(ds)
+    track = np.asarray(tracks)
     for seed in range(5):
-        (columns, used), sizes, replays = kernel_vs_scalar(
-            pools, random_block(seed, 6 * count), count)
-        kept = count - replays
-        assert replays > 0
-        assert len(sizes) <= (1 + kept // sampling._MIN_KEEP
-                              + replays // sampling._REPLAYS), (seed, sizes)
+        rng = np.random.default_rng(seed)
+        batch = sampler.track_triplets(rng, 6000)
+        assert (track[batch.anchor] == track[batch.positive]).all()
+        assert (track[batch.negative] != track[batch.anchor]).all()
+        big = track[batch.anchor] == "big"
+        assert chi_square_p(big.astype(np.int64), 2) > 1e-4, seed
+        # big's negatives are uniform over rows 17-19, pair's over the others
+        assert chi_square_p(batch.negative[big] - 17, 3) > 1e-4, seed
+        others = np.searchsorted([*range(17), 19], batch.negative[~big])
+        assert chi_square_p(others, 18) > 1e-4, seed
 
 
-def test_kernel_on_an_exhausted_block_waits_for_a_doubled_one(small_space):
-    sampler = TripletSampler(regular_dataset(small_space))
-    pools = sampler._tag_pools[None][0]
-    red = sampler.sampleable.index("red")
-    block = random_block(5, 2 * 5 * 64)
-    block[5 * 10] = word_for(red, len(sampler.sampleable))
-    block[5 * 10 + 1] = 0  # a rejection: the batch reads 5 * 64 + 1 words
-    got, _, _ = kernel_vs_scalar(pools, block[:5 * 64], 64)
-    assert got is None
-    (columns, used), _, _ = kernel_vs_scalar(pools, block, 64)
-    assert used == 5 * 64 + 1
-    # through the generator: a block of one word per triplet runs out, and
-    # the batch is replayed on doubled blocks that start with the same words
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "_WORDS_PER_TRIPLET", 1)
-        got = sampler.tag_triplets(rng, 64)
-    assert list(got) == [reference_tag_triplet(sampler, ref) for _ in range(64)]
-    assert rng.bit_generator.state == ref.bit_generator.state
-
+@pytest.mark.parametrize("batch_size,total,track_reg", [
+    (4, 9, True), (64, 150, True), (7, 30, False), (3, 0, True), (500, 20, True)])
+def test_epoch_batches_are_one_draw_per_kind_sliced(small_space, batch_size,
+                                                    total, track_reg):
+    sampler = TripletSampler(edge_dataset(small_space))
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampler.batches(rng, batch_size, total, track_reg)
+        tags = sampler.tag_triplets(ref, total)
+        tracks = sampler.track_triplets(ref, total) if track_reg else None
+        assert [len(t) for t, _ in got] == [
+            min(batch_size, total - s) for s in range(0, total, batch_size)]
+        assert [t for batch, _ in got for t in batch] == list(tags)
+        if track_reg:
+            assert [len(t) for t, _ in got] == [len(t) for _, t in got]
+            assert [t for _, batch in got for t in batch] == list(tracks)
+        else:
+            assert all(batch is None for _, batch in got)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 # sha256 of one track-regularized triplet epoch on default_config(0)'s
-# training split and the generator state after it, recorded from one rng call
-# per draw; a refactor that moves the training stream fails it
-EPOCH_DIGEST = "fec15e94042a21a88db5063ea5572a668f0078f49f1f890a486486d0f7e15ffd"
+# training split and the generator state after it; a refactor that moves the
+# training stream fails it
+EPOCH_DIGEST = "9a530de98ea74ad44cd553e23cd01b0928aedeaffcd8cc73f506999657b8c57b"
 
 
 def test_training_stream_is_pinned():

@@ -258,11 +258,11 @@ def test_triplet_epoch_slower_than_classification(splits):
 # a change to the forward or backward arithmetic fails it
 GRADIENT_DIGESTS = {
     "triplet+norm":
-        "80f69fe8b985283f27922c90844654f1259949079d53b6f25c61842f99f31bb3",
+        "5de667dfaea201e724fac7957ff4c63a725f5412dd70ef8f366468b0f5e6907d",
     "triplet+norm+disent":
-        "f305c69eb2601c6270638d60bf7a562b1b266326df54d726617e3bdb46cbb3b2",
+        "8207da80cb1b0203c4a7e61d034fa2b93317393a713a6768e25121905c4710f6",
     "triplet+norm+disent+trackreg":
-        "69d1ad490aab86a7986facd407c01e8b4ae9bc64428147a0f4ae0f199638c75c",
+        "842bb948e4f68f710f358b2149d08dfff518863f264d21b73e4990b28052ed91",
     "proxy+norm":
         "88b1cf3ca8e2650e5f1d5ec5f12322907953f2ca5ab53397ee33b0588d89f2f7",
     "proxy+norm+disent":
