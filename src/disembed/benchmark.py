@@ -84,17 +84,17 @@ def evaluate_model(
     variant = model.variant
     report = EvalReport(variant=variant.to_dict())
 
-    # one test-split forward: pre-normalization rows for triplet accuracy,
-    # normalized as ``embed`` does for R@K; its backward is dropped here
+    # one test-split forward of pre-normalization rows; R@K, the prototype
+    # AUC and triplet accuracy normalize as they need.  Its backward is
+    # dropped here
     E_pre = model.net.full_embedding(test_ds.features)[0]
-    E_test = ad.l2_rows(E_pre)[0] if model.net.config.normalize_output else E_pre
-    report.recall_at = retrieval_recall(E_test, test_ds.labels, ks)
+    report.recall_at = retrieval_recall(E_pre, test_ds.labels, ks)
 
     if variant.family == "triplet":
         protos = build_prototypes(
             embed(model.net, train_ds.features), train_ds.labels
         )
-        U, P = (ad.l2_rows(M)[0] for M in (E_test, protos))
+        U, P = (ad.l2_rows(M)[0] for M in (E_pre, protos))
         scores = U @ P.T
     else:
         scores = class_scores(
@@ -131,10 +131,11 @@ def run_benchmark(config: ExperimentConfig) -> dict:
     one report per variant.
 
     Variants with equal ``computation_key()`` (``proxy+norm`` and
-    ``classification+norm``) train the same parameters on the same stream,
-    so only the first is trained and evaluated.  Each later one gets a copy of
-    its report, timing and error included, with its own ``variant`` and
-    ``shared_with`` naming the first.  A failed variant is recorded in its
+    ``classification+norm``; ``proxy+norm+disent`` and
+    ``classification+norm+disent``) train the same parameters on the same
+    stream, so only the first is trained and evaluated.  Each later one gets
+    a copy of its report, timing and error included, with its own ``variant``
+    and ``shared_with`` naming the first.  A failed variant is recorded in its
     report; the rest continue.
     """
     train_ds, valid_ds, test_ds = load_or_generate(config)

@@ -17,12 +17,12 @@ DEFAULT_FRACTIONS = (0.8, 0.05, 0.15)
 # desk-scale cap: with patience 10 the schedule rarely stops earlier, and the
 # qualitative benchmark orderings are established well before convergence
 DEFAULT_MAX_EPOCHS = 25
-# desk-scale learning rate for the default benchmark.  At this dataset size a
-# model sees very few optimizer steps, so the per-variant default of 0.005
-# leaves every variant close to its initialization and the benchmark cannot
-# separate them; 0.08 is large enough that the magnitude-unconstrained
-# classification variant destabilizes while the normalized variants, whose
-# scores are invariant to the embedding scale, stay well-behaved.
+# desk-scale learning rate for the default benchmark, and what sets its
+# orderings.  At 0.08 the normalized variants, whose scores are invariant to
+# the embedding scale, stay well-behaved, while the magnitude-unconstrained
+# plain classification variant collapses (median R@1 0.396 over seeds 0-4).
+# At the per-variant default of 0.005 the R@1 medians span 0.716-0.981 and
+# plain classification ranks first.
 DEFAULT_LR = 0.08
 
 

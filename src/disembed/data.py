@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -232,7 +232,8 @@ def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
 
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
     """Deterministic partition into len(fractions) subsets; every excerpt of
-    a track lands in the same subset."""
+    a track lands in the same subset.  A part whose fraction rounds to no
+    track raises DatasetError."""
     fractions = [float(f) for f in fractions]
     if any(f <= 0 for f in fractions):
         raise ConfigurationError("split fractions must be positive")
@@ -241,10 +242,15 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
     rng = np.random.default_rng(seed)
     tracks = list(dict.fromkeys(dataset.track_ids))  # first-appearance order
     n = len(tracks)
-    if n < len(fractions):
-        raise DatasetError(f"{n} track(s) cannot fill {len(fractions)} splits")
-    perm = rng.permutation(n)
     bounds = np.round(np.cumsum([0.0] + fractions) * n).astype(int)
+    empty = np.flatnonzero(np.diff(bounds) == 0)
+    if len(empty):
+        i = empty[0]
+        raise DatasetError(
+            f"split part {i} of {len(fractions)} (fraction {fractions[i]}) "
+            f"is empty: it rounds to none of {n} track(s)"
+        )
+    perm = rng.permutation(n)
     parts = []
     for i in range(len(fractions)):
         chosen = {tracks[j] for j in perm[bounds[i] : bounds[i + 1]]}
@@ -262,23 +268,16 @@ def generate_splits(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Generate and split, re-drawing until every tag has a train positive."""
     for attempt in range(_SPLIT_ATTEMPTS):
-        sp = spec if attempt == 0 else _reseeded(spec, spec.seed + 1000 + attempt)
+        sp = replace(spec, seed=spec.seed + 1000 + attempt) if attempt else spec
         ds = generate_synthetic(sp)
         parts = split(ds, fractions, seed=sp.seed)
-        train = parts[0]
-        if len(train) and (train.labels.sum(axis=0) > 0).all():
+        if (parts[0].labels.sum(axis=0) > 0).all():
             return parts
         log.info("resampling synthetic data: some tag has no train positive")
     raise DatasetError(
         f"could not generate a dataset with all tags present in train "
         f"after {_SPLIT_ATTEMPTS} attempts"
     )
-
-
-def _reseeded(spec: SyntheticSpec, seed: int) -> SyntheticSpec:
-    d = spec.to_dict()
-    d["seed"] = seed
-    return SyntheticSpec.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

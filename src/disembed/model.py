@@ -2,10 +2,10 @@
 
 The backbone is a relu MLP and the head one relu layer ``H`` of width d,
 whose output is the notion blocks side by side (d/G columns each, notion
-order).  A sub-dense head, one layer per notion, is this head with ``H``
-joined from per-block draws (``init_params(blockwise_head=True)``).  The
-centroid bank holds one bias-free weight vector of length d per tag and
-serves as proxy and classification centroid interchangeably.
+order).  Block g of ``relu(f @ H)`` is notion g's own sub-dense relu layer,
+``relu(f @ H[:, block g])``, since relu acts entrywise.  The centroid bank
+holds one bias-free weight vector of length d per tag and serves as proxy
+and classification centroid interchangeably.
 
 Every proxy and classification model scores tags with one formula over the
 full pre-normalization embedding F, the centroid bank C and a fixed (tags, d)
@@ -161,18 +161,8 @@ class CentroidBank:
         self.weights = Param(np.zeros((space.num_tags, space.embedding_dim)))
 
 
-def init_params(
-    net: EmbeddingNet,
-    bank: CentroidBank | None,
-    seed: int,
-    blockwise_head: bool = False,
-) -> None:
-    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in).
-
-    With ``blockwise_head`` the head is drawn as a sub-dense one, one
-    (width, d/G) block per notion in notion order, and ``H`` is those blocks
-    joined column-wise.
-    """
+def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None:
+    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in)."""
     rng = np.random.default_rng(np.uint64(seed))
     for name in sorted(net.params):
         p = net.params[name]
@@ -181,13 +171,7 @@ def init_params(
             continue
         fan_in = p.values.shape[0]
         bound = 1.0 / np.sqrt(fan_in)
-        if name == "H" and blockwise_head:
-            G = net.space.num_notions
-            width, d = p.values.shape
-            blocks = rng.uniform(-bound, bound, size=(G, width, d // G))
-            p.values = blocks.transpose(1, 0, 2).reshape(width, d)
-        else:
-            p.values = rng.uniform(-bound, bound, size=p.values.shape)
+        p.values = rng.uniform(-bound, bound, size=p.values.shape)
     if bank is not None:
         fan_in = bank.space.embedding_dim
         bound = 1.0 / np.sqrt(fan_in)

@@ -111,15 +111,13 @@ class VariantConfig:
     def computation_key(self) -> tuple:
         """Configs with equal keys train and evaluate the same computation.
 
-        A proxy model is a normalized classifier: without disentanglement,
-        ``proxy`` and normalized ``classification`` get the same head, init
-        draws, batch stream and score formula, so ``proxy`` is folded into
-        ``classification``.  The disentangled pair differs only in the draw
-        order of ``H``: disentangled classification draws it block by block
-        (``init_params(blockwise_head=True)``), so its initial weights differ.
+        A proxy model is a normalized classifier: with or without
+        disentanglement, ``proxy`` and normalized ``classification`` get the
+        same head, init draws, batch stream and score formula, so ``proxy``
+        is folded into ``classification``.
         """
         d = asdict(self)
-        if self.family == "proxy" and not self.disentanglement:
+        if self.family == "proxy":
             d["family"] = "classification"
         return tuple(sorted(d.items()))
 
@@ -182,8 +180,7 @@ def build_model(
         space,
     )
     bank = None if variant.family == "triplet" else CentroidBank(space)
-    blockwise_head = variant.family == "classification" and variant.disentanglement
-    init_params(net, bank, variant.seed, blockwise_head=blockwise_head)
+    init_params(net, bank, variant.seed)
     return TrainedModel(net, bank, variant, space)
 
 

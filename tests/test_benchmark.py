@@ -1,5 +1,5 @@
-"""run_benchmark trains and evaluates each distinct computation once: the
-proxy+norm / classification+norm pair shares one run and one report."""
+"""run_benchmark trains and evaluates each distinct computation once: each
+proxy / normalized classification pair shares one run and one report."""
 
 from itertools import combinations
 
@@ -11,9 +11,10 @@ from disembed.autodiff import grad, packed
 from disembed.config import ExperimentConfig, default_label_space
 from disembed.data import SyntheticSpec
 from disembed.errors import TrainingDivergedError
-from disembed.evaluation import strip_timing
+from disembed.evaluation import EvalReport, strip_timing
 from disembed.losses import bce_sum
 from disembed.model import score_blocks
+from disembed.reports import render_table1
 from disembed.trainer import VariantConfig, build_model, paper_variants
 
 SMALL = dict(max_epochs=2, seed=13, hidden=(32, 32), lr=0.08)
@@ -31,12 +32,19 @@ def small_config(*variants) -> ExperimentConfig:
     )
 
 
-def proxy_norm():
-    return VariantConfig(family="proxy", **SMALL)
+def proxy_norm(disentanglement=False):
+    return VariantConfig(family="proxy", disentanglement=disentanglement,
+                         **SMALL)
 
 
-def classification_norm():
-    return VariantConfig(family="classification", **SMALL)
+def classification_norm(disentanglement=False):
+    return VariantConfig(family="classification",
+                         disentanglement=disentanglement, **SMALL)
+
+
+# the two pairs that share a run: (proxy_norm(d), classification_norm(d))
+TWINS = pytest.mark.parametrize("disentanglement", [False, True],
+                                ids=["norm", "disent"])
 
 
 def counting(monkeypatch, owner, name, replacement=None):
@@ -54,49 +62,57 @@ def counting(monkeypatch, owner, name, replacement=None):
     return calls
 
 
-def test_shared_pair_trains_and_evaluates_once(monkeypatch):
+@TWINS
+def test_shared_pair_trains_and_evaluates_once(monkeypatch, disentanglement):
+    proxy = proxy_norm(disentanglement)
+    classifier = classification_norm(disentanglement)
     trained = counting(monkeypatch, trainer, "train")
     rows = counting(monkeypatch, benchmark, "train")
     evaluated = counting(monkeypatch, benchmark, "evaluate_model")
-    out = benchmark.run_benchmark(small_config(proxy_norm(), classification_norm()))
-    assert trained == evaluated == ["proxy+norm"]
+    out = benchmark.run_benchmark(small_config(proxy, classifier))
+    assert trained == evaluated == [proxy.name]
     # each row passes through benchmark.train; the twin's call trains nothing
-    assert rows == ["proxy+norm", "classification+norm"]
+    assert rows == [proxy.name, classifier.name]
 
     first, twin = out["reports"]
     assert "shared_with" not in first
-    assert twin["shared_with"] == "proxy+norm"
-    assert twin["variant"] == classification_norm().to_dict()
+    assert twin["shared_with"] == proxy.name
+    assert twin["variant"] == classifier.to_dict()
     assert twin["timing"] == first["timing"] and twin["epochs"] == first["epochs"]
     assert twin["timing"]["cpu_seconds"] > 0
 
-    alone = benchmark.run_benchmark(small_config(classification_norm()))
+    alone = benchmark.run_benchmark(small_config(classifier))
     [expected] = alone["reports"]
     del twin["shared_with"]
     assert strip_timing(twin) == strip_timing(expected)
 
 
-def test_twin_of_a_failed_variant_carries_its_error(monkeypatch):
+@TWINS
+def test_twin_of_a_failed_variant_carries_its_error(monkeypatch,
+                                                    disentanglement):
     def diverge(variant, *args):
         raise TrainingDivergedError("training loss diverged at epoch 0", epoch=0)
 
+    proxy = proxy_norm(disentanglement)
     trained = counting(monkeypatch, trainer, "train", diverge)
     rows = counting(monkeypatch, benchmark, "train")
-    out = benchmark.run_benchmark(small_config(proxy_norm(), classification_norm()))
-    assert trained == rows == ["proxy+norm"]
+    out = benchmark.run_benchmark(
+        small_config(proxy, classification_norm(disentanglement)))
+    assert trained == rows == [proxy.name]
     first, twin = out["reports"]
     assert first["error"] == twin["error"] == "training loss diverged at epoch 0"
-    assert twin["shared_with"] == "proxy+norm"
+    assert twin["shared_with"] == proxy.name
     assert twin["timing"]["training_time_ratio"] is None
 
 
-def test_computation_key_folds_only_the_normalized_proxy():
-    assert proxy_norm().computation_key() == classification_norm().computation_key()
+def test_computation_key_folds_both_proxies():
+    for disentanglement in (False, True):
+        assert (proxy_norm(disentanglement).computation_key()
+                == classification_norm(disentanglement).computation_key())
     apart = [
-        (VariantConfig(family="proxy", disentanglement=True),
-         VariantConfig(family="classification", disentanglement=True)),
         (VariantConfig(family="classification", normalization=False),
          VariantConfig(family="classification")),
+        (proxy_norm(), classification_norm(True)),
     ]
     for field, value in [("seed", 14), ("lr", 0.01), ("max_epochs", 3),
                          ("batch_size", 32), ("hidden", (32, 16))]:
@@ -119,7 +135,8 @@ def test_variants_with_equal_keys_build_and_score_identically(seed):
     pairs = [(a, b) for a, b in combinations(variants, 2)
              if a.computation_key() == b.computation_key()]
     assert [(a.name, b.name) for a, b in pairs] == [
-        ("proxy+norm", "classification+norm")]
+        ("proxy+norm", "classification+norm"),
+        ("proxy+norm+disent", "classification+norm+disent")]
 
     for a, b in pairs:
         runs = []
@@ -136,6 +153,22 @@ def test_variants_with_equal_keys_build_and_score_identically(seed):
         assert all(np.array_equal(pa[k], pb[k]) for k in pa)
         assert np.array_equal(sa, sb)
         assert all(np.array_equal(ga[k], gb[k]) for k in ga)
+
+
+def test_table1_stars_each_twin_and_names_its_first_row():
+    rows = [(proxy_norm(), None), (proxy_norm(True), None),
+            (classification_norm(), "proxy+norm"),
+            (classification_norm(True), "proxy+norm+disent")]
+    reports = [EvalReport(variant=v.to_dict(), recall_at={1: 0.5}, auc=0.75,
+                          training_time_ratio=1.25, shared_with=first).to_dict()
+               for v, first in rows]
+    lines = render_table1(reports, (1,)).splitlines()
+    # header and rule, one line per row, then the footnotes in row order
+    assert [line.split()[3] for line in lines[2:6]] == [
+        "1.25", "1.25", "1.25*", "1.25*"]
+    assert lines[6:] == [
+        f"* same run as {first}: trained once, time copied, not measured again"
+        for first in ("proxy+norm", "proxy+norm+disent")]
 
 
 def tiny_config(variants) -> ExperimentConfig:

@@ -1,6 +1,7 @@
 """Synthetic generator, splits, and the dataset file format."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,48 @@ def test_generate_splits_covers_all_tags(spec):
     train, valid, test = generate_splits(spec)
     assert (train.labels.sum(axis=0) > 0).all()
     assert len(train) + len(valid) + len(test) == spec.tracks * spec.excerpts_per_track
+
+
+def test_generate_splits_redraws_until_train_covers_every_tag():
+    # 9 of 15 tracks in train: the spec's own draw misses a tag, so
+    # generate_splits draws again at seed + 1000 + k, k = 1, 2, ...
+    spec = SyntheticSpec(space=default_label_space(), tracks=15, seed=0)
+    fractions = (0.6, 0.2, 0.2)
+
+    def draw(sp):
+        return split(generate_synthetic(sp), fractions, seed=sp.seed)
+
+    def covered(parts):
+        return bool((parts[0].labels.sum(axis=0) > 0).all())
+
+    assert not covered(draw(spec))
+    redraws = (draw(replace(spec, seed=1000 + k)) for k in range(1, 20))
+    want = next(parts for parts in redraws if covered(parts))
+    got = generate_splits(spec, fractions)
+    for a, b in zip(got, want):
+        assert a.ids == b.ids
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
+
+
+def test_generate_splits_gives_up_when_train_cannot_cover_every_tag():
+    # one train track carries at most two of the eight genre tags
+    spec = SyntheticSpec(space=default_label_space(), tracks=3, seed=0)
+    with pytest.raises(DatasetError, match="after 20 attempts"):
+        generate_splits(spec, fractions=(0.34, 0.33, 0.33))
+
+
+@pytest.mark.parametrize("tracks, fractions, part", [
+    (60, (0.8, 0.005, 0.195), 1),
+    (2, (0.5, 0.25, 0.25), 2),
+])
+def test_split_rejects_a_part_that_rounds_to_no_track(tracks, fractions, part):
+    spec = SyntheticSpec(space=default_label_space(), tracks=tracks, seed=0)
+    ds = generate_synthetic(spec)
+    with pytest.raises(DatasetError, match=f"split part {part} of 3 .* empty"):
+        split(ds, fractions, seed=0)
+    with pytest.raises(DatasetError, match=f"split part {part} of 3"):
+        generate_splits(spec, fractions)
 
 
 def test_dataset_rejects_ragged_features(small_space):

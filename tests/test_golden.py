@@ -22,8 +22,9 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_report.json"
 
 def golden_config() -> ExperimentConfig:
     """The configuration of test_benchmark_reports_are_deterministic plus a
-    ``classification+norm+disent`` row, the one variant whose head is drawn
-    block by block."""
+    ``classification+norm+disent`` row, the disentangled proxy's twin: it
+    shares the second row's run and copies its report, with its own
+    ``variant`` and ``shared_with``."""
     space = default_label_space()
     return ExperimentConfig(
         space=space,

@@ -24,8 +24,7 @@ from disembed.model import (
 )
 
 
-def make_net(space, normalize=False, hidden=(12, 10), seed=0,
-             blockwise_head=False):
+def make_net(space, normalize=False, hidden=(12, 10), seed=0):
     net = EmbeddingNet(
         NetConfig(
             input_dim=6,
@@ -36,7 +35,7 @@ def make_net(space, normalize=False, hidden=(12, 10), seed=0,
         space,
     )
     bank = CentroidBank(space)
-    init_params(net, bank, seed, blockwise_head=blockwise_head)
+    init_params(net, bank, seed)
     return net, bank
 
 
@@ -141,8 +140,8 @@ def test_masks_sum_to_full_embedding(small_space, rng):
 def test_masked_equals_subdense_block(small_space, rng):
     # the masked embedding is the notion's own sub-dense relu layer
     # zero-padded into place (relu commutes with the 0/1 mask)
-    for blockwise_head in (False, True):
-        net, _ = make_net(small_space, blockwise_head=blockwise_head)
+    for seed in (0, 1):
+        net, _ = make_net(small_space, seed=seed)
         X = rng.normal(size=(5, 6))
         for notion in small_space.notions:
             masked = masked_embed(net, X, notion.name)
@@ -201,10 +200,9 @@ def test_proxy_equals_classification_normalized(small_space, rng):
 
 def test_disentangled_proxy_equals_subdense_classification(small_space, rng):
     # masked scoring of the full embedding equals scoring each notion's tags
-    # on that notion's own sub-dense relu layer, for either draw of the head
-    for blockwise_head in (False, True):
-        net, bank = make_net(small_space, normalize=True,
-                             blockwise_head=blockwise_head)
+    # on that notion's own sub-dense relu layer, for two draws of the head
+    for seed in (0, 1):
+        net, bank = make_net(small_space, normalize=True, seed=seed)
         X = rng.normal(size=(6, 6))
         got = class_scores(net, bank, X, True)
         for notion in small_space.notions:
@@ -243,8 +241,8 @@ def test_normalized_scores_scale_invariant(small_space, rng):
 
 def test_subdense_full_embedding_is_head_blocks(small_space, rng):
     X = rng.normal(size=(3, 6))
-    for blockwise_head in (False, True):
-        net, _ = make_net(small_space, blockwise_head=blockwise_head)
+    for seed in (0, 1):
+        net, _ = make_net(small_space, seed=seed)
         F = net.full_embedding(X)[0]
         assert np.array_equal(F, net.head_blocks(net.backbone(X)))
         for notion in small_space.notions:
@@ -312,9 +310,8 @@ def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         X = rng.normal(size=(5, 6))
         Y = (rng.random((5, small_space.num_tags)) < 0.5).astype(float)
-        for blockwise_head in (False, True):
-            net, bank = make_net(small_space, normalize=True, seed=seed,
-                                 blockwise_head=blockwise_head)
+        for init_seed in (seed, seed + 100):
+            net, bank = make_net(small_space, normalize=True, seed=init_seed)
             if dead_notion is not None:
                 # a zero notion block takes the normalization guard path
                 cut = small_space.block_slice(
