@@ -78,19 +78,17 @@ def grad(slots: dict, pieces) -> None:
     """Write one step's parameter gradients into ``slots``.
 
     ``slots`` maps each parameter name to its view of the flat gradient
-    (``packed``); ``pieces`` yields ``(name, gradient)`` pairs, one per use of
-    a parameter.  A parameter's first piece is assigned and each later one
-    added, so its gradient is the left-to-right sum of its pieces in the
-    order they come, and a -0.0 in a lone piece stays -0.0.  A parameter
+    (``packed``); ``pieces`` yields ``(name, gradient)`` pairs, at most one
+    per parameter, and a second piece for a parameter raises ValueError.
+    Each piece is assigned as it is, so a -0.0 stays -0.0.  A parameter
     without a piece gets zeros.
     """
     seen = set()
     for name, g in pieces:
         if name in seen:
-            slots[name] += g
-        else:
-            slots[name][...] = g
-            seen.add(name)
+            raise ValueError(f"parameter {name!r} has a second gradient piece")
+        slots[name][...] = g
+        seen.add(name)
     for name, slot in slots.items():
         if name not in seen:
             slot[...] = 0.0

@@ -5,7 +5,10 @@ family (masked per notion when disentangled; track regularization adds a
 second, unmasked call) and ``bce_sum`` for the proxy and classification
 families, whose scores differ only in how they were produced.  Similarity is
 cosine over guarded row L2 normalization.  Each loss returns its value and a
-``backward`` closure with a hand-written gradient.
+``backward`` closure with a hand-written gradient.  The triplet backward
+returns rows only for the triplets whose hinge is positive, since the others
+have an exactly zero gradient; the trainer back-propagates those rows alone,
+through one net backward per step.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ def triplet_batch_loss(EA, EP, EN, margin: float, masks=None):
     ValueError.  A zero row does not raise: guarded normalization maps it to
     zero cosine, which keeps training total.  Returns the loss and
     ``backward(g)``, the gradients of ``g`` times the loss with respect to
-    EA, EP and EN.
+    EA, EP and EN at the active triplets only, as ``(rows, gA, gP, gN)``:
+    ``rows`` indexes the triplets whose hinge is positive, and gA, gP and gN
+    hold one row per index.  A triplet with ``z <= 0`` has an exactly zero
+    gradient, so it has no row.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
@@ -66,19 +72,26 @@ def triplet_batch_loss(EA, EP, EN, margin: float, masks=None):
         M = np.asarray(masks, dtype=np.float64)
         if M.shape != shape:
             raise ValueError(f"masks shape {M.shape} != rows shape {shape}")
-    (uA, nA, dA), (uP, nP, dP), (uN, nN, dN) = (
-        ad.l2_rows(E if M is None else E * M) for E in (EA, EP, EN)
-    )
+    normed = [ad.l2_rows(E if M is None else E * M) for E in (EA, EP, EN)]
+    (uA, _, _), (uP, _, _), (uN, _, _) = normed
     z = (uA * uN).sum(axis=1) - (uA * uP).sum(axis=1) + margin
 
     def backward(g):
-        # the hinge, then the two cosines: d/dcos(a, n) = gz, d/dcos(a, p) = -gz
-        gz = (g / shape[0] * (z > 0.0))[:, None]
+        # the hinge, then the two cosines: d/dcos(a, n) = gz, d/dcos(a, p) = -gz.
+        # Each formula is row-local, so an active row gets its dense value
+        rows = np.flatnonzero(z > 0.0)
+        (a, nA, dA), (p, nP, dP), (n, nN, dN) = (
+            [v[rows] for v in triple] for triple in normed
+        )
+        gz = np.full((rows.size, 1), g / shape[0])
         gp = -gz
-        gA = (ad.l2_rows_backward(uA, nA, dA, gz * uN)
-              + ad.l2_rows_backward(uA, nA, dA, gp * uP))
-        gP = ad.l2_rows_backward(uP, nP, dP, gp * uA)
-        gN = ad.l2_rows_backward(uN, nN, dN, gz * uA)
-        return (gA, gP, gN) if M is None else (gA * M, gP * M, gN * M)
+        gA = (ad.l2_rows_backward(a, nA, dA, gz * n)
+              + ad.l2_rows_backward(a, nA, dA, gp * p))
+        gP = ad.l2_rows_backward(p, nP, dP, gp * a)
+        gN = ad.l2_rows_backward(n, nN, dN, gz * a)
+        if M is None:
+            return rows, gA, gP, gN
+        m = M[rows]
+        return rows, gA * m, gP * m, gN * m
 
     return np.maximum(z, 0.0).mean(), backward

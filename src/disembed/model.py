@@ -108,8 +108,9 @@ class EmbeddingNet:
         """Pre-normalization full-space embedding of a (B, input_dim) batch,
         ``head_blocks(backbone(x))``: the one forward of the package.
 
-        Returns the (B, d) embedding and ``backward(g)``, which returns one
-        ``(name, gradient)`` pair per parameter, in ``params`` order.
+        Returns the (B, d) embedding and ``backward(g, rows=None)``, which
+        returns one ``(name, gradient)`` pair per parameter, in ``params``
+        order; ``rows`` is as in ``relu_layers``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.config.input_dim:
@@ -118,17 +119,19 @@ class EmbeddingNet:
                 f"{self.config.input_dim}"
             )
         F, backward = relu_layers(x, self._layers())
-        return F, lambda g: zip(self.params, backward(g))
+        return F, lambda g, rows=None: zip(self.params, backward(g, rows))
 
 
 def relu_layers(x: np.ndarray, layers):
     """relu(... relu(x @ W1 + b1) ... @ Wn + bn) of a 2-D x.
 
     ``layers`` holds a ``(W, b)`` pair of arrays per layer, b None for a layer
-    without bias.  Returns the output and ``backward(g)``, which returns the
-    gradients of W1, b1, ..., Wn, bn in that order (x needs none).  The
-    forward keeps only each layer's output; the relu backward reads ``h > 0``,
-    which is ``z > 0``.
+    without bias.  Returns the output and ``backward(g, rows=None)``, which
+    returns the gradients of W1, b1, ..., Wn, bn in that order (x needs
+    none).  Row i of ``g`` is the gradient of output row ``rows[i]``; a row
+    may come more than once, and each occurrence adds to the gradients.
+    ``rows=None`` means every row, in order.  The forward keeps only each
+    layer's output; the relu backward reads ``h > 0``, which is ``z > 0``.
     """
     if x.ndim != 2:
         raise ValueError(f"relu_layers() expects a 2-D input, got {x.shape}")
@@ -139,13 +142,14 @@ def relu_layers(x: np.ndarray, layers):
             z += b
         hs.append(np.maximum(z, 0.0, out=z))
 
-    def backward(g):
+    def backward(g, rows=None):
+        h = hs if rows is None else [v[rows] for v in hs]
         grads = []
         for i in reversed(range(len(layers))):
             W, b = layers[i]
-            g = g * (hs[i + 1] > 0.0)
+            g = g * (h[i + 1] > 0.0)
             gb = [] if b is None else [g.sum(axis=0)]
-            grads = [hs[i].T @ g, *gb, *grads]
+            grads = [h[i].T @ g, *gb, *grads]
             if i > 0:
                 g = g @ W.T
         return grads

@@ -38,8 +38,9 @@ def _render(headers, rows) -> str:
 def render_table1(reports: list[dict], ks) -> str:
     """Training time ratio, R@K columns, and auto-tagging AUC per variant.
 
-    A row that shares another variant's run has its time ratio starred and a
-    footnote naming that variant, since its time was not measured again.
+    A row that shares another variant's run has its time ratio marked
+    ``*1``, ``*2``, ... in row order, and a footnote under the same mark
+    names that variant, since its time was not measured again.
     """
     headers = ["Model", "Norm", "Disent", "Time ratio"]
     headers += [f"R@{k}" for k in ks] + ["AUC"]
@@ -56,9 +57,10 @@ def render_table1(reports: list[dict], ks) -> str:
             continue
         ratio = _fmt(r["timing"]["training_time_ratio"], digits=2)
         if r.get("shared_with"):
-            ratio += "*"
+            mark = f"*{len(notes) + 1}"
+            ratio += mark
             notes.append(
-                f"* same run as {r['shared_with']}: trained once, "
+                f"{mark} same run as {r['shared_with']}: trained once, "
                 "time copied, not measured again"
             )
         row = [

@@ -5,6 +5,12 @@ A training step runs the family's forward, then chains the backward closures
 of its layers by hand (``_triplet_loss`` for the triplet family, ``_bce`` for
 proxy and classification) and writes the parameter gradients into one flat
 vector (``autodiff.grad``) that ``Adam.step`` reads in place.
+
+A triplet step runs one net forward over every row of its batches and one
+net backward over the rows of the triplets past the margin only: a triplet
+whose hinge is zero has an exactly zero gradient.  Each weight gradient is
+then one sum over all of the step's active rows, tag batch first and N, A, P
+within a batch.
 """
 
 from __future__ import annotations
@@ -198,37 +204,40 @@ def _triplet_loss(
     with track regularization, one of track triplets.
 
     ``embed_rows(idx)`` returns the embeddings of dataset rows ``idx`` and
-    their backward (``EmbeddingNet.full_embedding``).  Tag triplets are
-    masked to their notion's block when disentangled; with track
+    their backward (``EmbeddingNet.full_embedding``); it is called once, on
+    the N, A and P rows of the tag batch followed by the track batch's.  Tag
+    triplets are masked to their notion's block when disentangled; with track
     regularization, ``track_reg_weight`` times the unmasked loss of the track
-    triplets is added.  Returns the loss and ``backward()``, which yields the
-    ``(name, gradient)`` pieces of every forward for ``autodiff.grad``.
+    triplets is added.  Returns the loss and ``backward()``, which runs one
+    net backward over the rows of the active triplets alone, each batch's N,
+    A and P rows in turn, and yields its ``(name, gradient)`` pieces for
+    ``autodiff.grad``.
     """
-    steps = []  # per triplet batch: the loss's backward, its weight, the rows'
-
-    def batch_loss(batch, masks, weight):
-        (EA, bA), (EP, bP), (EN, bN) = (
-            embed_rows(rows) for rows in (batch.anchor, batch.positive, batch.negative)
-        )
-        loss, backward = triplet_batch_loss(EA, EP, EN, variant.margin, masks)
-        steps.append((backward, weight, bA, bP, bN))
-        return loss
-
     masks = space.notion_block_mask[tags.notion] if variant.disentanglement else None
-    loss = batch_loss(tags, masks, 1.0)
+    batches = [(tags, masks, 1.0)]
     if variant.track_reg:
-        w = variant.track_reg_weight
-        loss = loss + w * batch_loss(tracks, None, w)
+        batches.append((tracks, None, variant.track_reg_weight))
+    E, net_backward = embed_rows(np.concatenate(
+        [rows for batch, _, _ in batches
+         for rows in (batch.negative, batch.anchor, batch.positive)]
+    ))
+    loss, steps, start = 0.0, [], 0
+    for batch, batch_masks, weight in batches:
+        B = len(batch)
+        EN, EA, EP = (E[start + k * B:start + (k + 1) * B] for k in range(3))
+        value, backward = triplet_batch_loss(EA, EP, EN, variant.margin,
+                                             batch_masks)
+        loss += weight * value
+        steps.append((backward, weight, start, B))
+        start += 3 * B
 
     def backward():
-        for loss_backward, weight, bA, bP, bN in steps:
-            gA, gP, gN = loss_backward(weight)
-            # a weight's gradient sums over the forwards as N + A + P, tag
-            # batch first: the order the pinned training gradients
-            # (tests/test_trainer.py) were recorded in
-            yield from bN(gN)
-            yield from bA(gA)
-            yield from bP(gP)
+        rows, grads = [], []
+        for loss_backward, weight, start, B in steps:
+            active, gA, gP, gN = loss_backward(weight)
+            rows += [start + active, start + B + active, start + 2 * B + active]
+            grads += [gN, gA, gP]
+        yield from net_backward(np.concatenate(grads), np.concatenate(rows))
 
     return loss, backward
 

@@ -49,3 +49,16 @@ def relative_error(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def scatter_triplet_grads(out, batch):
+    """The dense (batch, d) gradients of EA, EP and EN from a triplet
+    backward's ``(rows, gA, gP, gN)``: each row of gA, gP and gN placed at
+    its index in ``rows``, zeros elsewhere."""
+    rows, *grads = out
+    dense = []
+    for g in grads:
+        full = np.zeros((batch, g.shape[1]))
+        full[rows] = g
+        dense.append(full)
+    return dense

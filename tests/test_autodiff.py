@@ -13,7 +13,7 @@ from disembed.errors import TrainingDivergedError
 from disembed.losses import bce_sum, triplet_batch_loss
 from disembed.model import _score_node, relu_layers
 
-from conftest import finite_difference, relative_error
+from conftest import finite_difference, relative_error, scatter_triplet_grads
 
 
 def check_gradient(forward, params, w=1.0, tol=1e-6, step=1e-6):
@@ -69,6 +69,26 @@ def test_dead_relu_units_get_zero_gradient():
     gW0, gb0, gH = forward()[1](w)
     assert not gW0[:, [1, 3]].any() and not gb0[[1, 3]].any()
     assert not gH[[1, 3]].any()
+
+
+@pytest.mark.parametrize("rows", [[4, 0, 4, 2, 4], [], [0, 1, 2, 3, 4, 5]],
+                         ids=["repeated", "empty", "every"])
+def test_backward_over_rows_is_the_dense_backward_of_the_scattered_gradient(
+        rows):
+    # row i of the gradient belongs to output row rows[i]; each occurrence
+    # of a repeated row adds to the weight gradients
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(6, 4))
+    layers = [(rng.normal(size=(4, 5)), rng.normal(size=5)),
+              (rng.normal(size=(5, 3)), None)]
+    backward = relu_layers(X, layers)[1]
+    rows = np.array(rows, dtype=np.intp)
+    g = rng.normal(size=(rows.size, 3))
+    scattered = np.zeros((6, 3))
+    np.add.at(scattered, rows, g)
+    for got, want in zip(backward(g, rows), backward(scattered), strict=True):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_matmul_rejects_vector_vector():
@@ -197,7 +217,9 @@ def test_sum_axis_and_mean_gradients():
                       [1.0, 1.0, 1.0, 1.0]])
     for m in (None, masks):
         def forward():
-            return triplet_batch_loss(*(p.values for p in P.values()), 2.5, m)
+            loss, backward = triplet_batch_loss(
+                *(p.values for p in P.values()), 2.5, m)
+            return loss, lambda g: scatter_triplet_grads(backward(g), 3)
 
         check_gradient(forward, P)
 
@@ -287,20 +309,18 @@ def test_unreachable_parameter_gets_zero_gradient():
     assert slots["b"].shape == (2, 3) and np.shares_memory(slots["b"], flat)
 
 
-def test_grad_accumulates_over_reused_nodes():
-    # a parameter used by several forwards sums its pieces left to right in
-    # the order they come; its first piece is assigned, so a -0.0 survives
+def test_grad_writes_one_piece_per_parameter():
+    # each piece is assigned as it is, so a -0.0 survives; a second piece for
+    # a parameter raises, naming it; a second step overwrites the first
     params = {"W": Param(np.zeros(3)), "C": Param(np.zeros(2))}
     flat, slots = packed(params)
     flat[:] = np.nan
-    pieces = [np.array([1.0, 1e16, 0.5]), np.array([1e16, -1e16, 0.25]),
-              np.array([-1e16, 1.0, 0.25])]
-    grad(slots, [("W", p) for p in pieces] + [("C", np.array([-0.0, 1.0]))])
-    assert np.array_equal(slots["W"], (pieces[0] + pieces[1]) + pieces[2])
-    # p0 + (p1 + p2) would give 1.0 and 0.0
-    assert slots["W"][0] == 0.0 and slots["W"][1] == 1.0
-    assert np.signbit(slots["C"][0])
-    # a second step overwrites the first
+    grad(slots, [("W", np.array([1.0, 1e16, 0.5])),
+                 ("C", np.array([-0.0, 1.0]))])
+    assert np.array_equal(slots["W"], [1.0, 1e16, 0.5])
+    assert np.signbit(slots["C"][0]) and slots["C"][1] == 1.0
+    with pytest.raises(ValueError, match="'W'"):
+        grad(slots, [("W", np.ones(3)), ("C", np.ones(2)), ("W", np.ones(3))])
     grad(slots, [("C", np.array([3.0, 4.0]))])
     assert np.array_equal(flat, [0.0, 0.0, 0.0, 3.0, 4.0])
 

@@ -163,12 +163,14 @@ def test_table1_stars_each_twin_and_names_its_first_row():
                           training_time_ratio=1.25, shared_with=first).to_dict()
                for v, first in rows]
     lines = render_table1(reports, (1,)).splitlines()
-    # header and rule, one line per row, then the footnotes in row order
+    # header and rule, one line per row, then the footnotes under the
+    # numbered marks of their rows
     assert [line.split()[3] for line in lines[2:6]] == [
-        "1.25", "1.25", "1.25*", "1.25*"]
+        "1.25", "1.25", "1.25*1", "1.25*2"]
     assert lines[6:] == [
-        f"* same run as {first}: trained once, time copied, not measured again"
-        for first in ("proxy+norm", "proxy+norm+disent")]
+        f"*{i} same run as {first}: trained once, time copied, "
+        "not measured again"
+        for i, first in ((1, "proxy+norm"), (2, "proxy+norm+disent"))]
 
 
 def tiny_config(variants) -> ExperimentConfig:

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit
 
 from disembed import autodiff as ad
 from disembed.autodiff import Param
 from disembed.losses import bce_sum, triplet_batch_loss
 
-from conftest import finite_difference, relative_error
+from conftest import finite_difference, relative_error, scatter_triplet_grads
 
 
 def rows(*vectors):
@@ -186,7 +187,7 @@ def test_zero_anchor_row_takes_the_normalization_guard(rng):
     def build():
         return triplet_batch_loss(*(p.values for p in params.values()), 2.5)
 
-    ga, gp, gn = build()[1](1.0)
+    ga, gp, gn = scatter_triplet_grads(build()[1](1.0), 3)
     numeric = finite_difference(lambda: value(build()), params, step=1e-6)
     assert relative_error(ga[1:], numeric["a"][1:]) < 1e-5
     assert relative_error(gp, numeric["p"]) < 1e-5
@@ -195,6 +196,59 @@ def test_zero_anchor_row_takes_the_normalization_guard(rng):
     un, up = (E[0] / np.linalg.norm(E[0]) for E in (EN, EP))
     guarded = (un - up) / 3 / ad.NORM_EPS
     assert np.abs(ga[0] - guarded).max() <= 1e-15 * np.abs(guarded).max()
+
+
+def dense_triplet_backward(EA, EP, EN, margin, masks, g):
+    """Every row's hinge argument z and the gradients of g times the batch
+    loss with respect to EA, EP and EN, inactive rows included: the dense
+    reference for the active-row backward."""
+    M = 1.0 if masks is None else masks
+    (uA, nA, dA), (uP, nP, dP), (uN, nN, dN) = (
+        ad.l2_rows(E * M) for E in (EA, EP, EN))
+    z = (uA * uN).sum(axis=1) - (uA * uP).sum(axis=1) + margin
+    gz = (g / len(z) * (z > 0.0))[:, None]
+    gA = (ad.l2_rows_backward(uA, nA, dA, gz * uN)
+          + ad.l2_rows_backward(uA, nA, dA, -gz * uP))
+    gP = ad.l2_rows_backward(uP, nP, dP, -gz * uA)
+    gN = ad.l2_rows_backward(uN, nN, dN, gz * uA)
+    return z, (gA * M, gP * M, gN * M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["plain", "tie", "zero"]),
+                      min_size=1, max_size=6),
+       margin=st.sampled_from([0.0, 0.1, 2.5]), masked=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(kinds=["tie", "tie", "tie"], margin=0.0, masked=False, seed=0)
+@example(kinds=["zero", "tie", "plain"], margin=0.0, masked=True, seed=1)
+def test_backward_returns_exactly_the_active_rows(kinds, margin, masked, seed):
+    # "tie" rows have EN == EP, so z == margin exactly, and with margin 0 they
+    # are inactive; "zero" anchors take the normalization guard (masks may
+    # zero more rows).  The active rows are the z > 0 rows, each with its
+    # dense reference row bit for bit; every other dense row is zero
+    rng = np.random.default_rng(seed)
+    B, d = len(kinds), 4
+    EA, EP, EN = (rng.normal(size=(B, d)) for _ in range(3))
+    for i, kind in enumerate(kinds):
+        if kind == "tie":
+            EN[i] = EP[i]
+        elif kind == "zero":
+            EA[i] = 0.0
+    masks = (rng.random((B, d)) < 0.5).astype(float) if masked else None
+    loss, backward = triplet_batch_loss(EA, EP, EN, margin, masks)
+    rows, *grads = backward(0.7)
+    z, dense = dense_triplet_backward(EA, EP, EN, margin, masks, 0.7)
+    assert np.array_equal(rows, np.flatnonzero(z > 0.0))
+    if margin == 0.0:
+        assert not {i for i, k in enumerate(kinds) if k == "tie"} & set(rows)
+    if margin > 0.0:
+        assert {i for i, k in enumerate(kinds) if k == "zero"} <= set(rows)
+    inactive = np.setdiff1d(np.arange(B), rows)
+    for got, want in zip(grads, dense, strict=True):
+        assert got.shape == (rows.size, d)
+        assert np.array_equal(got, want[rows])
+        assert not want[inactive].any()
+    assert loss == np.maximum(z, 0.0).mean()
 
 
 def test_track_regularized_combines_means(rng):
@@ -235,9 +289,9 @@ def test_triplet_gradient_matches_fd(seed):
     def build():
         return triplet_batch_loss(*(p.values for p in params.values()), 0.3)
 
-    analytic = build()[1](1.0)
+    analytic = scatter_triplet_grads(build()[1](1.0), 1)
     numeric = finite_difference(lambda: value(build()), params, step=1e-6)
-    for name, g in zip(params, analytic):
+    for name, g in zip(params, analytic, strict=True):
         assert relative_error(g, numeric[name]) < 1e-5
 
 

@@ -1,5 +1,6 @@
 """Training loop: variant legality, determinism, model selection, persistence."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,14 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from disembed import autodiff
+from disembed import autodiff, trainer
 from disembed.benchmark import load_or_generate
 from disembed.config import default_config
 from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import ConfigurationError
+from disembed.model import EmbeddingNet
 from disembed.trainer import (
     VariantConfig,
+    _all_params,
     _fixed_validation_triplets,
+    _triplet_loss,
     build_model,
     load_model,
     paper_variants,
@@ -227,6 +231,65 @@ def test_triplet_validation_loss_matches_numpy_reference(splits, kw):
         assert abs(got - ref) <= 1e-15 * abs(ref), (seed, got, ref)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(disentanglement=True, track_reg=True),
+], ids=["norm", "trackreg"])
+def test_triplet_step_runs_one_forward_over_every_row(splits, monkeypatch, kw):
+    # one full_embedding call per step over the N, A and P rows of the tag
+    # batch (and the track batch's), then the validation forward
+    space, (train_ds, valid_ds, _) = splits
+    batch_rows, forward_rows = [], []
+    iterate, forward = trainer.batch_iterator, EmbeddingNet.full_embedding
+
+    def recording_iterator(*args, **kwargs):
+        for tags, tracks in iterate(*args, **kwargs):
+            batch_rows.append(
+                3 * len(tags) + (0 if tracks is None else 3 * len(tracks)))
+            yield tags, tracks
+
+    def recording_forward(net, x):
+        forward_rows.append(len(x))
+        return forward(net, x)
+
+    monkeypatch.setattr(trainer, "batch_iterator", recording_iterator)
+    monkeypatch.setattr(EmbeddingNet, "full_embedding", recording_forward)
+    variant = quick(family="triplet", max_epochs=1, **kw)
+    train(variant, space, train_ds, valid_ds)
+    assert len(batch_rows) > 1
+    assert forward_rows == batch_rows + [len(valid_ds)]
+    assert batch_rows[0] == (6 if variant.track_reg else 3) * variant.batch_size
+
+
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(disentanglement=True, track_reg=True),
+], ids=["norm", "trackreg"])
+def test_all_inactive_triplet_step_has_a_zero_gradient(splits, kw):
+    # with margin 0 and every negative equal to its positive, every hinge
+    # argument is exactly 0: no triplet is active, and the flat gradient,
+    # filled with ones beforehand, is all zeros
+    space, (train_ds, valid_ds, _) = splits
+    variant = quick(family="triplet", margin=0.0, **kw)
+    model = build_model(variant, space, train_ds.feature_dim)
+    flat, slots = autodiff.packed(_all_params(model))
+    flat[:] = 1.0
+    tags, tracks = _fixed_validation_triplets(variant, train_ds)
+
+    def tie(batch):
+        if batch is None:
+            return None
+        return dataclasses.replace(batch, negative=batch.positive)
+
+    loss, backward = _triplet_loss(
+        variant, space,
+        lambda idx: model.net.full_embedding(train_ds.features[idx]),
+        tie(tags), tie(tracks))
+    autodiff.grad(slots, backward())
+    assert loss == 0.0
+    assert not flat.any()
+
+
 def test_triplet_epoch_slower_than_classification(splits):
     # an epoch of graph-built triplets costs visibly more than BCE batches
     space, (train_ds, valid_ds, _) = splits
@@ -240,16 +303,18 @@ def test_triplet_epoch_slower_than_classification(splits):
 # on default_config(0) (Adam steps between them) and of the first epoch's
 # validation loss, recorded from the primitive autodiff graph of earlier
 # versions (the proxy and classification entries again when the score
-# sigmoid moved from scipy's expit to numpy's exp, whose last bits differ).
+# sigmoid moved from scipy's expit to numpy's exp, whose last bits differ;
+# the triplet entries again when a step's weight gradients became one sum
+# over the active rows of one backward instead of one sum per forward).
 # Each normalized classifier shares its proxy's digest: the pair is one
 # computation.  A change to the forward or backward arithmetic fails it
 GRADIENT_DIGESTS = {
     "triplet+norm":
-        "5de667dfaea201e724fac7957ff4c63a725f5412dd70ef8f366468b0f5e6907d",
+        "5a3708f770981fb470490bbe3c0c9ffca97cd4a674f4270ae1570192f2783fe7",
     "triplet+norm+disent":
-        "8207da80cb1b0203c4a7e61d034fa2b93317393a713a6768e25121905c4710f6",
+        "50aee909306dce3d592cd9bbd994b733bf0e88fc66b2d8f73666d3d056523e91",
     "triplet+norm+disent+trackreg":
-        "842bb948e4f68f710f358b2149d08dfff518863f264d21b73e4990b28052ed91",
+        "761b0e16a7fa039c17de1dc0bc4d4a51b9d633b40626cf749cad4e1e0a1115bc",
     "proxy+norm":
         "88b1cf3ca8e2650e5f1d5ec5f12322907953f2ca5ab53397ee33b0588d89f2f7",
     "proxy+norm+disent":
