@@ -52,8 +52,7 @@ def main():
     E_pre = result.model.net.full_embedding(test_ds.features)[0]
     print("\ntriplet accuracy per notion (own sub-space vs full vector):")
     for notion, triplets in by_notion.items():
-        sub = triplet_accuracy(E_pre, triplets, mode="sub",
-                               space=space, disentangled=True)
+        sub = triplet_accuracy(E_pre, triplets, mode="sub")
         full = triplet_accuracy(E_pre, triplets, mode="full")
         marker = "sub wins" if sub >= full else "full wins"
         print(f"  {notion:<11} sub {sub:.3f}  full {full:.3f}   ({marker})")

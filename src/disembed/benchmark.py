@@ -104,24 +104,11 @@ def evaluate_model(
 
     by_notion, track_triplets = eval_triplets
     accs = {}
-    for notion, triplets in by_notion.items():
-        accs[("full", notion)] = triplet_accuracy(E_pre, triplets, mode="full")
-        if variant.disentanglement:
-            accs[("sub", notion)] = triplet_accuracy(
-                E_pre,
-                triplets,
-                mode="sub",
-                space=model.space,
-                disentangled=True,
-            )
-    accs[("full", "overall")] = float(
-        np.mean([accs[("full", n)] for n in by_notion])
-    )
-    if variant.disentanglement:
-        accs[("sub", "overall")] = float(
-            np.mean([accs[("sub", n)] for n in by_notion])
-        )
-    accs[("full", "track")] = triplet_accuracy(E_pre, track_triplets, mode="full")
+    for mode in ("full", "sub") if variant.disentanglement else ("full",):
+        per_notion = [triplet_accuracy(E_pre, t, mode=mode) for t in by_notion.values()]
+        accs.update({f"{mode}/{k}": v for k, v in zip(by_notion, per_notion)})
+        accs[f"{mode}/overall"] = float(np.mean(per_notion))
+    accs["full/track"] = triplet_accuracy(E_pre, track_triplets, mode="full")
     report.triplet_accuracy = accs
     return report
 

@@ -285,15 +285,38 @@ def generate_splits(
 #   #feature_dim=<n>
 #   #tags=<comma-joined tag names in label-space order>
 #   id<TAB>track_id<TAB>f1,...,fn<TAB>tag1;tag2;...
+# No name may hold a tab, a line break or a lone surrogate (which UTF-8
+# cannot encode), and no tag name a ',' or a ';'.
+_NAME_BREAK = re.compile("[\t\n\r\ud800-\udfff]")
+_TAG_BREAK = re.compile("[,;\t\n\r\ud800-\udfff]")
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``dataset`` as a TSV file; a tagless item raises DatasetError
-    before the file is opened, so a file already at ``path`` is left as is."""
-    tagless = np.flatnonzero(~dataset.labels.any(axis=1))
-    if len(tagless):
-        item_id = dataset.ids[tagless[0]]
-        raise DatasetError(f"item {item_id!r} has no tags; format forbids it")
+    """Write ``dataset`` as a TSV file that ``load_dataset`` reads back.
+
+    What the format cannot hold raises DatasetError naming the item or tag
+    before the file at ``path`` is touched: an empty or bad name (above), no
+    rows, a duplicate id, a non-finite feature, a tagless item.
+    """
+    bad = [t for t in dataset.space.tags if not t or _TAG_BREAK.search(t)]
+    if bad:
+        raise DatasetError(f"tag name {bad[0]!r}; format forbids it")
+    if not len(dataset):
+        raise DatasetError("dataset has no rows; format forbids it")
+    seen = set()
+    for item_id, track_id in zip(dataset.ids, dataset.track_ids):
+        if _NAME_BREAK.search(item_id + track_id):
+            raise DatasetError(f"item {item_id!r} of track {track_id!r}: a tab, "
+                               f"line break or lone surrogate; format forbids it")
+        if item_id in seen:
+            raise DatasetError(f"duplicate id {item_id!r}; format forbids it")
+        seen.add(item_id)
+    for rows, what in ((~np.isfinite(dataset.features).all(axis=1),
+                        "a non-finite feature"),
+                       (~dataset.labels.any(axis=1), "no tags")):
+        if rows.any():
+            item_id = dataset.ids[rows.argmax()]
+            raise DatasetError(f"item {item_id!r} has {what}; format forbids it")
     fmt = ",".join(["%.17g"] * dataset.feature_dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#feature_dim={dataset.feature_dim}\n")

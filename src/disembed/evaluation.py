@@ -4,6 +4,8 @@ prediction, and the per-variant report record.
 Tag AUC is the rank statistic (Hanley & McNeil 1982), ranked with numpy
 alone: one stable argsort of the score matrix with average ranks for ties,
 the values ``scipy.stats.rankdata`` gives, without importing ``scipy.stats``.
+Triplet prediction compares cosines of rows, or of their notion blocks,
+normalized by ``autodiff.l2_rows``, as every cosine of the package is.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError
-from .labelspace import LabelSpace
 from .sampling import TripletBatch
 
 log = logging.getLogger(__name__)
@@ -200,70 +201,37 @@ def auc_tags(score_matrix, label_matrix) -> float:
     return float(np.mean(aucs))
 
 
-def triplet_accuracy(
-    embeddings,
-    triplets: TripletBatch,
-    mode: str = "full",
-    space: LabelSpace | None = None,
-    disentangled: bool = False,
-) -> float:
-    """Fraction of triplets with cos(anchor, positive) > cos(anchor, negative).
+def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full") -> float:
+    """Fraction of triplets with cos(anchor, positive) > cos(anchor, negative);
+    ties count as incorrect.
 
-    ``embeddings`` are pre-normalization full-space embeddings, one row per
-    dataset item; the ``TripletBatch`` ``triplets`` indexes into them.
-    mode="sub" restricts each triplet to its notion's block of ``space`` and
-    requires a disentangled model.
-    Ties count as incorrect.
-
-    Each cosine is dot(a, b) / (max(|a|, 1e-12) * max(|b|, 1e-12)), with the
-    dots and norms computed as batched vector products; these round exactly
-    as ``np.dot`` and ``np.linalg.norm`` on one triplet's vectors do.
-    Memory: the gathered anchor, positive and negative rows, three arrays
-    of len(triplets) x d float64.
+    ``embeddings`` are pre-normalization rows, one per dataset item, which the
+    ``TripletBatch`` ``triplets`` indexes.  A cosine is the dot product of two
+    rows normalized by ``autodiff.l2_rows``; mode="sub" normalizes and compares
+    each tag triplet's notion block alone, with the blocks and the notion
+    indices of ``triplets.space``, whose ``embedding_dim`` must be the rows'
+    width.  Memory: the normalized rows and three len(triplets) x width arrays.
     """
     if mode not in ("full", "sub"):
         raise ValueError(f"unknown space mode: {mode!r}")
-    if mode == "sub":
-        if not disentangled:
-            raise ConfigurationError(
-                "sub-space triplet accuracy requires a disentangled model"
-            )
-        if space is None:
-            raise ConfigurationError("sub mode needs the label space for masks")
-    E = np.asarray(embeddings, dtype=np.float64)
     if len(triplets) == 0:
         raise ValueError("no triplets to evaluate")
-    index = np.stack([triplets.anchor, triplets.positive, triplets.negative],
-                     axis=1)
-    if mode == "full":
-        return _count_correct(E, index) / len(index)
-    if triplets.notion is None:
-        raise ConfigurationError("track triplets carry no notion")
-    # notion indices are positions in the batch's own label space
-    names = [notion.name for notion in triplets.space.notions]
-    correct = 0
-    for k in dict.fromkeys(triplets.notion.tolist()):
-        group = index[triplets.notion == k]
-        correct += _count_correct(E[:, space.block_slice(names[k])], group)
-    return correct / len(index)
-
-
-def _count_correct(E: np.ndarray, index: np.ndarray) -> int:
-    """Number of (anchor, positive, negative) rows of ``index`` whose anchor
-    is strictly closer in cosine to the positive than to the negative."""
-    A, P, N = (E[index[:, j]] for j in range(3))
-    eps = ad.NORM_EPS
-    na = np.maximum(np.sqrt(_row_dots(A, A)), eps)
-    cp = _row_dots(A, P) / (na * np.maximum(np.sqrt(_row_dots(P, P)), eps))
-    cn = _row_dots(A, N) / (na * np.maximum(np.sqrt(_row_dots(N, N)), eps))
-    return int(np.count_nonzero(cp > cn))
-
-
-def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products as a stack of (1, d) @ (d, 1) products, which
-    numpy computes with the same BLAS dot as ``np.dot`` on 1-D vectors
-    (``einsum`` and ``norm(axis=1)`` sum in another order)."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    E = np.asarray(embeddings, dtype=np.float64)
+    n, width = E.shape
+    space, block = triplets.space, 0
+    if mode == "sub":
+        if triplets.notion is None:
+            raise ConfigurationError("track triplets carry no notion")
+        if width != space.embedding_dim:
+            raise ValueError(f"sub mode needs {space.embedding_dim}-wide "
+                             f"embeddings, got {width}")
+        width, block = space.block_size, triplets.notion
+    U = ad.l2_rows(E.reshape(-1, width))[0].reshape(n, -1, width)
+    A, P, N = (U[rows, block]
+               for rows in (triplets.anchor, triplets.positive, triplets.negative))
+    cp = np.multiply(P, A, out=P).sum(axis=1)
+    cn = np.multiply(N, A, out=N).sum(axis=1)
+    return int(np.count_nonzero(cp > cn)) / len(triplets)
 
 
 def training_time_ratio(timings: dict) -> dict:
@@ -289,7 +257,7 @@ class EvalReport:
     variant: dict
     recall_at: dict = field(default_factory=dict)
     auc: float | None = None
-    triplet_accuracy: dict = field(default_factory=dict)  # (space, notion) -> value
+    triplet_accuracy: dict = field(default_factory=dict)  # "mode/notion" -> value
     training_time_ratio: float | None = None
     wall_seconds: float | None = None
     cpu_seconds: float | None = None
@@ -302,10 +270,7 @@ class EvalReport:
             "variant": dict(self.variant),
             "recall_at": {str(k): v for k, v in self.recall_at.items()},
             "auc": self.auc,
-            "triplet_accuracy": {
-                f"{sp}/{notion}": v
-                for (sp, notion), v in self.triplet_accuracy.items()
-            },
+            "triplet_accuracy": dict(self.triplet_accuracy),
             "epochs": self.epochs,
             "error": self.error,
             "timing": {

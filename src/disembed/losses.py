@@ -49,7 +49,7 @@ def triplet_batch_loss(EA, EP, EN, margin: float, masks=None):
     """Mean over rows of max(0, cos(a, n) - cos(a, p) + margin).
 
     EA, EP and EN are (B, d) with B >= 1; ``masks`` (B, d), if given,
-    multiplies each row by its notion mask first.  Any other shape raises
+    multiplies each row by its 0/1 notion mask first.  Any other shape raises
     ValueError.  A zero row does not raise: guarded normalization maps it to
     zero cosine, which keeps training total.  Returns the loss and
     ``backward(g)``, the gradients of ``g`` times the loss with respect to
@@ -78,7 +78,8 @@ def triplet_batch_loss(EA, EP, EN, margin: float, masks=None):
 
     def backward(g):
         # the hinge, then the two cosines: d/dcos(a, n) = gz, d/dcos(a, p) = -gz.
-        # Each formula is row-local, so an active row gets its dense value
+        # Each formula is row-local, so an active row gets its dense value;
+        # a coordinate outside the mask is zero in a, p and n, and so in gA, gP, gN
         rows = np.flatnonzero(z > 0.0)
         (a, nA, dA), (p, nP, dP), (n, nN, dN) = (
             [v[rows] for v in triple] for triple in normed
@@ -89,9 +90,6 @@ def triplet_batch_loss(EA, EP, EN, margin: float, masks=None):
               + ad.l2_rows_backward(a, nA, dA, gp * p))
         gP = ad.l2_rows_backward(p, nP, dP, gp * a)
         gN = ad.l2_rows_backward(n, nN, dN, gz * a)
-        if M is None:
-            return rows, gA, gP, gN
-        m = M[rows]
-        return rows, gA * m, gP * m, gN * m
+        return rows, gA, gP, gN
 
     return np.maximum(z, 0.0).mean(), backward

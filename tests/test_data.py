@@ -1,6 +1,7 @@
 """Synthetic generator, splits, and the dataset file format."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -384,6 +385,47 @@ def test_save_rejects_a_tagless_item_before_writing(small_space, tmp_path,
         assert not path.exists()
     else:
         assert path.read_bytes() == existing
+
+
+@pytest.mark.parametrize("change, named", [
+    ({}, None),
+    ({"ids": ["a", "b\t"]}, "'b\\t'"),
+    ({"ids": ["a", "b\n"]}, "'b\\n'"),
+    ({"ids": ["a", "b\r"]}, "'b\\r'"),
+    ({"ids": ["a", "b\ud800"]}, "'b\\ud800'"),
+    ({"tracks": ["t0", "t\t"]}, "'t\\t'"),
+    ({"tracks": ["t0", "t\r\n"]}, "'t\\r\\n'"),
+    ({"ids": ["a", "a"]}, "duplicate id 'a'"),
+    ({"x": np.nan}, "item 'b' has a non-finite"),
+    ({"ids": [], "tracks": []}, "no rows"),
+    ({"tag": ""}, "tag name ''"),
+    ({"tag": "x,y"}, "'x,y'"),
+    ({"tag": "x;y"}, "'x;y'"),
+    ({"tag": "x\ty"}, "'x\\ty'"),
+    ({"tag": "x\ny"}, "'x\\ny'"),
+], ids=["control", "id-tab", "id-lf", "id-cr", "id-surrogate", "track-tab",
+        "track-crlf", "duplicate-id", "nan-feature", "no-rows", "tag-empty",
+        "tag-comma", "tag-semicolon", "tag-tab", "tag-lf"])
+def test_save_refuses_what_load_rejects_before_writing(tmp_path, change,
+                                                       named):
+    # each case changes one name or value of a dataset that round-trips
+    c = {"ids": ["a", "b"], "tracks": ["t0", "t1"], "x": 1.0, "tag": "blue",
+         **change}
+    space = LabelSpace([("color", ["red", c["tag"]]),
+                        ("shape", ["round", "square"])], embedding_dim=8)
+    n = len(c["ids"])
+    features = np.ones((n, 2))
+    features[n - 1:, 0] = c["x"]
+    ds = Dataset(space, c["ids"], c["tracks"], features, np.ones((n, 4)))
+    path = tmp_path / "out.tsv"
+    if named is None:
+        save_dataset(ds, path)
+        assert load_dataset(path, space).ids == ds.ids
+        return
+    path.write_bytes(b"keep me\n")
+    with pytest.raises(DatasetError, match=re.escape(named)):
+        save_dataset(ds, path)
+    assert path.read_bytes() == b"keep me\n"
 
 
 def test_load_rejects_invalid_utf8(small_space, tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from disembed import autodiff as ad
 from disembed import evaluation
 from disembed.errors import ConfigurationError
 from disembed.evaluation import (
@@ -84,18 +85,18 @@ def brute_recall(E, L, k):
 
 
 def loop_triplet_accuracy(E, triplets, mode="full", space=None):
-    """Per-triplet cosine comparison, one triplet at a time."""
+    """Per-triplet cosine comparison, one triplet at a time: its three rows,
+    or in sub mode their blocks of ``space``, as a 3-row array normalized by
+    ``l2_rows`` (``np.linalg.norm`` of a 1-D vector is a BLAS dot, which
+    rounds differently)."""
     E = np.asarray(E, dtype=np.float64)
     correct = 0
     for t in triplets:
-        ea, ep, en = E[t.anchor], E[t.positive], E[t.negative]
+        rows = E[[t.anchor, t.positive, t.negative]]
         if mode == "sub":
-            sl = space.block_slice(t.notion)
-            ea, ep, en = ea[sl], ep[sl], en[sl]
-        na = max(np.linalg.norm(ea), 1e-12)
-        cp = np.dot(ea, ep) / (na * max(np.linalg.norm(ep), 1e-12))
-        cn = np.dot(ea, en) / (na * max(np.linalg.norm(en), 1e-12))
-        correct += bool(cp > cn)
+            rows = rows[:, space.block_slice(t.notion)]
+        a, p, n = ad.l2_rows(rows)[0]
+        correct += bool((a * p).sum() > (a * n).sum())
     return correct / len(triplets)
 
 
@@ -441,9 +442,7 @@ def test_triplet_accuracy_sub_space_uses_block(small_space, rng):
     E = rng.normal(size=(8, 8))
     batch = as_batch(make_triplets(20, np.arange(8), rng, "shape", small_space),
                      small_space)
-    got = triplet_accuracy(
-        E, batch, mode="sub", space=small_space, disentangled=True
-    )
+    got = triplet_accuracy(E, batch, mode="sub")
     sl = small_space.block_slice("shape")
     expect = triplet_accuracy(E[:, sl].copy(), batch, mode="full")
     assert got == pytest.approx(expect)
@@ -480,9 +479,7 @@ def test_triplet_accuracy_equals_loop_on_near_ties(seed, small_space):
     rng.shuffle(triplets)
     batch = as_batch(triplets, small_space)
     full = triplet_accuracy(E, batch, mode="full")
-    sub = triplet_accuracy(
-        E, batch, mode="sub", space=small_space, disentangled=True
-    )
+    sub = triplet_accuracy(E, batch, mode="sub")
     assert full == loop_triplet_accuracy(E, triplets)
     assert sub == loop_triplet_accuracy(E, triplets, "sub", small_space)
     assert 0.0 < full < 1.0 and 0.0 < sub < 1.0
@@ -501,43 +498,44 @@ def test_triplet_batch_scores_like_its_records(seed, small_space):
     records = list(batch)
     assert {t.notion for t in records} == {"color", "shape"}
     assert triplet_accuracy(E, batch) == loop_triplet_accuracy(E, records)
-    assert triplet_accuracy(E, batch, mode="sub", space=small_space,
-                            disentangled=True) == \
+    assert triplet_accuracy(E, batch, mode="sub") == \
         loop_triplet_accuracy(E, records, "sub", small_space)
     tracks = TripletBatch(*rows, None, None, small_space)
     assert triplet_accuracy(E, tracks) == loop_triplet_accuracy(E, records)
 
 
 def test_sub_mode_reads_notions_in_the_batch_space(small_space):
-    # the same notions in the other order: a batch's notion index 0 is
-    # 'color' in its own space and 'shape' in the one passed for the blocks
+    # the same notions in the other order: 'color' is notion 1 and owns the
+    # second block in the batch's space, notion 0 and the first block in
+    # small_space
     swapped = LabelSpace([("shape", ["round", "square"]),
                           ("color", ["red", "blue"])], embedding_dim=8)
     rng = np.random.default_rng(4)
     E = near_tied_embeddings(rng, 40)
-    triplets = make_triplets(200, np.arange(40), rng, "color", small_space)
-    triplets += make_triplets(200, np.arange(40), rng, "shape", small_space)
-    batch = as_batch(triplets, small_space)
+    triplets = make_triplets(200, np.arange(40), rng, "color", swapped)
+    triplets += make_triplets(200, np.arange(40), rng, "shape", swapped)
+    batch = as_batch(triplets, swapped)
+    assert batch.notion.tolist() == [1] * 200 + [0] * 200
     want = loop_triplet_accuracy(E, triplets, "sub", swapped)
     assert want != loop_triplet_accuracy(E, triplets, "sub", small_space)
-    assert triplet_accuracy(E, batch, mode="sub", space=swapped,
-                            disentangled=True) == want
+    assert triplet_accuracy(E, batch, mode="sub") == want
 
 
 def test_sub_mode_rejects_track_triplets(small_space):
     E = np.random.default_rng(0).normal(size=(4, 8))
     t = as_batch([Triplet(1, 2, 3, None, None, "track")], small_space)
     with pytest.raises(ConfigurationError, match="no notion"):
-        triplet_accuracy(E, t, mode="sub", space=small_space, disentangled=True)
+        triplet_accuracy(E, t, mode="sub")
 
 
-def test_sub_mode_requires_disentangled(small_space):
-    E = np.ones((3, 8))
-    t = as_batch([Triplet(0, 1, 2, "red", "color", "tag")], small_space)
-    with pytest.raises(ConfigurationError):
-        triplet_accuracy(E, t, mode="sub", space=small_space, disentangled=False)
-    with pytest.raises(ConfigurationError):
-        triplet_accuracy(E, t, mode="sub", disentangled=True)
+@pytest.mark.parametrize("width", [4, 12])
+def test_sub_mode_rejects_a_width_other_than_the_space(small_space, width):
+    # a 12-wide row would reshape into three 4-wide blocks without the check
+    E = np.random.default_rng(0).normal(size=(4, width))
+    t = as_batch([Triplet(1, 2, 3, "red", "color", "tag")], small_space)
+    with pytest.raises(ValueError, match="8-wide"):
+        triplet_accuracy(E, t, mode="sub")
+    assert 0.0 <= triplet_accuracy(E, t, mode="full") <= 1.0
 
 
 # --- timing ratio and reports ---------------------------------------------
@@ -561,7 +559,7 @@ def test_report_serialization_and_strip_timing():
         variant={"family": "proxy"},
         recall_at={1: 0.5},
         auc=0.9,
-        triplet_accuracy={("full", "color"): 0.7},
+        triplet_accuracy={"full/color": 0.7},
         training_time_ratio=1.5,
         wall_seconds=3.2,
         cpu_seconds=3.0,
