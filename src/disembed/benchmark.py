@@ -20,9 +20,11 @@ from .evaluation import (
     retrieval_recall,
     training_time_ratio,
     triplet_accuracy,
+    unit_blocks,
 )
 from .labelspace import LabelSpace
-from .model import class_scores, embed
+# class_scores stays importable here: bench/probes.py times it by this name
+from .model import class_scores, embed, forward_rows, row_scores
 from .sampling import TripletBatch, checked_sampler
 from .trainer import TrainedModel, TrainResult, VariantConfig
 
@@ -84,31 +86,33 @@ def evaluate_model(
     variant = model.variant
     report = EvalReport(variant=variant.to_dict())
 
-    # one test-split forward of pre-normalization rows; R@K, the prototype
-    # AUC and triplet accuracy normalize as they need.  Its backward is
-    # dropped here
-    E_pre = model.net.full_embedding(test_ds.features)[0]
+    # one forward of the test split, over row chunks: the pre-normalization
+    # rows from which R@K, the tag scores and triplet accuracy are computed,
+    # the rows or their notion blocks normalized once per mode
+    E_pre = forward_rows(model.net, test_ds.features)
     report.recall_at = retrieval_recall(E_pre, test_ds.labels, ks)
 
+    units = {"full": unit_blocks(E_pre, E_pre.shape[1])}
     if variant.family == "triplet":
         protos = build_prototypes(
             embed(model.net, train_ds.features), train_ds.labels
         )
-        U, P = (ad.l2_rows(M)[0] for M in (E_pre, protos))
-        scores = U @ P.T
+        scores = units["full"] @ ad.l2_rows(protos)[0].T
     else:
-        scores = class_scores(
-            model.net, model.bank, test_ds.features, variant.disentanglement
-        )
+        scores = row_scores(model.net, model.bank, E_pre, variant.disentanglement)
     report.auc = auc_tags(scores, test_ds.labels)
 
     by_notion, track_triplets = eval_triplets
+    if variant.disentanglement:
+        units["sub"] = unit_blocks(E_pre, test_ds.space.block_size)
     accs = {}
-    for mode in ("full", "sub") if variant.disentanglement else ("full",):
-        per_notion = [triplet_accuracy(E_pre, t, mode=mode) for t in by_notion.values()]
+    for mode, U in units.items():
+        per_notion = [triplet_accuracy(U, t, mode=mode, normalized=True)
+                      for t in by_notion.values()]
         accs.update({f"{mode}/{k}": v for k, v in zip(by_notion, per_notion)})
         accs[f"{mode}/overall"] = float(np.mean(per_notion))
-    accs["full/track"] = triplet_accuracy(E_pre, track_triplets, mode="full")
+    accs["full/track"] = triplet_accuracy(units["full"], track_triplets,
+                                          mode="full", normalized=True)
     report.triplet_accuracy = accs
     return report
 

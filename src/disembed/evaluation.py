@@ -23,8 +23,10 @@ log = logging.getLogger(__name__)
 
 # rows of the similarity matrix ranked at once by retrieval_recall, and the
 # most columns per group whose maxima set a row's candidate threshold
-_RECALL_BLOCK = 256
+_RECALL_BLOCK = 128
 _RECALL_GROUP = 32
+# triplets gathered at once by triplet_accuracy
+_TRIPLET_CHUNK = 512
 
 
 def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
@@ -36,10 +38,12 @@ def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
     retrieves itself.  Zero-label queries are excluded from the average
     (logged); a ValueError is raised when no query has a label.
 
-    Memory: O(``_RECALL_BLOCK`` x n), never n x n: the float64 similarities
-    of one block of ``_RECALL_BLOCK`` query rows at a time, a boolean mask
-    of the same shape and index arrays over the block's candidates, plus
-    n x kmax neighbour indices.
+    Memory: O(``_RECALL_BLOCK`` x n), never n x n, however many
+    similarities tie: the float64 similarities of one block of
+    ``_RECALL_BLOCK`` query rows at a time, boolean masks of the same shape
+    and index arrays over the block's candidates, at most
+    max(kmax, (kmax - 1) c) per row (``_top_neighbors``), plus n x kmax
+    neighbour indices.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(E).all():
@@ -70,11 +74,14 @@ def _top_neighbors(E: np.ndarray, kmax: int) -> np.ndarray:
     ``E[block] @ E.T``, so each query is ranked by its own row of one block
     GEMM, and exact ties are broken by index.  Per row, the columns are cut
     into groups of ``c`` and the kmax-th largest group maximum is taken as a
-    threshold; it is at most the kmax-th largest similarity, so every
-    column at or above it is a candidate and the candidates hold the row's
-    top kmax with all their ties.  They are sorted by (row, -similarity,
-    index) and the first kmax kept.  With at least 4 kmax groups a row
-    keeps few candidates unless many of its similarities are equal.
+    threshold; it is at most the kmax-th largest similarity, so the columns
+    at or above it hold the row's top kmax.  At most kmax - 1 groups lie
+    above the threshold, so at most (kmax - 1) c columns do; of the columns
+    equal to it a row needs only the first kmax - above by index, and a row
+    with more candidates than max(kmax, (kmax - 1) c) drops the rest.  The
+    candidates are sorted by (row, -similarity, index) and the first kmax
+    kept.  With at least 4 kmax groups a row keeps few candidates, and never
+    more than that bound, however many of its similarities are equal.
     """
     n = len(E)
     top = np.empty((n, kmax), dtype=np.intp)
@@ -107,7 +114,18 @@ def _block_top(S: np.ndarray, start: int, kmax: int, c: int) -> np.ndarray:
         G = np.concatenate([G, S[:, c * m:]], axis=1)
     w = G.shape[1]
     threshold = np.partition(G, w - kmax, axis=1)[:, w - kmax, None]
-    flat = np.flatnonzero(S >= threshold)
+    keep = S >= threshold
+    # a row with more candidates than the bound keeps, of its columns equal
+    # to the threshold, only the first kmax - above by index: its top kmax
+    # when above < kmax, and none otherwise
+    count = np.count_nonzero(keep, axis=1)
+    over = np.flatnonzero(count > max(kmax, (kmax - 1) * c))
+    if len(over):
+        tied = (S == threshold)[over]
+        short = kmax - count[over] + np.count_nonzero(tied, axis=1)
+        rank = np.cumsum(tied, axis=1, dtype=np.min_scalar_type(n))
+        keep[over] ^= tied & (rank > short[:, None])
+    flat = np.flatnonzero(keep)
     rows, cols = np.divmod(flat, n)
     order = np.lexsort((cols, -S.ravel()[flat], rows))
     rows, cols = rows[order], cols[order]
@@ -201,7 +219,19 @@ def auc_tags(score_matrix, label_matrix) -> float:
     return float(np.mean(aucs))
 
 
-def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full") -> float:
+def unit_blocks(embeddings, width: int) -> np.ndarray:
+    """The rows of ``embeddings`` cut into ``width``-wide blocks, each block
+    normalized by ``autodiff.l2_rows``, as ``triplet_accuracy`` compares them:
+    the row's width for mode "full", ``space.block_size`` for mode "sub"."""
+    E = np.asarray(embeddings, dtype=np.float64)
+    if E.shape[1] % width:
+        raise ValueError(f"{E.shape[1]}-wide rows do not split into "
+                         f"{width}-wide blocks")
+    return ad.l2_rows(E.reshape(-1, width))[0].reshape(E.shape)
+
+
+def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full",
+                     *, normalized: bool = False) -> float:
     """Fraction of triplets with cos(anchor, positive) > cos(anchor, negative);
     ties count as incorrect.
 
@@ -210,7 +240,10 @@ def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full") -> 
     rows normalized by ``autodiff.l2_rows``; mode="sub" normalizes and compares
     each tag triplet's notion block alone, with the blocks and the notion
     indices of ``triplets.space``, whose ``embedding_dim`` must be the rows'
-    width.  Memory: the normalized rows and three len(triplets) x width arrays.
+    width.  ``normalized=True`` says ``embeddings`` already are
+    ``unit_blocks`` of the rows for ``mode``, so a caller scoring several
+    batches normalizes once.  Memory: the normalized rows and three
+    ``_TRIPLET_CHUNK`` x width arrays.
     """
     if mode not in ("full", "sub"):
         raise ValueError(f"unknown space mode: {mode!r}")
@@ -218,20 +251,24 @@ def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full") -> 
         raise ValueError("no triplets to evaluate")
     E = np.asarray(embeddings, dtype=np.float64)
     n, width = E.shape
-    space, block = triplets.space, 0
+    space = triplets.space
     if mode == "sub":
         if triplets.notion is None:
             raise ConfigurationError("track triplets carry no notion")
         if width != space.embedding_dim:
             raise ValueError(f"sub mode needs {space.embedding_dim}-wide "
                              f"embeddings, got {width}")
-        width, block = space.block_size, triplets.notion
-    U = ad.l2_rows(E.reshape(-1, width))[0].reshape(n, -1, width)
-    A, P, N = (U[rows, block]
-               for rows in (triplets.anchor, triplets.positive, triplets.negative))
-    cp = np.multiply(P, A, out=P).sum(axis=1)
-    cn = np.multiply(N, A, out=N).sum(axis=1)
-    return int(np.count_nonzero(cp > cn)) / len(triplets)
+        width = space.block_size
+    U = (E if normalized else unit_blocks(E, width)).reshape(n, -1, width)
+    correct = 0
+    for start in range(0, len(triplets), _TRIPLET_CHUNK):
+        t = triplets[start:start + _TRIPLET_CHUNK]
+        block = 0 if mode == "full" else t.notion
+        A, P, N = (U[rows, block] for rows in (t.anchor, t.positive, t.negative))
+        cp = np.multiply(P, A, out=P).sum(axis=1)
+        cn = np.multiply(N, A, out=N).sum(axis=1)
+        correct += int(np.count_nonzero(cp > cn))
+    return correct / len(triplets)
 
 
 def training_time_ratio(timings: dict) -> dict:

@@ -42,6 +42,8 @@ from .labelspace import LabelSpace
 
 # the centroid bank's parameter name next to the net's W{i}, b{i} and H
 BANK_PARAM = "C"
+# rows per full_embedding call when a whole split is embedded (forward_rows)
+_FORWARD_CHUNK = 256
 
 
 @dataclass
@@ -184,10 +186,30 @@ def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None
         )
 
 
+def forward_rows(net: EmbeddingNet, x) -> np.ndarray:
+    """``net.full_embedding`` of every row of the 2-D ``x``, called on chunks
+    of ``_FORWARD_CHUNK`` rows, so no layer's output for all of ``x`` is held
+    at once; the rows equal one call's bit for bit.  No chunk has one row
+    unless ``x`` has: numpy computes a 1-row product as a matrix-vector
+    product, which rounds differently, so a 1-row tail joins the chunk
+    before it.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    starts = list(range(0, len(x), _FORWARD_CHUNK))
+    if len(starts) > 1 and len(x) - starts[-1] == 1:
+        starts.pop()
+    if len(starts) <= 1:
+        return net.full_embedding(x)[0]
+    F = np.empty((len(x), net.config.embedding_dim))
+    for start, stop in zip(starts, [*starts[1:], len(x)]):
+        F[start:stop] = net.full_embedding(x[start:stop])[0]
+    return F
+
+
 def embed(net: EmbeddingNet, x) -> np.ndarray:
     """Forward pass; L2-normalized iff the net was configured to normalize."""
     x = np.asarray(x, dtype=np.float64)
-    E = net.full_embedding(np.atleast_2d(x))[0]
+    E = forward_rows(net, np.atleast_2d(x))
     if net.config.normalize_output:
         E = ad.l2_rows(E)[0]
     return E[0] if x.ndim == 1 else E
@@ -271,8 +293,16 @@ def class_scores(
 ) -> np.ndarray:
     """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    S = score_blocks(net, bank, x, disentangled)[0]
+    S = row_scores(net, bank, forward_rows(net, np.atleast_2d(x)), disentangled)
     return S[0] if x.ndim == 1 else S
+
+
+def row_scores(net: EmbeddingNet, bank: CentroidBank, F: np.ndarray,
+               disentangled: bool) -> np.ndarray:
+    """``class_scores`` of the items whose pre-normalization embeddings, the
+    rows of ``net.full_embedding``, are the rows of ``F``."""
+    return _score_node(F, bank.weights.values, net.config.normalize_output,
+                       disentangled, net.space)[0]
 
 
 # ---------------------------------------------------------------------------

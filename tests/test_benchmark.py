@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from disembed import benchmark, trainer
+from disembed import model as model_module
 from disembed.autodiff import grad, packed
 from disembed.config import ExperimentConfig, default_label_space
 from disembed.data import SyntheticSpec
 from disembed.errors import TrainingDivergedError
-from disembed.evaluation import EvalReport, strip_timing
+from disembed.evaluation import EvalReport, auc_tags, strip_timing
 from disembed.losses import bce_sum
-from disembed.model import score_blocks
+from disembed.model import EmbeddingNet, class_scores, score_blocks
 from disembed.reports import render_table1
 from disembed.trainer import VariantConfig, build_model, paper_variants
 
@@ -209,3 +210,40 @@ def test_shared_pair_reads_equal_training_time_ratios():
     names = [v.name for v in variants]
     proxy, twin = names.index("proxy+norm"), names.index("classification+norm")
     assert ratios[proxy] == ratios[twin]
+
+
+VARIANTS = paper_variants(hidden=(32, 32), seed=13)
+# the first variant of each computation: the ones run_benchmark evaluates
+DISTINCT = [v for i, v in enumerate(VARIANTS)
+            if v.computation_key() not in
+            {u.computation_key() for u in VARIANTS[:i]}]
+
+
+@pytest.mark.parametrize("variant", DISTINCT, ids=lambda v: v.name)
+def test_evaluate_model_forwards_each_row_once(monkeypatch, variant):
+    # one chunked forward of the test split per model (and of the training
+    # split for the triplet prototypes), none of a single row; the tag
+    # scores come from those rows, equal to class_scores' bit for bit
+    monkeypatch.setattr(model_module, "_FORWARD_CHUNK", 16)
+    config = small_config(variant)
+    train_ds, _, test_ds = benchmark.load_or_generate(config)
+    trained = build_model(variant, config.space, train_ds.feature_dim)
+    eval_triplets = benchmark.sample_eval_triplets(
+        test_ds, config.triplets_per_notion, config.seed)
+    chunks, forward = [], EmbeddingNet.full_embedding
+
+    def recording_forward(net, x):
+        chunks.append(len(x))
+        return forward(net, x)
+
+    monkeypatch.setattr(EmbeddingNet, "full_embedding", recording_forward)
+    report = benchmark.evaluate_model(trained, train_ds, test_ds,
+                                      config.eval_ks, eval_triplets)
+    rows = len(test_ds) + (len(train_ds) if variant.family == "triplet" else 0)
+    assert len(test_ds) > 2 * 16
+    assert sum(chunks) == rows
+    assert min(chunks) > 1 and max(chunks) <= 17
+    if variant.family != "triplet":
+        scores = class_scores(trained.net, trained.bank, test_ds.features,
+                              variant.disentanglement)
+        assert report.auc == auc_tags(scores, test_ds.labels)

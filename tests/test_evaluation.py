@@ -22,6 +22,7 @@ from disembed.evaluation import (
     strip_timing,
     training_time_ratio,
     triplet_accuracy,
+    unit_blocks,
 )
 from disembed.labelspace import LabelSpace
 from disembed.sampling import Triplet, TripletBatch
@@ -255,6 +256,51 @@ def test_retrieval_recall_memory_is_blocks_not_n_squared(rng):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n**2 / 4
+
+
+def all_tied_embeddings(kind, n):
+    """Rows whose cosines are all exact: every row equal, every row zero, or
+    rows alternating between two orthogonal directions at scales 1 and 4."""
+    if kind == "identical":
+        return np.ones((n, 5))
+    if kind == "zero":
+        return np.zeros((n, 5))
+    E = np.zeros((n, 5))
+    E[::2, 0] = 1.0
+    E[1::2, 3] = 4.0
+    return E
+
+
+@pytest.mark.parametrize("ks", [(1, 2), (1, 4, 8)], ids=["groups", "columns"])
+@pytest.mark.parametrize("kind", ["identical", "zero", "two-directions"])
+def test_retrieval_recall_exact_on_all_tied_rows(kind, ks, monkeypatch):
+    # every candidate of a row ties with many others: the row keeps only
+    # the first of its tied columns by index, across three blocks and a
+    # 1-row last block; with kmax = 2 columns are grouped, with 8 not
+    monkeypatch.setattr(evaluation, "_RECALL_BLOCK", 16)
+    n = 3 * 16 + 1
+    E = all_tied_embeddings(kind, n)
+    L = (np.random.default_rng(3).random((n, 6)) < 0.3).astype(float)
+    L[L.sum(axis=1) == 0, 0] = 1.0
+    got = retrieval_recall(E, L, ks)
+    assert got == {k: brute_recall(E, L, k) for k in ks}
+
+
+@pytest.mark.parametrize("kind", ["identical", "zero", "two-directions"])
+def test_retrieval_recall_memory_on_all_tied_rows_is_a_few_blocks(kind):
+    # a row of ties keeps at most max(kmax, (kmax - 1) c) candidates, so the
+    # peak stays within three float64 similarity blocks however many of a
+    # row's similarities are equal; sorting every tied column took seven
+    n = 3000
+    E = all_tied_embeddings(kind, n)
+    L = np.random.default_rng(4).random((n, 20)) < 0.2
+    tracemalloc.start()
+    try:
+        retrieval_recall(E, L, (1, 2, 4, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * evaluation._RECALL_BLOCK * n
 
 
 # --- AUC -------------------------------------------------------------------
@@ -502,6 +548,34 @@ def test_triplet_batch_scores_like_its_records(seed, small_space):
         loop_triplet_accuracy(E, records, "sub", small_space)
     tracks = TripletBatch(*rows, None, None, small_space)
     assert triplet_accuracy(E, tracks) == loop_triplet_accuracy(E, records)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_triplet_accuracy_of_unit_blocks_in_chunks_equals_loop(
+        chunk, small_space, monkeypatch):
+    # rows normalized once per mode by unit_blocks and passed with
+    # normalized=True score as the raw rows do; the triplets are gathered a
+    # chunk at a time, the last chunk partial
+    if chunk is not None:
+        monkeypatch.setattr(evaluation, "_TRIPLET_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    n = 40
+    E = near_tied_embeddings(rng, n)
+    triplets = make_triplets(300, np.arange(n), rng, "color", small_space)
+    triplets += make_triplets(301, np.arange(n), rng, "shape", small_space)
+    rng.shuffle(triplets)
+    batch = as_batch(triplets, small_space)
+    for mode, width in (("full", 8), ("sub", small_space.block_size)):
+        expect = loop_triplet_accuracy(E, triplets, mode, small_space)
+        assert 0.0 < expect < 1.0
+        assert triplet_accuracy(E, batch, mode=mode) == expect
+        U = unit_blocks(E, width)
+        assert triplet_accuracy(U, batch, mode=mode, normalized=True) == expect
+
+
+def test_unit_blocks_rejects_a_width_that_does_not_divide_the_rows():
+    with pytest.raises(ValueError, match="blocks"):
+        unit_blocks(np.ones((3, 8)), 3)
 
 
 def test_sub_mode_reads_notions_in_the_batch_space(small_space):

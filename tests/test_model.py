@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from disembed import model
 from disembed.autodiff import NORM_EPS, grad, packed
+from disembed.config import default_label_space
 from disembed.errors import ConfigurationError
 from disembed.losses import LOG_FLOOR, bce_sum
 from disembed.model import (
@@ -15,6 +17,7 @@ from disembed.model import (
     NetConfig,
     class_scores,
     embed,
+    forward_rows,
     init_params,
     load_params,
     masked_embed,
@@ -110,6 +113,38 @@ def test_embed_rejects_wrong_width(small_space):
         for disentangled in (False, True):
             with pytest.raises(ConfigurationError, match="input width"):
                 class_scores(net, bank, x, disentangled)
+
+
+CHUNK = model._FORWARD_CHUNK
+
+
+@pytest.mark.parametrize("n", [3 * CHUNK + 1, CHUNK + 1, CHUNK, CHUNK - 1, 2],
+                         ids=["chunks-and-one", "chunk-and-one", "chunk",
+                              "below-chunk", "two"])
+def test_forward_rows_equals_one_forward_bit_for_bit(monkeypatch, n):
+    # the paper's widths, where numpy multiplies by BLAS: chunks of rows give
+    # the rows of one full_embedding call exactly; a 1-row tail would be a
+    # matrix-vector product, so it joins the chunk before it
+    space = default_label_space()
+    net = EmbeddingNet(NetConfig(input_dim=64, embedding_dim=space.embedding_dim),
+                       space)
+    init_params(net, CentroidBank(space), 5)
+    X = np.random.default_rng(n).normal(size=(n, 64))
+    whole = net.full_embedding(X)[0]
+    chunks, forward = [], EmbeddingNet.full_embedding
+
+    def recording_forward(net, x):
+        chunks.append(len(x))
+        return forward(net, x)
+
+    monkeypatch.setattr(EmbeddingNet, "full_embedding", recording_forward)
+    got = forward_rows(net, X)
+    assert got.tobytes() == whole.tobytes()
+    assert sum(chunks) == n
+    assert min(chunks) > 1 and max(chunks) <= CHUNK + 1
+    if n > CHUNK:
+        assert len(chunks) == n // CHUNK
+    assert embed(net, X).tobytes() == whole.tobytes()
 
 
 def test_embed_zero_weights_is_guarded(small_space, caplog):
