@@ -93,6 +93,11 @@ class VariantConfig:
             )
         if self.margin < 0 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigurationError("bad margin / lr / batch size")
+        for key in ("margin", "lr", "track_reg_weight"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(f"{key} must be finite")
+        if self.track_reg_weight < 0:
+            raise ConfigurationError("track_reg_weight must be >= 0")
         if self.max_epochs < 0:
             raise ConfigurationError("max_epochs must be >= 0")
         self.hidden = tuple(self.hidden)
@@ -395,16 +400,21 @@ def save_curves(path, curves) -> None:
 # model bundle persistence: <prefix>.params (binary) + <prefix>.json (config)
 
 
+def _net_meta(net: EmbeddingNet) -> dict:
+    c = net.config
+    return {
+        "input_dim": c.input_dim,
+        "embedding_dim": c.embedding_dim,
+        "hidden": list(c.hidden),
+        "normalize_output": c.normalize_output,
+    }
+
+
 def save_model(prefix, model: TrainedModel) -> None:
     save_params(f"{prefix}.params", _all_params(model))
     meta = {
         "variant": model.variant.to_dict(),
-        "net": {
-            "input_dim": model.net.config.input_dim,
-            "embedding_dim": model.net.config.embedding_dim,
-            "hidden": list(model.net.config.hidden),
-            "normalize_output": model.net.config.normalize_output,
-        },
+        "net": _net_meta(model.net),
         "space": model.space.to_dict(),
     }
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
@@ -412,9 +422,11 @@ def save_model(prefix, model: TrainedModel) -> None:
 
 
 def load_model(prefix) -> TrainedModel:
-    """The bundle ``save_model`` wrote at ``prefix``.  Invalid JSON, a missing
-    or unknown key and a malformed or mismatched ``.params`` file raise
-    ConfigurationError naming the file."""
+    """The bundle ``save_model`` wrote at ``prefix``.  The model is built from
+    its variant, as ``train`` builds it; invalid JSON, a missing or unknown
+    key, a ``net`` block that differs from the variant's net and a malformed
+    or mismatched ``.params`` file raise ConfigurationError naming the
+    file."""
     path = f"{prefix}.json"
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -424,15 +436,23 @@ def load_model(prefix) -> TrainedModel:
     try:
         space = LabelSpace.from_dict(meta["space"])
         variant = VariantConfig.from_dict(meta["variant"])
-        netmeta = dict(meta["net"])
-        netmeta["hidden"] = tuple(netmeta["hidden"])
-        net = EmbeddingNet(NetConfig(**netmeta), space)
+        saved = dict(meta["net"])
+        model = build_model(variant, space, saved["input_dim"])
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from exc
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    bank = None if variant.family == "triplet" else CentroidBank(space)
-    model = TrainedModel(net, bank, variant, space)
+    built = _net_meta(model.net)
+    for key in sorted(saved.keys() | built.keys()):
+        if key not in built:
+            raise ConfigurationError(f"{path}: unknown net key {key!r}")
+        if key not in saved:
+            raise ConfigurationError(f"{path}: missing net key {key!r}")
+        if saved[key] != built[key]:
+            raise ConfigurationError(
+                f"{path}: net key {key!r} is {saved[key]!r}, but variant "
+                f"{variant.name} builds {built[key]!r}"
+            )
     values = load_params(f"{prefix}.params")
     params = _all_params(model)
     extra = sorted(set(values) - set(params))

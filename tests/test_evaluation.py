@@ -15,7 +15,6 @@ from disembed import evaluation
 from disembed.errors import ConfigurationError
 from disembed.evaluation import (
     EvalReport,
-    auc_rank,
     auc_tags,
     build_prototypes,
     retrieval_recall,
@@ -306,18 +305,27 @@ def test_retrieval_recall_memory_on_all_tied_rows_is_a_few_blocks(kind):
 # --- AUC -------------------------------------------------------------------
 
 
+def one_tag_auc(pos, neg):
+    """``auc_tags`` of one tag column: the positives' scores, then the
+    negatives'."""
+    S = np.concatenate([np.asarray(pos, dtype=float),
+                        np.asarray(neg, dtype=float)])[:, None]
+    L = (np.arange(len(S)) < len(pos))[:, None]
+    return auc_tags(S, L)
+
+
 def test_auc_hand_case_with_tie():
     # 2 pos, 4 neg; one tie between a positive and a negative
     pos = [0.9, 0.5]
     neg = [0.1, 0.2, 0.5, 0.3]
     # pairs: 0.9 beats all 4; 0.5 beats 3 with one tie -> (4 + 3.5)/8
-    assert auc_rank(pos, neg) == pytest.approx(7.5 / 8)
-    assert auc_rank(pos, neg) == pytest.approx(brute_auc(pos, neg))
+    assert one_tag_auc(pos, neg) == pytest.approx(7.5 / 8)
+    assert one_tag_auc(pos, neg) == pytest.approx(brute_auc(pos, neg))
 
 
 def test_auc_perfect_and_inverted():
-    assert auc_rank([0.9, 0.8], [0.1, 0.2]) == pytest.approx(1.0)
-    assert auc_rank([0.1, 0.2], [0.9, 0.8]) == pytest.approx(0.0)
+    assert one_tag_auc([0.9, 0.8], [0.1, 0.2]) == pytest.approx(1.0)
+    assert one_tag_auc([0.1, 0.2], [0.9, 0.8]) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -326,12 +334,13 @@ def test_auc_matches_pair_counting(seed):
     # quantized scores force plenty of ties
     pos = np.round(rng.random(rng.integers(1, 15)), 1)
     neg = np.round(rng.random(rng.integers(1, 15)), 1)
-    assert auc_rank(pos, neg) == pytest.approx(brute_auc(pos, neg), abs=1e-12)
+    assert one_tag_auc(pos, neg) == pytest.approx(brute_auc(pos, neg),
+                                                  abs=1e-12)
 
 
 def test_auc_requires_both_classes():
     with pytest.raises(ValueError):
-        auc_rank([], [0.5])
+        one_tag_auc([], [0.5])
 
 
 def test_auc_tags_macro_average_and_skipping(rng):
@@ -374,15 +383,33 @@ def test_auc_is_bit_identical_to_rankdata(seed):
     for t in range(1, T):
         pos, neg = S[L[:, t], t], S[~L[:, t], t]
         if len(pos) and len(neg):
-            assert auc_rank(pos, neg) == rankdata_auc(pos, neg)
+            assert one_tag_auc(pos, neg) == rankdata_auc(pos, neg)
+
+
+def test_auc_tags_memory_is_below_two_score_matrices():
+    # one tag column is sorted at a time; ranking the whole matrix at once
+    # held about eight (n, tags) arrays
+    rng = np.random.default_rng(np.random.SeedSequence([5, 71]))
+    n, T = 3900, 22
+    S = tie_heavy_scores(rng, (n, T))
+    L = rng.random((n, T)) < 0.1
+    expected = rankdata_auc_tags(S, L)
+    tracemalloc.start()
+    try:
+        got = auc_tags(S, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 2 * S.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_auc_rejects_non_finite_scores(bad):
     with pytest.raises(ValueError, match="finite"):
-        auc_rank([0.9, bad], [0.1])
+        one_tag_auc([0.9, bad], [0.1])
     with pytest.raises(ValueError, match="finite"):
-        auc_rank([0.9], [bad, 0.1])
+        one_tag_auc([0.9], [bad, 0.1])
     S = np.random.default_rng(0).random((6, 3))
     L = np.arange(18).reshape(6, 3) % 2
     S[4, 1] = bad

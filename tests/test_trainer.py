@@ -86,6 +86,15 @@ def test_the_eight_paper_variants():
         dict(family="proxy", hidden=(128, 0)),
         dict(family="classification", hidden=(-3,)),
         dict(family="classification", hidden=("8",)),
+        # a negative weight maximizes the track hinge; a non-finite margin,
+        # rate or weight only surfaced as a diverged epoch
+        dict(family="triplet", disentanglement=True, track_reg=True,
+             track_reg_weight=-1.0),
+        dict(family="triplet", disentanglement=True, track_reg=True,
+             track_reg_weight=float("nan")),
+        dict(family="triplet", margin=float("nan")),
+        dict(family="triplet", lr=float("nan")),
+        dict(family="proxy", lr=float("inf")),
     ],
 )
 def test_illegal_variants_rejected(kw):
@@ -424,6 +433,10 @@ BUNDLE_FAULTS = {
     "zero_hidden_width": lambda meta: meta["net"].update(hidden=[16, 0]),
     "missing_variant": lambda meta: meta.pop("variant"),
     "illegal_variant": lambda meta: meta["variant"].update(family="knn"),
+    # a net block that contradicts the variant it was saved with
+    "net_not_normalized": lambda meta: meta["net"].update(
+        normalize_output=False),
+    "variant_hidden_differs": lambda meta: meta["variant"].update(hidden=[7]),
     "invalid_json": None,
 }
 
