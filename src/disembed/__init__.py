@@ -23,7 +23,6 @@ from .model import (
     class_scores,
     embed,
     init_params,
-    masked_embed,
 )
 from .sampling import Triplet, TripletBatch, TripletSampler, batch_iterator
 from .evaluation import (

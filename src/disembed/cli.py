@@ -23,7 +23,7 @@ from .benchmark import (
 from .config import ExperimentConfig, default_config
 from .data import save_dataset
 from .errors import ConfigurationError, DisembedError
-from .model import embed, masked_embed
+from .model import embed, forward_rows
 from .reports import render_table1, render_table2, render_table3
 from .trainer import load_model, save_curves, save_model, train
 
@@ -137,8 +137,8 @@ def cmd_export_embeddings(args) -> int:
     if space_arg == "full":
         E = np.atleast_2d(embed(model.net, dataset.features))
     else:
-        E = np.atleast_2d(masked_embed(model.net, dataset.features, space_arg))
-        E = E[:, model.space.block_slice(space_arg)]
+        block = model.space.block_slice(space_arg)
+        E = forward_rows(model.net, np.atleast_2d(dataset.features))[:, block]
     out_path = args.out or "embeddings.tsv"
     with open(out_path, "w", encoding="utf-8") as fh:
         for item_id, track_id, row in zip(dataset.ids, dataset.track_ids, E):

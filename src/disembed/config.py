@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 
 from .data import SyntheticSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_float, as_int
 from .labelspace import LabelSpace
 from .trainer import VariantConfig, paper_variants
 
@@ -109,8 +108,8 @@ class ExperimentConfig:
             space = LabelSpace.from_dict(d["label_space"])
         except KeyError as exc:
             raise ConfigurationError("config is missing 'label_space'") from exc
-        d = _converted(d, "", {"seed": _int, "eval_ks": _ints,
-                               "triplets_per_notion": _int,
+        d = _converted(d, "", {"seed": as_int, "eval_ks": _ints,
+                               "triplets_per_notion": as_int,
                                "fractions": _floats})
         seed = d.get("seed", 0)
         synthetic = None
@@ -164,30 +163,18 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
 
-def _int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise TypeError(f"expected an integer, got {v!r}")
-    return int(v)
-
-
-def _float(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise TypeError(f"expected a number, got {v!r}")
-    return float(v)
-
-
 def _ints(v) -> tuple:
-    return tuple(map(_int, v))
+    return tuple(map(as_int, v))
 
 
 def _floats(v) -> tuple:
-    return tuple(map(_float, v))
+    return tuple(map(as_float, v))
 
 
 SYNTHETIC_TYPES = {
-    "feature_dim": _int, "tracks": _int, "excerpts_per_track": _int,
-    "tags_per_notion_range": _ints, "sigma_within": _float,
-    "sigma_excerpt": _float, "seed": _int,
+    "feature_dim": as_int, "tracks": as_int, "excerpts_per_track": as_int,
+    "tags_per_notion_range": _ints, "sigma_within": as_float,
+    "sigma_excerpt": as_float, "seed": as_int,
 }
 
 

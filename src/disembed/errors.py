@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the type rules of configuration values, shared
+across the package."""
+
+import numbers
 
 
 class DisembedError(Exception):
@@ -19,3 +22,17 @@ class TrainingDivergedError(DisembedError):
     def __init__(self, message, epoch=None):
         super().__init__(message)
         self.epoch = epoch
+
+
+def as_int(v) -> int:
+    """``v`` as an int; a bool or a non-integral value raises TypeError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def as_float(v) -> float:
+    """``v`` as a float; a bool or a non-real value raises TypeError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)

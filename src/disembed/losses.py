@@ -1,14 +1,16 @@
 """Batch losses for the three learning families.
 
-Every loss takes one row per sample: ``triplet_batch_loss`` for the triplet
-family (masked per notion when disentangled; track regularization adds a
-second, unmasked call) and ``bce_sum`` for the proxy and classification
-families, whose scores differ only in how they were produced.  Similarity is
-cosine over guarded row L2 normalization.  Each loss returns its value and a
-``backward`` closure with a hand-written gradient.  The triplet backward
-returns rows only for the triplets whose hinge is positive, since the others
-have an exactly zero gradient; the trainer back-propagates those rows alone,
-through one net backward per step.
+``triplet_batch_loss`` is the triplet family's whole step: one call takes
+the rows of the tag batch (masked per notion when disentangled) and, with
+track regularization, of the unmasked track batch, normalizes them at once
+and weights each batch's mean hinge.  ``bce_sum`` serves the proxy and
+classification families, whose scores differ only in how they were produced.
+Similarity is cosine over guarded row L2 normalization.  Each loss returns
+its value and a ``backward`` closure with a hand-written gradient.  The
+triplet backward runs one normalization backward and returns rows only for
+the triplets whose hinge is positive, since the others have an exactly zero
+gradient; the trainer back-propagates those rows alone, through one net
+backward per step.
 """
 
 from __future__ import annotations
@@ -45,51 +47,57 @@ def bce_sum(scores, y):
     return -total, backward
 
 
-def triplet_batch_loss(EA, EP, EN, margin: float, masks=None):
-    """Mean over rows of max(0, cos(a, n) - cos(a, p) + margin).
+def triplet_batch_loss(E, margin: float, masks=None, weights=(1.0,)):
+    """The triplet hinge of one training step: the sum over its k batches of
+    ``weight`` times the batch's mean of max(0, cos(a, n) - cos(a, p) +
+    margin).
 
-    EA, EP and EN are (B, d) with B >= 1; ``masks`` (B, d), if given,
-    multiplies each row by its 0/1 notion mask first.  Any other shape raises
-    ValueError.  A zero row does not raise: guarded normalization maps it to
-    zero cosine, which keeps training total.  Returns the loss and
-    ``backward(g)``, the gradients of ``g`` times the loss with respect to
-    EA, EP and EN at the active triplets only, as ``(rows, gA, gP, gN)``:
-    ``rows`` indexes the triplets whose hinge is positive, and gA, gP and gN
-    hold one row per index.  A triplet with ``z <= 0`` has an exactly zero
-    gradient, so it has no row.
+    E is (3 * k * B, d) with B >= 1, k = len(weights): per batch, its B
+    negative, anchor and positive rows in turn.  ``masks`` (B, d), if given,
+    multiplies the rows of the first (tag) batch by their triplet's 0/1
+    notion mask first.  Any other shape raises ValueError.  A zero row does
+    not raise: guarded normalization maps it to zero cosine, which keeps
+    training total.  Returns the loss and ``backward()``, the gradient of
+    the loss with respect to E at the rows of the active triplets only, as
+    ``(rows, gE)``: ``rows`` indexes E in ascending order, so batch by batch
+    and N, A, P within a batch, and gE holds one row per index.  A triplet
+    with ``z <= 0`` has an exactly zero gradient, so its rows are absent.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
-    EA, EP, EN = (np.asarray(E, dtype=np.float64) for E in (EA, EP, EN))
-    shape = EA.shape
-    if len(shape) != 2 or shape[0] < 1 or EP.shape != shape or EN.shape != shape:
-        raise ValueError(
-            f"triplet rows must share one (B, d) shape with B >= 1, got "
-            f"{EA.shape}, {EP.shape}, {EN.shape}"
-        )
-    M = None
+    E, w = np.asarray(E, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    k = w.size
+    if w.shape != (k,) or k < 1 or E.ndim != 2 or len(E) < 1 or len(E) % (3 * k):
+        raise ValueError(f"triplet rows must be (3 * k * B, d) with B >= 1 for "
+                         f"k = len(weights) >= 1, got {E.shape} and {w.shape}")
+    B, width = len(E) // (3 * k), E.shape[1]
     if masks is not None:
         M = np.asarray(masks, dtype=np.float64)
-        if M.shape != shape:
-            raise ValueError(f"masks shape {M.shape} != rows shape {shape}")
-    normed = [ad.l2_rows(E if M is None else E * M) for E in (EA, EP, EN)]
-    (uA, _, _), (uP, _, _), (uN, _, _) = normed
-    z = (uA * uN).sum(axis=1) - (uA * uP).sum(axis=1) + margin
+        if M.shape != (B, width):
+            raise ValueError(f"masks shape {M.shape} != ({B}, {width})")
+        E = E.copy()
+        E.reshape(k, 3, B, width)[0] *= M
+    u, norms, divs = ad.l2_rows(E)
+    uN, uA, uP = u.reshape(k, 3, B, width).transpose(1, 0, 2, 3)
+    z = (uA * uN).sum(axis=2) - (uA * uP).sum(axis=2) + margin
 
-    def backward(g):
-        # the hinge, then the two cosines: d/dcos(a, n) = gz, d/dcos(a, p) = -gz.
-        # Each formula is row-local, so an active row gets its dense value;
-        # a coordinate outside the mask is zero in a, p and n, and so in gA, gP, gN
-        rows = np.flatnonzero(z > 0.0)
-        (a, nA, dA), (p, nP, dP), (n, nN, dN) = (
-            [v[rows] for v in triple] for triple in normed
-        )
-        gz = np.full((rows.size, 1), g / shape[0])
-        gp = -gz
-        gA = (ad.l2_rows_backward(a, nA, dA, gz * n)
-              + ad.l2_rows_backward(a, nA, dA, gp * p))
-        gP = ad.l2_rows_backward(p, nP, dP, gp * a)
-        gN = ad.l2_rows_backward(n, nN, dN, gz * a)
-        return rows, gA, gP, gN
+    def backward():
+        # with gz the batch's weight over B, the normalized rows get the
+        # gradients gz * a (n), -gz * a (p) and gz * n, then -gz * p (a).
+        # The normalization backward is row-local, so one call over the
+        # active rows, followed by their anchors once more, gives each row its
+        # dense value, and an anchor's two terms are added in that order; a
+        # coordinate outside the mask is zero in a, p and n, and so in gE
+        rows = np.flatnonzero(np.repeat(z > 0.0, 3, axis=0))
+        role = rows // B % 3                              # 0 N, 1 A, 2 P
+        anchors = rows[role == 1]
+        partners = np.concatenate([rows + np.where(role == 0, B, -B), anchors + B])
+        gz = (w[rows // (3 * B)] / B)[:, None]
+        gz = np.concatenate([np.where(role[:, None] == 2, -gz, gz), -gz[role == 1]])
+        idx = np.concatenate([rows, anchors])
+        g = ad.l2_rows_backward(u[idx], norms[idx], divs[idx], gz * u[partners])
+        gE = g[:rows.size].copy()  # so the net backward holds no second block
+        gE[role == 1] += g[rows.size:]
+        return rows, gE
 
-    return np.maximum(z, 0.0).mean(), backward
+    return (w * np.maximum(z, 0.0).mean(axis=1)).sum(), backward

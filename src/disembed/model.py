@@ -215,14 +215,6 @@ def embed(net: EmbeddingNet, x) -> np.ndarray:
     return E[0] if x.ndim == 1 else E
 
 
-def masked_embed(net: EmbeddingNet, x, notion: str) -> np.ndarray:
-    """Pre-normalization embedding Hadamard-multiplied with the notion mask."""
-    mask = net.space.mask(notion)
-    x = np.asarray(x, dtype=np.float64)
-    E = net.full_embedding(np.atleast_2d(x))[0] * mask
-    return E[0] if x.ndim == 1 else E
-
-
 def score_blocks(net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool):
     """The (N, tags) sigmoid scores, tags in global order.
 

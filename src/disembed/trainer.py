@@ -2,15 +2,16 @@
 and best-validation-epoch restoration.
 
 A training step runs the family's forward, then chains the backward closures
-of its layers by hand (``_triplet_loss`` for the triplet family, ``_bce`` for
-proxy and classification) and writes the parameter gradients into one flat
-vector (``autodiff.grad``) that ``Adam.step`` reads in place.
+of its layers by hand (the net's ``full_embedding`` and
+``triplet_batch_loss`` for the triplet family, ``_bce`` for proxy and
+classification) and writes the parameter gradients into one flat vector
+(``autodiff.grad``) that ``Adam.step`` reads in place.
 
-A triplet step runs one net forward over every row of its batches and one
-net backward over the rows of the triplets past the margin only: a triplet
-whose hinge is zero has an exactly zero gradient.  Each weight gradient is
-then one sum over all of the step's active rows, tag batch first and N, A, P
-within a batch.
+A triplet step runs one net forward over every row of its batches, one
+loss call over all of them, and one net backward over the rows of the
+triplets past the margin only: a triplet whose hinge is zero has an exactly
+zero gradient.  Each weight gradient is then one sum over all of the step's
+active rows, tag batch first and N, A, P within a batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, PlateauSchedule
 from .data import Dataset
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError, as_float, as_int
 from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
 from .model import (
@@ -45,6 +46,21 @@ from .sampling import TripletBatch, batch_iterator, checked_sampler
 log = logging.getLogger(__name__)
 
 FAMILIES = ("triplet", "proxy", "classification")
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
+# the type rule of each scalar VariantConfig field; a value is checked, not
+# converted, so a config's report keeps its bytes
+_VARIANT_TYPES = {
+    "normalization": _flag, "disentanglement": _flag, "track_reg": _flag,
+    "margin": as_float, "lr": as_float, "track_reg_weight": as_float,
+    "batch_size": as_int, "max_epochs": as_int, "seed": as_int,
+}
 
 
 @dataclass
@@ -71,6 +87,11 @@ class VariantConfig:
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
+        for key, rule in _VARIANT_TYPES.items():
+            try:
+                rule(getattr(self, key))
+            except TypeError as exc:
+                raise ConfigurationError(f"variant key {key!r}: {exc}") from exc
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family: {self.family!r}")
         if self.track_reg and not (
@@ -202,49 +223,20 @@ def _all_params(model: TrainedModel) -> dict[str, ad.Param]:
     return params
 
 
-def _triplet_loss(
-    variant: VariantConfig, space: LabelSpace, embed_rows, tags, tracks
-):
-    """The triplet family's loss on one ``TripletBatch`` of tag triplets and,
-    with track regularization, one of track triplets.
-
-    ``embed_rows(idx)`` returns the embeddings of dataset rows ``idx`` and
-    their backward (``EmbeddingNet.full_embedding``); it is called once, on
-    the N, A and P rows of the tag batch followed by the track batch's.  Tag
-    triplets are masked to their notion's block when disentangled; with track
-    regularization, ``track_reg_weight`` times the unmasked loss of the track
-    triplets is added.  Returns the loss and ``backward()``, which runs one
-    net backward over the rows of the active triplets alone, each batch's N,
-    A and P rows in turn, and yields its ``(name, gradient)`` pieces for
-    ``autodiff.grad``.
-    """
+def _triplet_inputs(
+    variant: VariantConfig, space: LabelSpace, tags, tracks
+) -> tuple[np.ndarray, np.ndarray | None, list[float]]:
+    """What one triplet step passes on: the dataset rows to embed, each
+    batch's N, A and P rows in turn (the tag ``TripletBatch`` and, with
+    track regularization, the track one), then the tag triplets' notion
+    masks (None unless disentangled) and each batch's weight, 1.0 for the
+    tags and ``track_reg_weight`` for the tracks: ``triplet_batch_loss``'s
+    arguments after the embedding."""
+    batches = [tags, tracks] if variant.track_reg else [tags]
+    idx = np.concatenate([rows for batch in batches
+                          for rows in (batch.negative, batch.anchor, batch.positive)])
     masks = space.notion_block_mask[tags.notion] if variant.disentanglement else None
-    batches = [(tags, masks, 1.0)]
-    if variant.track_reg:
-        batches.append((tracks, None, variant.track_reg_weight))
-    E, net_backward = embed_rows(np.concatenate(
-        [rows for batch, _, _ in batches
-         for rows in (batch.negative, batch.anchor, batch.positive)]
-    ))
-    loss, steps, start = 0.0, [], 0
-    for batch, batch_masks, weight in batches:
-        B = len(batch)
-        EN, EA, EP = (E[start + k * B:start + (k + 1) * B] for k in range(3))
-        value, backward = triplet_batch_loss(EA, EP, EN, variant.margin,
-                                             batch_masks)
-        loss += weight * value
-        steps.append((backward, weight, start, B))
-        start += 3 * B
-
-    def backward():
-        rows, grads = [], []
-        for loss_backward, weight, start, B in steps:
-            active, gA, gP, gN = loss_backward(weight)
-            rows += [start + active, start + B + active, start + 2 * B + active]
-            grads += [gN, gA, gP]
-        yield from net_backward(np.concatenate(grads), np.concatenate(rows))
-
-    return loss, backward
+    return idx, masks, [1.0, variant.track_reg_weight][:len(batches)]
 
 
 def _fixed_validation_triplets(
@@ -276,10 +268,10 @@ def validation_loss(
             val_triplets, val_track_triplets = _fixed_validation_triplets(
                 variant, valid_ds
             )
+        idx, masks, weights = _triplet_inputs(variant, model.space,
+                                              val_triplets, val_track_triplets)
         E = model.net.full_embedding(valid_ds.features)[0]
-        loss, _ = _triplet_loss(variant, model.space, lambda idx: (E[idx], None),
-                                val_triplets, val_track_triplets)
-        return float(loss)
+        return float(triplet_batch_loss(E[idx], variant.margin, masks, weights)[0])
     # BCE families: mean per-sample loss over the whole split
     return float(_bce(model, valid_ds.features, valid_ds.labels)[0]) / len(valid_ds)
 
@@ -324,9 +316,6 @@ def train(
     if is_triplet:
         val_triplets, val_tracks = _fixed_validation_triplets(variant, valid_ds)
 
-    def embed_rows(idx):
-        return model.net.full_embedding(train_ds.features[idx])
-
     g, slots = ad.packed(params)  # the flat gradient, laid out like adam.flat
 
     best = math.inf
@@ -349,10 +338,13 @@ def train(
                 track_reg=variant.track_reg,
             )
             for tag_batch, track_batch in it:
-                loss, backward = _triplet_loss(
-                    variant, space, embed_rows, tag_batch, track_batch
-                )
-                ad.grad(slots, backward())
+                idx, masks, weights = _triplet_inputs(variant, space,
+                                                      tag_batch, track_batch)
+                E, net_backward = model.net.full_embedding(train_ds.features[idx])
+                loss, backward = triplet_batch_loss(E, variant.margin, masks,
+                                                    weights)
+                rows, gE = backward()
+                ad.grad(slots, net_backward(gE, rows))
                 adam.step(g)
                 batch_losses.append(float(loss))
         else:

@@ -51,14 +51,18 @@ def relative_error(a, b, floor=1e-8):
     return float((np.abs(a - b) / denom).max())
 
 
+def triplet_rows(EA, EP, EN):
+    """One batch of triplets as ``triplet_batch_loss`` takes its rows: the
+    negatives, then the anchors, then the positives."""
+    return np.concatenate([EN, EA, EP])
+
+
 def scatter_triplet_grads(out, batch):
-    """The dense (batch, d) gradients of EA, EP and EN from a triplet
-    backward's ``(rows, gA, gP, gN)``: each row of gA, gP and gN placed at
-    its index in ``rows``, zeros elsewhere."""
-    rows, *grads = out
-    dense = []
-    for g in grads:
-        full = np.zeros((batch, g.shape[1]))
-        full[rows] = g
-        dense.append(full)
-    return dense
+    """The dense (batch, d) gradients of EA, EP and EN of a one-batch step
+    from a triplet backward's ``(rows, gE)``: each row of gE placed at its
+    index in ``rows``, zeros elsewhere."""
+    rows, gE = out
+    full = np.zeros((3 * batch, gE.shape[1]))
+    full[rows] = gE
+    gN, gA, gP = np.split(full, 3)
+    return [gA, gP, gN]

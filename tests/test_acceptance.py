@@ -31,10 +31,15 @@ from disembed.model import (
     NetConfig,
     class_scores,
     init_params,
-    masked_embed,
 )
 from disembed.sampling import TripletBatch
-from disembed.trainer import TrainedModel, VariantConfig, _bce, _triplet_loss
+from disembed.trainer import (
+    TrainedModel,
+    VariantConfig,
+    _bce,
+    _triplet_inputs,
+    triplet_batch_loss,
+)
 
 from conftest import finite_difference, relative_error
 
@@ -244,11 +249,19 @@ def test_loss_gradients_match_finite_differences():
             variant = VariantConfig(family="triplet", margin=0.3,
                                     track_reg_weight=0.7, **flags)
 
+            idx, step_masks, weights = _triplet_inputs(variant, space, tags,
+                                                        tracks)
+
             def loss_of(net, bank, X):
                 def build():
-                    return _triplet_loss(
-                        variant, space,
-                        lambda idx: net.full_embedding(XT[idx]), tags, tracks)
+                    E, net_backward = net.full_embedding(XT[idx])
+                    loss, backward = triplet_batch_loss(
+                        E, variant.margin, step_masks, weights)
+
+                    def step_backward():
+                        rows, gE = backward()
+                        return net_backward(gE, rows)
+                    return loss, step_backward
                 return build
             return loss_of
 
@@ -555,7 +568,7 @@ def test_mask_partition_and_subdense_identity():
             block = subdense_block(net, h, notion.name)
             assert np.abs(E[:, cut] - block).max() < 1e-12, \
                 f"seed {seed}: {notion.name} block of the full embedding"
-            masked = masked_embed(net, X, notion.name)
+            masked = E * space.mask(notion.name)
             padded = np.zeros_like(masked)
             padded[:, cut] = block
             assert np.abs(masked - padded).max() < 1e-12, \

@@ -13,7 +13,12 @@ from disembed.errors import TrainingDivergedError
 from disembed.losses import bce_sum, triplet_batch_loss
 from disembed.model import _score_node, relu_layers
 
-from conftest import finite_difference, relative_error, scatter_triplet_grads
+from conftest import (
+    finite_difference,
+    relative_error,
+    scatter_triplet_grads,
+    triplet_rows,
+)
 
 
 def check_gradient(forward, params, w=1.0, tol=1e-6, step=1e-6):
@@ -218,8 +223,8 @@ def test_sum_axis_and_mean_gradients():
     for m in (None, masks):
         def forward():
             loss, backward = triplet_batch_loss(
-                *(p.values for p in P.values()), 2.5, m)
-            return loss, lambda g: scatter_triplet_grads(backward(g), 3)
+                triplet_rows(*(p.values for p in P.values())), 2.5, m, (1.0,))
+            return loss, lambda g: scatter_triplet_grads(backward(), 3)
 
         check_gradient(forward, P)
 

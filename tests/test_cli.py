@@ -156,6 +156,32 @@ def test_export_embeddings_notion_subspace(tiny_config, tmp_path):
     assert len(first) == 2 + 4  # id, track_id, block of d/G coordinates
 
 
+def test_export_notion_is_that_block_of_the_pre_normalization_rows(
+        tiny_config, tmp_path):
+    # the notion's block of the net's (unnormalized) full embedding, written
+    # with %.17g, so it reads back bit for bit
+    cfg_path, out = tiny_config
+    main(["generate", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--variant-index", "0"])
+    prefix = out / "model_classification_norm"
+    dest = tmp_path / "sub.tsv"
+    assert main(
+        ["export-embeddings", "--model", str(prefix),
+         "--data", str(out / "test.tsv"), "--space", "shape", "--out", str(dest)]
+    ) == 0
+    from disembed.data import load_dataset
+    from disembed.trainer import load_model
+
+    model = load_model(prefix)
+    ds = load_dataset(out / "test.tsv", model.space)
+    block = model.net.full_embedding(ds.features)[0][
+        :, model.space.block_slice("shape")]
+    rows = [r.split("\t") for r in dest.read_text().strip().split("\n")]
+    assert [r[0] for r in rows] == list(ds.ids)
+    got = np.array([[float(x) for x in r[2:]] for r in rows])
+    assert got.tobytes() == block.tobytes()
+
+
 def test_export_unknown_notion_fails(tiny_config, tmp_path):
     cfg_path, out = tiny_config
     main(["generate", "--config", str(cfg_path)])

@@ -20,7 +20,6 @@ from disembed.model import (
     forward_rows,
     init_params,
     load_params,
-    masked_embed,
     save_params,
     score_blocks,
     sigmoid,
@@ -102,14 +101,14 @@ def test_embed_single_vector(small_space, rng):
 
 
 def test_embed_rejects_wrong_width(small_space):
-    # one width check in the one forward covers embed, masked_embed and
-    # class_scores, single vectors and batches alike
+    # one width check in the one forward covers embed, the masked embedding
+    # and class_scores, single vectors and batches alike
     net, bank = make_net(small_space, normalize=True)
     for x in (np.zeros(7), np.zeros((3, 5))):
         with pytest.raises(ConfigurationError, match="input width"):
             embed(net, x)
         with pytest.raises(ConfigurationError, match="input width"):
-            masked_embed(net, x, "color")
+            net.full_embedding(np.atleast_2d(x))[0] * small_space.mask("color")
         for disentangled in (False, True):
             with pytest.raises(ConfigurationError, match="input width"):
                 class_scores(net, bank, x, disentangled)
@@ -159,17 +158,18 @@ def test_embed_zero_weights_is_guarded(small_space, caplog):
 def test_masked_embed_zeroes_other_blocks(small_space, rng):
     net, _ = make_net(small_space)
     X = rng.normal(size=(4, 6))
-    m = masked_embed(net, X, "color")
-    assert np.array_equal(m[:, 4:], np.zeros((4, 4)))
     full = net.full_embedding(X)[0]
+    m = full * small_space.mask("color")
+    assert np.array_equal(m[:, 4:], np.zeros((4, 4)))
     assert np.array_equal(m[:, :4], full[:, :4])
 
 
 def test_masks_sum_to_full_embedding(small_space, rng):
     net, _ = make_net(small_space)
     X = rng.normal(size=(4, 6))
-    total = sum(masked_embed(net, X, n.name) for n in small_space.notions)
-    assert np.allclose(total, net.full_embedding(X)[0], atol=0)
+    full = net.full_embedding(X)[0]
+    total = sum(full * small_space.mask(n.name) for n in small_space.notions)
+    assert np.allclose(total, full, atol=0)
 
 
 def test_masked_equals_subdense_block(small_space, rng):
@@ -179,7 +179,7 @@ def test_masked_equals_subdense_block(small_space, rng):
         net, _ = make_net(small_space, seed=seed)
         X = rng.normal(size=(5, 6))
         for notion in small_space.notions:
-            masked = masked_embed(net, X, notion.name)
+            masked = net.full_embedding(X)[0] * small_space.mask(notion.name)
             padded = np.zeros_like(masked)
             padded[:, small_space.block_slice(notion.name)] = \
                 per_block_embedding(net, X, notion.name)

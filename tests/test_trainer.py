@@ -10,7 +10,7 @@ import pytest
 
 from disembed import autodiff, trainer
 from disembed.benchmark import load_or_generate
-from disembed.config import default_config
+from disembed.config import ExperimentConfig, default_config
 from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import ConfigurationError
 from disembed.model import EmbeddingNet
@@ -18,7 +18,7 @@ from disembed.trainer import (
     VariantConfig,
     _all_params,
     _fixed_validation_triplets,
-    _triplet_loss,
+    _triplet_inputs,
     build_model,
     load_model,
     paper_variants,
@@ -95,11 +95,47 @@ def test_the_eight_paper_variants():
         dict(family="triplet", margin=float("nan")),
         dict(family="triplet", lr=float("nan")),
         dict(family="proxy", lr=float("inf")),
+        # a flag, count or rate of the wrong type: "false" is truthy, and a
+        # float batch size or epoch count only failed inside training
+        dict(family="classification", normalization="false"),
+        dict(family="classification", normalization=0),
+        dict(family="triplet", disentanglement=1),
+        dict(family="triplet", disentanglement=True, track_reg="yes"),
+        dict(family="triplet", batch_size=64.5),
+        dict(family="triplet", batch_size=64.0),
+        dict(family="triplet", batch_size=True),
+        dict(family="proxy", max_epochs=2.0),
+        dict(family="proxy", seed=1.5),
+        dict(family="proxy", seed=False),
+        dict(family="triplet", margin=True),
+        dict(family="triplet", margin="0.1"),
+        dict(family="proxy", lr=None),
+        dict(family="triplet", disentanglement=True, track_reg=True,
+             track_reg_weight=True),
     ],
 )
 def test_illegal_variants_rejected(kw):
     with pytest.raises(ConfigurationError):
         VariantConfig(**kw)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("normalization", "false"), ("batch_size", 64.5), ("max_epochs", 2.0),
+    ("seed", 1.5), ("margin", True), ("lr", "0.1"),
+])
+def test_variant_type_error_names_the_key(key, value):
+    # a config file's variant of the wrong type is rejected when the config
+    # is read, with the key in the message, instead of failing in training
+    d = default_config(0).to_dict()
+    d["variants"] = [dict(family="classification", **{key: value})]
+    with pytest.raises(ConfigurationError, match=repr(key)):
+        ExperimentConfig.from_dict(d)
+
+
+def test_variant_values_are_checked_not_converted():
+    # an int margin stays an int, so a report of such a config keeps its bytes
+    v = VariantConfig(family="triplet", margin=0, lr=1, track_reg_weight=2)
+    assert v.to_dict()["margin"] == 0 and type(v.margin) is int
 
 
 def test_variant_dict_round_trip():
@@ -290,17 +326,62 @@ def test_all_inactive_triplet_step_has_a_zero_gradient(splits, kw):
             return None
         return dataclasses.replace(batch, negative=batch.positive)
 
-    loss, backward = _triplet_loss(
-        variant, space,
-        lambda idx: model.net.full_embedding(train_ds.features[idx]),
-        tie(tags), tie(tracks))
-    autodiff.grad(slots, backward())
+    idx, masks, weights = _triplet_inputs(variant, space, tie(tags), tie(tracks))
+    E, net_backward = model.net.full_embedding(train_ds.features[idx])
+    loss, backward = trainer.triplet_batch_loss(E, variant.margin, masks, weights)
+    rows, gE = backward()
+    autodiff.grad(slots, net_backward(gE, rows))
     assert loss == 0.0
+    assert rows.size == 0 and gE.shape == (0, space.embedding_dim)
     assert not flat.any()
 
 
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(disentanglement=True),
+    dict(disentanglement=True, track_reg=True),
+], ids=["norm", "disent", "trackreg"])
+def test_triplet_step_makes_one_loss_call(splits, monkeypatch, kw):
+    # each training step and each validation makes one triplet_batch_loss
+    # call, over the rows of all of its batches, with one l2_rows call; each
+    # training step back-propagates through one l2_rows_backward call
+    space, (train_ds, valid_ds, _) = splits
+    calls, batch_sizes = [], []
+    iterate, loss = trainer.batch_iterator, trainer.triplet_batch_loss
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording_iterator(*args, **kwargs):
+        for tags, tracks in iterate(*args, **kwargs):
+            batch_sizes.append(len(tags))
+            yield tags, tracks
+
+    def recording_loss(E, margin, masks, weights):
+        calls.append(("loss", len(E), masks is not None, tuple(weights)))
+        return loss(E, margin, masks, weights)
+
+    monkeypatch.setattr(trainer, "batch_iterator", recording_iterator)
+    monkeypatch.setattr(trainer, "triplet_batch_loss", recording_loss)
+    for name in ("l2_rows", "l2_rows_backward"):
+        monkeypatch.setattr(autodiff, name,
+                            counting(name, getattr(autodiff, name)))
+    variant = quick(family="triplet", max_epochs=1, track_reg_weight=0.7, **kw)
+    train(variant, space, train_ds, valid_ds)
+    k = 2 if variant.track_reg else 1
+    masked, weights = variant.disentanglement, (1.0, 0.7)[:k]
+    assert len(batch_sizes) > 1 and batch_sizes[0] == variant.batch_size
+    steps = [call for B in batch_sizes for call in (
+        ("loss", 3 * k * B, masked, weights), "l2_rows", "l2_rows_backward")]
+    validation = [("loss", 3 * k * len(valid_ds), masked, weights), "l2_rows"]
+    assert calls == steps + validation
+
+
 def test_triplet_epoch_slower_than_classification(splits):
-    # an epoch of graph-built triplets costs visibly more than BCE batches
+    # an epoch of triplet steps costs visibly more than one of BCE batches
     space, (train_ds, valid_ds, _) = splits
     rc = train(quick(family="classification", max_epochs=2), space, train_ds, valid_ds)
     rt = train(quick(family="triplet", max_epochs=2), space, train_ds, valid_ds)
