@@ -85,35 +85,44 @@ def evaluate_model(
     """All four tasks for one trained model (ratio filled in by the caller)."""
     variant = model.variant
     report = EvalReport(variant=variant.to_dict())
+    by_notion, track_triplets = eval_triplets
 
-    # one forward of the test split, over row chunks: the pre-normalization
-    # rows from which R@K, the tag scores and triplet accuracy are computed,
-    # the rows or their notion blocks normalized once per mode
+    def accuracies(U, mode: str) -> dict:
+        per_notion = [triplet_accuracy(U, t, mode=mode, normalized=True)
+                      for t in by_notion.values()]
+        accs = {f"{mode}/{k}": v for k, v in zip(by_notion, per_notion)}
+        accs[f"{mode}/overall"] = float(np.mean(per_notion))
+        return accs
+
+    # one forward of the test split, over row chunks, and at most two
+    # n x d arrays live at once: the pre-normalization rows score the BCE
+    # heads and, normalized per notion block, the sub-mode triplets; then
+    # their full-width unit rows replace them for R@K, the prototype scores
+    # and the full-mode triplets
     E_pre = forward_rows(model.net, test_ds.features)
-    report.recall_at = retrieval_recall(E_pre, test_ds.labels, ks)
-
-    units = {"full": unit_blocks(E_pre, E_pre.shape[1])}
+    if variant.family != "triplet":
+        report.auc = auc_tags(
+            row_scores(model.net, model.bank, E_pre, variant.disentanglement),
+            test_ds.labels,
+        )
+    sub = {}
+    if variant.disentanglement:
+        sub = accuracies(unit_blocks(E_pre, test_ds.space.block_size), "sub")
+    U = unit_blocks(E_pre, E_pre.shape[1])
+    del E_pre
+    report.recall_at = retrieval_recall(U, test_ds.labels, ks, normalized=True)
     if variant.family == "triplet":
         protos = build_prototypes(
             embed(model.net, train_ds.features), train_ds.labels
         )
-        scores = units["full"] @ ad.l2_rows(protos)[0].T
-    else:
-        scores = row_scores(model.net, model.bank, E_pre, variant.disentanglement)
-    report.auc = auc_tags(scores, test_ds.labels)
-
-    by_notion, track_triplets = eval_triplets
-    if variant.disentanglement:
-        units["sub"] = unit_blocks(E_pre, test_ds.space.block_size)
-    accs = {}
-    for mode, U in units.items():
-        per_notion = [triplet_accuracy(U, t, mode=mode, normalized=True)
-                      for t in by_notion.values()]
-        accs.update({f"{mode}/{k}": v for k, v in zip(by_notion, per_notion)})
-        accs[f"{mode}/overall"] = float(np.mean(per_notion))
-    accs["full/track"] = triplet_accuracy(units["full"], track_triplets,
-                                          mode="full", normalized=True)
-    report.triplet_accuracy = accs
+        report.auc = auc_tags(U @ ad.l2_rows(protos)[0].T, test_ds.labels)
+    # the report's key order: full mode, sub mode, then the track triplets
+    report.triplet_accuracy = {
+        **accuracies(U, "full"),
+        **sub,
+        "full/track": triplet_accuracy(U, track_triplets, mode="full",
+                                       normalized=True),
+    }
     return report
 
 

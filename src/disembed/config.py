@@ -53,6 +53,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.variants:
             raise ConfigurationError("need at least one variant")
+        # checked, not converted, as VariantConfig's values are
+        for key, rule in (("seed", as_int), ("eval_ks", _ints),
+                          ("triplets_per_notion", as_int)):
+            try:
+                rule(getattr(self, key))
+            except TypeError as exc:
+                raise ConfigurationError(f"config key {key!r}: {exc}") from exc
         ks = list(self.eval_ks)
         if any(k <= 0 for k in ks) or ks != sorted(ks) or len(set(ks)) != len(ks):
             raise ConfigurationError("eval_ks must be positive and ascending")

@@ -24,13 +24,14 @@ log = logging.getLogger(__name__)
 
 # rows of the similarity matrix ranked at once by retrieval_recall, and the
 # most columns per group whose maxima set a row's candidate threshold
-_RECALL_BLOCK = 128
+_RECALL_BLOCK = 64
 _RECALL_GROUP = 32
 # triplets gathered at once by triplet_accuracy
 _TRIPLET_CHUNK = 512
 
 
-def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
+def retrieval_recall(embeddings, labels, ks, *,
+                     normalized: bool = False) -> dict[int, float]:
     """Mean multi-label R@K over all queries with at least one label.
 
     Candidates are all other items, ranked by descending cosine similarity
@@ -38,18 +39,22 @@ def retrieval_recall(embeddings, labels, ks) -> dict[int, float]:
     every row would rank them.  K is clamped to n - 1, so a query never
     retrieves itself.  Zero-label queries are excluded from the average
     (logged); a ValueError is raised when no query has a label.
+    ``normalized=True`` says ``embeddings`` already are the rows normalized
+    by ``autodiff.l2_rows`` (``unit_blocks`` of the full width), which are
+    then ranked as they are instead of in a normalized copy.
 
     Memory: O(``_RECALL_BLOCK`` x n), never n x n, however many
     similarities tie: the float64 similarities of one block of
     ``_RECALL_BLOCK`` query rows at a time, boolean masks of the same shape
-    and index arrays over the block's candidates, at most
-    max(kmax, (kmax - 1) c) per row (``_top_neighbors``), plus n x kmax
-    neighbour indices.
+    and index arrays over the block's candidates, at most kmax c per row
+    (``_top_neighbors``), plus n x kmax neighbour indices, and the
+    normalized copy of the rows unless ``normalized``.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     if not np.isfinite(E).all():
         raise ValueError("embeddings must be finite")
-    E = ad.l2_rows(E)[0]
+    if not normalized:
+        E = ad.l2_rows(E)[0]
     L = np.asarray(labels) > 0
     n = len(E)
     label_counts = L.sum(axis=1)
@@ -74,15 +79,17 @@ def _top_neighbors(E: np.ndarray, kmax: int) -> np.ndarray:
     Similarities come one block of ``_RECALL_BLOCK`` query rows at a time,
     ``E[block] @ E.T``, so each query is ranked by its own row of one block
     GEMM, and exact ties are broken by index.  Per row, the columns are cut
-    into groups of ``c`` and the kmax-th largest group maximum is taken as a
-    threshold; it is at most the kmax-th largest similarity, so the columns
-    at or above it hold the row's top kmax.  At most kmax - 1 groups lie
-    above the threshold, so at most (kmax - 1) c columns do; of the columns
-    equal to it a row needs only the first kmax - above by index, and a row
-    with more candidates than max(kmax, (kmax - 1) c) drops the rest.  The
+    into groups of at most ``c`` and the kmax-th largest group maximum is
+    taken as a threshold; it is at most the kmax-th largest similarity, so
+    the columns at or above it hold the row's top kmax.  They lie in the
+    groups whose maximum reaches the threshold, so a row with at most kmax
+    such groups has at most kmax c candidates.  A row with more is counted,
+    and if it has more than kmax c candidates it keeps, of its columns equal
+    to the threshold, only the first kmax - above by index, where at most
+    kmax - 1 groups, so at most (kmax - 1) c columns, lie above.  The
     candidates are sorted by (row, -similarity, index) and the first kmax
     kept.  With at least 4 kmax groups a row keeps few candidates, and never
-    more than that bound, however many of its similarities are equal.
+    more than kmax c, however many of its similarities are equal.
     """
     n = len(E)
     top = np.empty((n, kmax), dtype=np.intp)
@@ -116,23 +123,28 @@ def _block_top(S: np.ndarray, start: int, kmax: int, c: int) -> np.ndarray:
     w = G.shape[1]
     threshold = np.partition(G, w - kmax, axis=1)[:, w - kmax, None]
     keep = S >= threshold
-    # a row with more candidates than the bound keeps, of its columns equal
-    # to the threshold, only the first kmax - above by index: its top kmax
-    # when above < kmax, and none otherwise
-    count = np.count_nonzero(keep, axis=1)
-    over = np.flatnonzero(count > max(kmax, (kmax - 1) * c))
-    if len(over):
+    # only a row with more than kmax groups at the threshold can have more
+    # than kmax c candidates; one that has keeps, of its columns equal to
+    # the threshold, only the first kmax - above by index: its top kmax when
+    # above < kmax, and none otherwise
+    wide = np.flatnonzero(np.count_nonzero(G >= threshold, axis=1) > kmax)
+    count = np.count_nonzero(keep[wide], axis=1)
+    over = count > kmax * c
+    if over.any():
+        over, count = wide[over], count[over]
         tied = (S == threshold)[over]
-        short = kmax - count[over] + np.count_nonzero(tied, axis=1)
+        short = kmax - count + np.count_nonzero(tied, axis=1)
         rank = np.cumsum(tied, axis=1, dtype=np.min_scalar_type(n))
         keep[over] ^= tied & (rank > short[:, None])
+    # flatnonzero lists the candidates by (row, index) and lexsort is
+    # stable, so sorting by (row, -similarity) keeps ties by index; rows
+    # stay in place, so a candidate's rank is its position minus its row's
+    # first
     flat = np.flatnonzero(keep)
     rows, cols = np.divmod(flat, n)
-    order = np.lexsort((cols, -S.ravel()[flat], rows))
-    rows, cols = rows[order], cols[order]
-    first = np.searchsorted(rows, rows)
-    keep = np.arange(len(rows)) - first < kmax
-    return cols[keep].reshape(b, kmax)
+    order = np.lexsort((-S.ravel()[flat], rows))
+    rank = np.arange(len(rows)) - np.searchsorted(rows, np.arange(b))[rows]
+    return cols[order[rank < kmax]].reshape(b, kmax)
 
 
 def build_prototypes(embeddings, labels) -> np.ndarray:

@@ -28,7 +28,6 @@ hand-written gradient.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int
 from .labelspace import LabelSpace
 
 # the centroid bank's parameter name next to the net's W{i}, b{i} and H
@@ -60,13 +59,17 @@ class NetConfig:
 
 
 def check_hidden(hidden) -> None:
-    """Raise ConfigurationError unless every hidden width is an int >= 1."""
-    for width in hidden:
-        if (isinstance(width, bool) or not isinstance(width, numbers.Integral)
-                or width < 1):
-            raise ConfigurationError(
-                f"hidden widths must be integers >= 1, got {tuple(hidden)}"
-            )
+    """Raise ConfigurationError unless every hidden width is an int
+    (``errors.as_int``) >= 1."""
+    widths = tuple(hidden)
+    try:
+        valid = all(as_int(width) >= 1 for width in widths)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ConfigurationError(
+            f"hidden widths must be integers >= 1, got {widths}"
+        )
 
 
 class EmbeddingNet:

@@ -1,6 +1,7 @@
 """run_benchmark trains and evaluates each distinct computation once: each
 proxy / normalized classification pair shares one run and one report."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ from disembed import benchmark, trainer
 from disembed import model as model_module
 from disembed.autodiff import grad, packed
 from disembed.config import ExperimentConfig, default_label_space
-from disembed.data import SyntheticSpec
+from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import TrainingDivergedError
 from disembed.evaluation import EvalReport, auc_tags, strip_timing
 from disembed.losses import bce_sum
@@ -247,3 +248,26 @@ def test_evaluate_model_forwards_each_row_once(monkeypatch, variant):
         scores = class_scores(trained.net, trained.bank, test_ds.features,
                               variant.disentanglement)
         assert report.auc == auc_tags(scores, test_ds.labels)
+
+
+@pytest.mark.parametrize("variant", DISTINCT, ids=lambda v: v.name)
+def test_evaluate_model_peak_is_below_four_test_arrays(variant):
+    # at most two n x d arrays are live at once: the pre-normalization rows
+    # and one normalized copy of them, then the unit rows and R@K's block of
+    # similarities; holding the rows, a private normalized copy and a
+    # 128-row block at once peaked above four
+    space = default_label_space()
+    spec = SyntheticSpec(space=space, tracks=900, seed=5)
+    train_ds, _, test_ds = generate_splits(spec, fractions=(0.1, 0.05, 0.85))
+    n, d = len(test_ds), space.embedding_dim
+    assert n >= 3000
+    trained = build_model(variant, space, train_ds.feature_dim)
+    eval_triplets = benchmark.sample_eval_triplets(test_ds, 200, seed=5)
+    tracemalloc.start()
+    try:
+        benchmark.evaluate_model(trained, train_ds, test_ds, (1, 2, 4, 8),
+                                 eval_triplets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n * d

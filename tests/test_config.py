@@ -59,6 +59,32 @@ def test_config_validates_ks(small_space, ks):
         )
 
 
+# integer fields of a config built directly: checked (not converted) by
+# errors.as_int, as from_dict's converters would reject them
+NOT_INTS = {
+    "triplets_per_notion_float": ({"triplets_per_notion": 2.5},
+                                  "'triplets_per_notion'"),
+    "triplets_per_notion_bool": ({"triplets_per_notion": True},
+                                 "'triplets_per_notion'"),
+    "eval_ks_float": ({"eval_ks": (1.5, 2)}, "'eval_ks'"),
+    "eval_ks_bool": ({"eval_ks": (True, 2)}, "'eval_ks'"),
+    "seed_float": ({"seed": 1.5}, "'seed'"),
+    "seed_str": ({"seed": "0"}, "'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_INTS))
+def test_config_names_the_key_of_a_non_integer(small_space, case):
+    fields, key = NOT_INTS[case]
+    with pytest.raises(ConfigurationError, match=key):
+        ExperimentConfig(
+            space=small_space,
+            synthetic=SyntheticSpec(space=small_space),
+            variants=[VariantConfig(family="proxy")],
+            **fields,
+        )
+
+
 def test_dict_round_trip_preserves_settings():
     cfg = default_config(seed=9)
     back = ExperimentConfig.from_dict(cfg.to_dict())

@@ -117,14 +117,25 @@ def tied_embeddings(rng, n, d=8):
 # --- recall ----------------------------------------------------------------
 
 
+def recall(E, L, ks):
+    """``retrieval_recall`` of the rows ``E``, asserted equal to that of
+    their ``unit_blocks`` passed with ``normalized=True``, which are ranked
+    as they are instead of in a normalized copy."""
+    got = retrieval_recall(E, L, ks)
+    U = unit_blocks(E, np.shape(E)[1])
+    assert retrieval_recall(U, L, ks, normalized=True) == got
+    return got
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_retrieval_recall_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     n, d, T = 12, 5, 6
-    E = rng.normal(size=(n, d))
+    # rows of very different norms
+    E = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
     L = (rng.random((n, T)) < 0.4).astype(float)
     L[L.sum(axis=1) == 0, 0] = 1.0  # no empty queries in this case
-    got = retrieval_recall(E, L, [1, 3])
+    got = recall(E, L, [1, 3])
     assert got[1] == pytest.approx(brute_recall(E, L, 1), abs=1e-12)
     assert got[3] == pytest.approx(brute_recall(E, L, 3), abs=1e-12)
 
@@ -133,7 +144,7 @@ def test_retrieval_recall_excludes_zero_label_queries(rng):
     E = rng.normal(size=(6, 4))
     L = np.ones((6, 3))
     L[2] = 0.0
-    got = retrieval_recall(E, L, [1])
+    got = recall(E, L, [1])
     # the zero-label item stays a candidate but contributes no query; the
     # brute oracle applies the same rule
     assert got[1] == pytest.approx(brute_recall(E, L, 1), abs=1e-12)
@@ -144,7 +155,7 @@ def test_retrieval_tie_break_is_by_index():
     # every query must be the lowest non-self index
     E = np.ones((4, 3))
     L = np.eye(4)
-    got = retrieval_recall(E, L, [1])
+    got = recall(E, L, [1])
     # query 0 retrieves item 1 (overlap 0), all others retrieve item 0
     assert got[1] == 0.0
 
@@ -156,7 +167,7 @@ def test_retrieval_recall_clamps_k_to_other_items(n):
     E = rng.normal(size=(n, 3))
     L = np.eye(n)
     ks = sorted({1, n - 1, n, n + 3} - {0})
-    got = retrieval_recall(E, L, ks)
+    got = recall(E, L, ks)
     assert got == {k: brute_recall(E, L, k) for k in ks}
     assert got[n] == 0.0  # every query's one label is its own
 
@@ -189,7 +200,7 @@ def test_retrieval_recall_exact_under_ties_across_blocks(block, monkeypatch):
     L = (rng.random((n, 10)) < 0.2).astype(float)
     L[5] = 0.0  # a zero-label query stays a candidate
     ks = [1, 2, 5]
-    got = retrieval_recall(E, L, ks)
+    got = recall(E, L, ks)
     assert got == {k: brute_recall(E, L, k) for k in ks}
 
 
@@ -224,7 +235,7 @@ def test_retrieval_recall_block_mixes_tied_and_untied_kth(group, monkeypatch):
     assert len(E) <= evaluation._RECALL_BLOCK
     assert 0 < tied.sum() < len(E)
 
-    got = retrieval_recall(E, L, ks)
+    got = recall(E, L, ks)
     assert got == {k: brute_recall(E, L, k) for k in ks}
 
 
@@ -238,7 +249,7 @@ def test_retrieval_recall_random_rows_with_partial_last_block(block,
     E = rng.normal(size=(n, 6))
     L = (rng.random((n, 8)) < 0.25).astype(float)
     ks = [1, 3, 10]
-    got = retrieval_recall(E, L, ks)
+    got = recall(E, L, ks)
     assert got == {k: brute_recall(E, L, k) for k in ks}
 
 
@@ -258,20 +269,44 @@ def test_retrieval_recall_memory_is_blocks_not_n_squared(rng):
 
 
 def all_tied_embeddings(kind, n):
-    """Rows whose cosines are all exact: every row equal, every row zero, or
-    rows alternating between two orthogonal directions at scales 1 and 4."""
+    """Rows whose cosines are all exact: every row equal, every row zero,
+    rows alternating between two orthogonal directions at scales 1 and 4, or
+    (n = 49) rows along five orthogonal directions held by 20, 4, 10, 10 and
+    5 rows, shuffled, at scales 1, 2 and 4."""
     if kind == "identical":
         return np.ones((n, 5))
     if kind == "zero":
         return np.zeros((n, 5))
     E = np.zeros((n, 5))
+    if kind == "uneven-directions":
+        direction = np.repeat(np.arange(5), [20, 4, 10, 10, 5])
+        direction = np.random.default_rng(5).permutation(direction)
+        E[np.arange(n), direction] = 2.0 ** (np.arange(n) % 3)
+        return E
     E[::2, 0] = 1.0
     E[1::2, 3] = 4.0
     return E
 
 
+def candidate_counts(E, kmax):
+    """Per row of ``E``: how many of ``_top_neighbors``' column groups and
+    how many columns reach the row's candidate threshold; and the kmax c
+    bound on the candidates a row keeps."""
+    n = len(E)
+    U = ad.l2_rows(E)[0]
+    S = U @ U.T
+    np.fill_diagonal(S, -np.inf)
+    c = max(1, min(evaluation._RECALL_GROUP, n // (4 * kmax)))
+    m = n // c
+    G = np.concatenate([S[:, :c * m].reshape(n, c, m).max(axis=1),
+                        S[:, c * m:]], axis=1)
+    threshold = np.sort(G, axis=1)[:, -kmax, None]
+    return (G >= threshold).sum(axis=1), (S >= threshold).sum(axis=1), kmax * c
+
+
 @pytest.mark.parametrize("ks", [(1, 2), (1, 4, 8)], ids=["groups", "columns"])
-@pytest.mark.parametrize("kind", ["identical", "zero", "two-directions"])
+@pytest.mark.parametrize("kind", ["identical", "zero", "two-directions",
+                                  "uneven-directions"])
 def test_retrieval_recall_exact_on_all_tied_rows(kind, ks, monkeypatch):
     # every candidate of a row ties with many others: the row keeps only
     # the first of its tied columns by index, across three blocks and a
@@ -281,7 +316,17 @@ def test_retrieval_recall_exact_on_all_tied_rows(kind, ks, monkeypatch):
     E = all_tied_embeddings(kind, n)
     L = (np.random.default_rng(3).random((n, 6)) < 0.3).astype(float)
     L[L.sum(axis=1) == 0, 0] = 1.0
-    got = retrieval_recall(E, L, ks)
+    if kind == "uneven-directions":
+        # the first block has rows with more than kmax groups at the
+        # threshold: some with more than kmax c candidates, which are
+        # trimmed, and, when a group has more than one column, some with
+        # fewer, which are counted and kept whole
+        groups, columns, bound = candidate_counts(E, max(ks))
+        groups, columns = groups[:16], columns[:16]
+        assert (columns > bound).any()
+        counted_whole = (groups > max(ks)) & (columns <= bound)
+        assert counted_whole.any() or bound == max(ks)
+    got = recall(E, L, ks)
     assert got == {k: brute_recall(E, L, k) for k in ks}
 
 
