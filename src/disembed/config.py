@@ -6,8 +6,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .data import SyntheticSpec
-from .errors import ConfigurationError, as_float, as_int
+from .data import SPEC_TYPES, SyntheticSpec, check_fractions
+from .errors import ConfigurationError, as_floats, as_int, as_ints, check_types
 from .labelspace import LabelSpace
 from .trainer import VariantConfig, paper_variants
 
@@ -54,12 +54,14 @@ class ExperimentConfig:
         if not self.variants:
             raise ConfigurationError("need at least one variant")
         # checked, not converted, as VariantConfig's values are
-        for key, rule in (("seed", as_int), ("eval_ks", _ints),
-                          ("triplets_per_notion", as_int)):
-            try:
-                rule(getattr(self, key))
-            except TypeError as exc:
-                raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+        check_types(self, {"seed": as_int, "eval_ks": as_ints,
+                           "triplets_per_notion": as_int,
+                           "fractions": check_fractions}, "config")
+        if len(self.fractions) != 3:
+            raise ConfigurationError(
+                f"config key 'fractions': {len(self.fractions)} parts, "
+                f"expected 3 (train, valid, test)"
+            )
         ks = list(self.eval_ks)
         if any(k <= 0 for k in ks) or ks != sorted(ks) or len(set(ks)) != len(ks):
             raise ConfigurationError("eval_ks must be positive and ascending")
@@ -115,9 +117,9 @@ class ExperimentConfig:
             space = LabelSpace.from_dict(d["label_space"])
         except KeyError as exc:
             raise ConfigurationError("config is missing 'label_space'") from exc
-        d = _converted(d, "", {"seed": as_int, "eval_ks": _ints,
+        d = _converted(d, "", {"seed": as_int, "eval_ks": as_ints,
                                "triplets_per_notion": as_int,
-                               "fractions": _floats})
+                               "fractions": as_floats})
         seed = d.get("seed", 0)
         synthetic = None
         if d.get("synthetic") is not None:
@@ -126,7 +128,7 @@ class ExperimentConfig:
                     f"config key 'synthetic' must be an object, got "
                     f"{d['synthetic']!r}"
                 )
-            syn = _converted(d["synthetic"], "synthetic.", SYNTHETIC_TYPES)
+            syn = _converted(d["synthetic"], "synthetic.", SPEC_TYPES)
             syn["space"] = space.to_dict()
             syn.setdefault("seed", seed)
             try:
@@ -168,21 +170,6 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(d)
-
-
-def _ints(v) -> tuple:
-    return tuple(map(as_int, v))
-
-
-def _floats(v) -> tuple:
-    return tuple(map(as_float, v))
-
-
-SYNTHETIC_TYPES = {
-    "feature_dim": as_int, "tracks": as_int, "excerpts_per_track": as_int,
-    "tags_per_notion_range": _ints, "sigma_within": as_float,
-    "sigma_excerpt": as_float, "seed": as_int,
-}
 
 
 def _converted(d: dict, prefix: str, types: dict) -> dict:

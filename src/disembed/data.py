@@ -1,9 +1,9 @@
 """Datasets: file ingestion, splits, and a synthetic multi-notion generator.
 
 A ``Dataset`` holds its rows once, as parallel arrays (ids, track ids, a
-feature matrix and a multi-hot label matrix).  The generator and the TSV
-reader write each row in place, and a split indexes the arrays; ``Item``
-records only build small datasets by hand.
+feature matrix and a multi-hot label matrix).  The generator writes each row
+once, straight into its split's arrays, and the TSV reader each line into
+its row; ``Item`` records only build small datasets by hand.
 
 The synthetic generator stands in for a large tagged-audio corpus: each tag
 owns a centroid inside its notion's block of feature space, a track mixes one
@@ -19,7 +19,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetError
+from .errors import (
+    ConfigurationError, DatasetError, as_float, as_floats, as_int, as_ints,
+    check_types,
+)
 from .labelspace import LabelSpace
 
 log = logging.getLogger(__name__)
@@ -89,15 +92,14 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        idx = list(indices)
-        return Dataset(
-            self.space,
-            [self.ids[i] for i in idx],
-            [self.track_ids[i] for i in idx],
-            self.features[idx],
-            self.labels[idx],
-        )
+
+# the type rule of each SyntheticSpec field but the space; a value is
+# checked, not converted, as VariantConfig's values are
+SPEC_TYPES = {
+    "feature_dim": as_int, "tracks": as_int, "excerpts_per_track": as_int,
+    "tags_per_notion_range": as_ints, "sigma_within": as_float,
+    "sigma_excerpt": as_float, "seed": as_int,
+}
 
 
 @dataclass
@@ -114,6 +116,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, SPEC_TYPES, "synthetic")
         if self.feature_dim <= 0 or self.tracks <= 0 or self.excerpts_per_track <= 0:
             raise ConfigurationError("all synthetic counts must be positive")
         lo, hi = self.tags_per_notion_range
@@ -164,40 +167,50 @@ def tag_centroids(spec: SyntheticSpec) -> np.ndarray:
     return cents
 
 
-def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Deterministic synthetic dataset; every item carries >= 1 tag per notion.
-
-    Rows are written in place: track ``tr``'s excerpts are rows
-    ``tr * excerpts_per_track`` onwards.
-    """
+def _write_parts(spec: SyntheticSpec, track_parts: np.ndarray) -> tuple:
+    """Draw ``spec``'s tracks in order, writing track ``tr``'s excerpts at
+    the next free rows of part ``track_parts[tr]``: each part's rows are its
+    tracks' excerpts, in track order.  Every part must hold a track."""
     space = spec.space
     cents = tag_centroids(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
     lo, hi = spec.tags_per_notion_range
-    per = spec.excerpts_per_track
-    n = spec.tracks * per
-    features = np.empty((n, spec.feature_dim))
-    labels = np.empty((n, space.num_tags))
-    ids, track_ids = [], []
-    for tr in range(spec.tracks):
+    per, width = spec.excerpts_per_track, spec.feature_dim
+    sizes = np.bincount(track_parts) * per
+    features = [np.empty((m, width)) for m in sizes]
+    labels = [np.empty((m, space.num_tags)) for m in sizes]
+    ids = [[] for _ in sizes]
+    track_ids = [[] for _ in sizes]
+    for tr, p in enumerate(track_parts.tolist()):
         track_id = f"track{tr:05d}"
         chosen = []
         for notion in space.notions:
             k = int(rng.integers(lo, hi + 1))
             idx = rng.choice(len(notion.tags), size=k, replace=False)
             chosen.extend(notion.tags[i] for i in sorted(idx))
-        rows = slice(tr * per, (tr + 1) * per)
+        row = len(ids[p])
+        rows = slice(row, row + per)
         hot = space.multi_hot(chosen)
-        labels[rows] = hot
+        labels[p][rows] = hot
         base = cents[hot > 0].sum(axis=0)
-        base = base + spec.sigma_within * rng.normal(size=spec.feature_dim)
+        base = base + spec.sigma_within * rng.normal(size=width)
         # one draw of per x d normals is the stream of per draws of d
-        features[rows] = base + spec.sigma_excerpt * rng.normal(
-            size=(per, spec.feature_dim)
+        features[p][rows] = base + spec.sigma_excerpt * rng.normal(
+            size=(per, width)
         )
-        ids.extend(f"{track_id}_x{ex}" for ex in range(per))
-        track_ids.extend([track_id] * per)
-    return Dataset(space, ids, track_ids, features, labels)
+        ids[p].extend(f"{track_id}_x{ex}" for ex in range(per))
+        track_ids[p].extend([track_id] * per)
+    return tuple(Dataset(space, *cols)
+                 for cols in zip(ids, track_ids, features, labels))
+
+
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
+    """Deterministic synthetic dataset; every item carries >= 1 tag per notion.
+
+    The one-part case of ``generate_splits``' writer: track ``tr``'s
+    excerpts are rows ``tr * excerpts_per_track`` onwards.
+    """
+    return _write_parts(spec, np.zeros(spec.tracks, dtype=np.intp))[0]
 
 
 def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
@@ -230,33 +243,35 @@ def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
     return hits / total if total else 0.0
 
 
-def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, ...]:
-    """Deterministic partition into len(fractions) subsets; every excerpt of
-    a track lands in the same subset.  A part whose fraction rounds to no
-    track raises DatasetError."""
-    fractions = [float(f) for f in fractions]
+def check_fractions(fractions) -> tuple[float, ...]:
+    """``fractions`` as floats; a non-number, a fraction <= 0 or a sum other
+    than 1 raises ConfigurationError."""
+    try:
+        fractions = as_floats(fractions)
+    except TypeError as exc:
+        raise ConfigurationError(f"split fractions: {exc}") from exc
     if any(f <= 0 for f in fractions):
         raise ConfigurationError("split fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"split fractions must sum to 1, got {sum(fractions)}")
-    rng = np.random.default_rng(seed)
-    tracks = list(dict.fromkeys(dataset.track_ids))  # first-appearance order
-    n = len(tracks)
-    bounds = np.round(np.cumsum([0.0] + fractions) * n).astype(int)
-    empty = np.flatnonzero(np.diff(bounds) == 0)
-    if len(empty):
-        i = empty[0]
+    return fractions
+
+
+def _track_parts(n_tracks: int, fractions, seed: int) -> np.ndarray:
+    """Each track's part: a seeded permutation of the tracks, cut at the
+    rounded cumulative ``fractions``.  A part that rounds to no track raises
+    DatasetError."""
+    fractions = check_fractions(fractions)
+    bounds = np.round(np.cumsum((0.0,) + fractions) * n_tracks).astype(int)
+    sizes = np.diff(bounds)
+    if not sizes.all():
+        i = int(np.argmin(sizes))  # the first empty part
         raise DatasetError(
             f"split part {i} of {len(fractions)} (fraction {fractions[i]}) "
-            f"is empty: it rounds to none of {n} track(s)"
+            f"is empty: it rounds to none of {n_tracks} track(s)"
         )
-    perm = rng.permutation(n)
-    parts = []
-    for i in range(len(fractions)):
-        chosen = {tracks[j] for j in perm[bounds[i] : bounds[i + 1]]}
-        idx = [k for k, t in enumerate(dataset.track_ids) if t in chosen]
-        parts.append(dataset.subset(idx))
-    return tuple(parts)
+    perm = np.random.default_rng(seed).permutation(n_tracks)
+    return np.repeat(np.arange(len(fractions)), sizes)[np.argsort(perm)]
 
 
 # draws of generate_splits before it gives up
@@ -265,14 +280,17 @@ _SPLIT_ATTEMPTS = 20
 
 def generate_splits(
     spec: SyntheticSpec, fractions=(0.8, 0.05, 0.15)
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Generate and split, re-drawing until every tag has a train positive."""
+) -> tuple[Dataset, ...]:
+    """One part per fraction, each track's excerpts in one part, each row
+    written once, straight into its part; re-drawn at seed ``spec.seed +
+    1000 + k`` until every tag has a positive in the first part.  Bad
+    fractions or a part that rounds to no track raise before any draw."""
     for attempt in range(_SPLIT_ATTEMPTS):
         sp = replace(spec, seed=spec.seed + 1000 + attempt) if attempt else spec
-        ds = generate_synthetic(sp)
-        parts = split(ds, fractions, seed=sp.seed)
+        parts = _write_parts(sp, _track_parts(sp.tracks, fractions, sp.seed))
         if (parts[0].labels.sum(axis=0) > 0).all():
             return parts
+        del parts  # free this draw before the next
         log.info("resampling synthetic data: some tag has no train positive")
     raise DatasetError(
         f"could not generate a dataset with all tags present in train "

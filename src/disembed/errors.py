@@ -24,6 +24,17 @@ class TrainingDivergedError(DisembedError):
         self.epoch = epoch
 
 
+def check_types(obj, rules: dict, what: str) -> None:
+    """Apply each rule to ``obj``'s attribute of that name, discarding the
+    result; a TypeError or ConfigurationError raises ConfigurationError
+    naming ``what`` and the key."""
+    for key, rule in rules.items():
+        try:
+            rule(getattr(obj, key))
+        except (TypeError, ConfigurationError) as exc:
+            raise ConfigurationError(f"{what} key {key!r}: {exc}") from exc
+
+
 def as_int(v) -> int:
     """``v`` as an int; a bool or a non-integral value raises TypeError."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -36,3 +47,13 @@ def as_float(v) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(f"expected a number, got {v!r}")
     return float(v)
+
+
+def as_ints(v) -> tuple:
+    """``v`` as a tuple of ints, each by ``as_int``."""
+    return tuple(map(as_int, v))
+
+
+def as_floats(v) -> tuple:
+    """``v`` as a tuple of floats, each by ``as_float``."""
+    return tuple(map(as_float, v))

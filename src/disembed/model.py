@@ -247,9 +247,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     numpy's SIMD ``exp`` may differ from libm's in the last bits, so this is
     within 4 ULP of ``expit``, not bit-equal.  ``exp`` overflows to inf
     for z < -709.78, where the result is the exact 0.0 ``expit`` gives too.
+    The steps run in place in one new array, the same operations in the
+    same order, so the bits are those of the one-line formula.
     """
+    s = np.negative(z)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def _score_node(F: np.ndarray, C: np.ndarray, normalized: bool,

@@ -27,7 +27,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, PlateauSchedule
 from .data import Dataset
-from .errors import ConfigurationError, TrainingDivergedError, as_float, as_int
+from .errors import (
+    ConfigurationError, TrainingDivergedError, as_float, as_int, check_types,
+)
 from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
 from .model import (
@@ -87,11 +89,7 @@ class VariantConfig:
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        for key, rule in _VARIANT_TYPES.items():
-            try:
-                rule(getattr(self, key))
-            except TypeError as exc:
-                raise ConfigurationError(f"variant key {key!r}: {exc}") from exc
+        check_types(self, _VARIANT_TYPES, "variant")
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family: {self.family!r}")
         if self.track_reg and not (

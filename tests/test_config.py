@@ -85,6 +85,28 @@ def test_config_names_the_key_of_a_non_integer(small_space, case):
         )
 
 
+# fractions of a config built directly: checked at construction by the one
+# rule that generate_splits applies, and kept as given
+BAD_FRACTIONS = {
+    "strings": (("0.8", "0.05", "0.15"), "expected a number"),
+    "sum_above_one": ((0.8, 0.3), "must sum to 1"),
+    "non_positive": ((1.2, -0.1, -0.1), "must be positive"),
+    "two_parts": ((0.8, 0.2), "2 parts, expected 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FRACTIONS))
+def test_config_checks_fractions_at_construction(small_space, case):
+    fractions, why = BAD_FRACTIONS[case]
+    with pytest.raises(ConfigurationError, match=f"'fractions': .*{why}"):
+        ExperimentConfig(
+            space=small_space,
+            synthetic=SyntheticSpec(space=small_space),
+            variants=[VariantConfig(family="proxy")],
+            fractions=fractions,
+        )
+
+
 def test_dict_round_trip_preserves_settings():
     cfg = default_config(seed=9)
     back = ExperimentConfig.from_dict(cfg.to_dict())

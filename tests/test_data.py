@@ -2,12 +2,14 @@
 
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from disembed import data
 from disembed.data import (
     Dataset,
     Item,
@@ -17,7 +19,6 @@ from disembed.data import (
     load_dataset,
     nearest_centroid_decode,
     save_dataset,
-    split,
     tag_centroids,
 )
 from disembed.config import default_config, default_label_space
@@ -117,38 +118,121 @@ def test_spec_dict_round_trip(spec):
     assert back.to_dict() == spec.to_dict()
 
 
-def test_split_fractions_and_track_integrity(spec):
-    ds = generate_synthetic(spec)
-    parts = split(ds, (0.6, 0.2, 0.2), seed=9)
-    assert sum(len(p) for p in parts) == len(ds)
+# type rules of SyntheticSpec's fields: checked, not converted; a value of
+# the wrong type raises ConfigurationError naming the key
+SPEC_NOT_TYPED = {
+    "tracks_float": ({"tracks": 60.5}, "'tracks'"),
+    "feature_dim_bool": ({"feature_dim": True}, "'feature_dim'"),
+    "excerpts_per_track_float": ({"excerpts_per_track": 2.0},
+                                 "'excerpts_per_track'"),
+    "seed_str": ({"seed": "0"}, "'seed'"),
+    "range_float": ({"tags_per_notion_range": (1.0, 2)},
+                    "'tags_per_notion_range'"),
+    "sigma_within_str": ({"sigma_within": "1.0"}, "'sigma_within'"),
+    "sigma_excerpt_none": ({"sigma_excerpt": None}, "'sigma_excerpt'"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPEC_NOT_TYPED))
+def test_spec_names_the_key_of_a_value_of_the_wrong_type(small_space, case):
+    fields, key = SPEC_NOT_TYPED[case]
+    with pytest.raises(ConfigurationError, match=key):
+        SyntheticSpec(space=small_space, **fields)
+
+
+def test_spec_keeps_the_values_it_checks(small_space):
+    spec = SyntheticSpec(space=small_space, sigma_within=1, seed=np.int64(4))
+    assert type(spec.sigma_within) is int and type(spec.seed) is np.int64
+
+
+def _subset(ds, idx):
+    return Dataset(ds.space, [ds.ids[i] for i in idx],
+                   [ds.track_ids[i] for i in idx], ds.features[idx],
+                   ds.labels[idx])
+
+
+def _split(ds, fractions, seed):
+    """The generate-then-index split that generate_splits' per-part writer
+    replaced: the oracle it must equal bit for bit."""
+    fractions = [float(f) for f in fractions]
+    rng = np.random.default_rng(seed)
+    tracks = list(dict.fromkeys(ds.track_ids))  # first-appearance order
+    n = len(tracks)
+    bounds = np.round(np.cumsum([0.0] + fractions) * n).astype(int)
+    perm = rng.permutation(n)
+    parts = []
+    for i in range(len(fractions)):
+        chosen = {tracks[j] for j in perm[bounds[i]:bounds[i + 1]]}
+        parts.append(_subset(
+            ds, [k for k, t in enumerate(ds.track_ids) if t in chosen]))
+    return tuple(parts)
+
+
+def _covered(parts) -> bool:
+    return bool((parts[0].labels.sum(axis=0) > 0).all())
+
+
+def _oracle_splits(spec, fractions):
+    """generate_splits as generate_synthetic then _split, with its redraws."""
+    for k in range(20):
+        sp = replace(spec, seed=spec.seed + 1000 + k) if k else spec
+        parts = _split(generate_synthetic(sp), fractions, seed=sp.seed)
+        if _covered(parts):
+            return parts
+    raise AssertionError("the oracle found no covering draw")
+
+
+def _assert_same_parts(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.ids == b.ids and a.track_ids == b.track_ids
+        assert _arrays_digest(a) == _arrays_digest(b)
+
+
+def _assert_track_integrity(parts, spec):
+    # every track lands whole in exactly one part
     tracksets = [set(p.track_ids) for p in parts]
-    # by-track splitting keeps excerpts of a track together
-    assert not (tracksets[0] & tracksets[1])
-    assert not (tracksets[0] & tracksets[2])
-    assert not (tracksets[1] & tracksets[2])
+    assert sum(len(t) for t in tracksets) == spec.tracks
+    assert len(set().union(*tracksets)) == spec.tracks
+    for p in parts:
+        assert all(p.track_ids.count(t) == spec.excerpts_per_track
+                   for t in set(p.track_ids))
+
+
+def test_split_fractions_and_track_integrity(spec):
+    parts = generate_splits(spec, (0.6, 0.2, 0.2))
+    assert sum(len(p) for p in parts) == spec.tracks * spec.excerpts_per_track
+    _assert_track_integrity(parts, spec)
     # track-count proportions honour the fractions exactly (rounded bounds)
-    assert [len(t) for t in tracksets] == [30, 10, 10]
+    assert [len(set(p.track_ids)) for p in parts] == [30, 10, 10]
 
 
 def test_split_is_deterministic(spec):
-    ds = generate_synthetic(spec)
-    a = split(ds, (0.5, 0.5), seed=4)
-    b = split(ds, (0.5, 0.5), seed=4)
-    assert a[0].ids == b[0].ids and a[1].ids == b[1].ids
+    a = generate_splits(spec, (0.5, 0.5))
+    b = generate_splits(spec, (0.5, 0.5))
+    _assert_same_parts(a, b)
 
 
 def test_split_validates_fractions(spec):
-    ds = generate_synthetic(spec)
-    with pytest.raises(ConfigurationError):
-        split(ds, (0.5, 0.4), seed=0)
-    with pytest.raises(ConfigurationError):
-        split(ds, (1.2, -0.2), seed=0)
+    for fractions in ((0.5, 0.4), (1.2, -0.2), ("0.5", "0.5"), 1.0):
+        with pytest.raises(ConfigurationError, match="split fractions"):
+            generate_splits(spec, fractions)
+
+
+@pytest.mark.parametrize("excerpts", [1, 3])
+@pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.6, 0.2, 0.2),
+                                       (0.4, 0.3, 0.2, 0.1)],
+                         ids=["2-parts", "3-parts", "4-parts"])
+def test_generate_splits_equals_generate_then_split(spec, fractions, excerpts):
+    spec = replace(spec, excerpts_per_track=excerpts)
+    _assert_same_parts(generate_splits(spec, fractions),
+                       _oracle_splits(spec, fractions))
 
 
 def test_generate_splits_covers_all_tags(spec):
-    train, valid, test = generate_splits(spec)
-    assert (train.labels.sum(axis=0) > 0).all()
-    assert len(train) + len(valid) + len(test) == spec.tracks * spec.excerpts_per_track
+    parts = generate_splits(spec)
+    assert _covered(parts)
+    _assert_track_integrity(parts, spec)
 
 
 def test_generate_splits_redraws_until_train_covers_every_tag():
@@ -156,21 +240,9 @@ def test_generate_splits_redraws_until_train_covers_every_tag():
     # generate_splits draws again at seed + 1000 + k, k = 1, 2, ...
     spec = SyntheticSpec(space=default_label_space(), tracks=15, seed=0)
     fractions = (0.6, 0.2, 0.2)
-
-    def draw(sp):
-        return split(generate_synthetic(sp), fractions, seed=sp.seed)
-
-    def covered(parts):
-        return bool((parts[0].labels.sum(axis=0) > 0).all())
-
-    assert not covered(draw(spec))
-    redraws = (draw(replace(spec, seed=1000 + k)) for k in range(1, 20))
-    want = next(parts for parts in redraws if covered(parts))
-    got = generate_splits(spec, fractions)
-    for a, b in zip(got, want):
-        assert a.ids == b.ids
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+    assert not _covered(_split(generate_synthetic(spec), fractions, seed=0))
+    _assert_same_parts(generate_splits(spec, fractions),
+                       _oracle_splits(spec, fractions))
 
 
 def test_generate_splits_gives_up_when_train_cannot_cover_every_tag():
@@ -184,13 +256,30 @@ def test_generate_splits_gives_up_when_train_cannot_cover_every_tag():
     (60, (0.8, 0.005, 0.195), 1),
     (2, (0.5, 0.25, 0.25), 2),
 ])
-def test_split_rejects_a_part_that_rounds_to_no_track(tracks, fractions, part):
+def test_split_rejects_a_part_that_rounds_to_no_track(tracks, fractions, part,
+                                                      monkeypatch):
     spec = SyntheticSpec(space=default_label_space(), tracks=tracks, seed=0)
-    ds = generate_synthetic(spec)
+
+    def no_draw(*args):
+        raise AssertionError("drew rows before checking the parts")
+
+    monkeypatch.setattr(data, "_write_parts", no_draw)
     with pytest.raises(DatasetError, match=f"split part {part} of 3 .* empty"):
-        split(ds, fractions, seed=0)
-    with pytest.raises(DatasetError, match=f"split part {part} of 3"):
         generate_splits(spec, fractions)
+
+
+def test_generate_splits_peak_is_what_its_splits_hold():
+    # each row is written once, into its part: no whole dataset is held
+    # next to the parts (generate-then-index peaked at 1.83 times the parts)
+    spec = SyntheticSpec(space=default_label_space(), tracks=1500, seed=0)
+    tracemalloc.start()
+    try:
+        parts = generate_splits(spec, fractions=(0.3, 0.05, 0.65))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(p) for p in parts) == 6000
+    assert peak <= 1.1 * held
 
 
 def test_dataset_rejects_ragged_features(small_space):
@@ -318,6 +407,24 @@ def test_generated_saved_and_loaded_bytes_are_pinned(shape, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == tsv_pin, key
         assert _arrays_digest(ds) == arrays_pin, key
         assert _arrays_digest(load_dataset(path, ds.space)) == arrays_pin, key
+
+
+# _arrays_digest of generate_synthetic's dataset, recorded from the
+# implementation that generated the whole dataset before a split indexed it;
+# generate_synthetic is now the one-part case of generate_splits' writer
+SYNTHETIC_PINS = {
+    "default": "cd2601f2016ddb357920c10e0cb32927f8ed616d985f628ba952c966f39ad513",
+    "eval_heavy": "cd102576990478f8af091759c8dee7ce2aeb332dbbee182d4a072a3299a4fabd",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SYNTHETIC_PINS))
+def test_generate_synthetic_arrays_are_pinned(shape):
+    if shape == "default":
+        spec = default_config(0).synthetic
+    else:
+        spec = SyntheticSpec(space=default_label_space(), tracks=1500, seed=0)
+    assert _arrays_digest(generate_synthetic(spec)) == SYNTHETIC_PINS[shape]
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999",

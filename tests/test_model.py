@@ -222,6 +222,19 @@ def test_sigmoid_within_4_ulp_of_expit():
     assert not np.signbit(at[0])
 
 
+def test_sigmoid_in_place_is_bit_equal_to_its_formula():
+    # the in-place steps are the operations of 1 / (1 + exp(-z)), in order
+    edges = np.array([-1000.0, -800.0, -0.0, 0.0, 800.0, 1000.0, -709.78,
+                      -709.79, np.finfo(np.float64).smallest_subnormal])
+    z = np.concatenate([np.linspace(-800.0, 800.0, 100_001), edges])
+    before = z.copy()
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-z))
+    got = sigmoid(z)
+    assert got.tobytes() == want.tobytes()
+    assert z.tobytes() == before.tobytes()
+
+
 def test_proxy_equals_classification_normalized(small_space, rng):
     # a proxy and a normalized classifier are one call on a normalizing net:
     # sigmoid of the row-normalized embedding against the bank
