@@ -23,8 +23,9 @@ from .evaluation import (
     unit_blocks,
 )
 from .labelspace import LabelSpace
-# class_scores stays importable here: bench/probes.py times it by this name
-from .model import class_scores, embed, forward_rows, row_scores
+# class_scores stays importable here: bench/probes.py times it by this name;
+# the probes time the trainer's score_blocks, not this one
+from .model import class_scores, embed, forward_rows, score_blocks
 from .sampling import TripletBatch, checked_sampler
 from .trainer import TrainedModel, TrainResult, VariantConfig
 
@@ -101,10 +102,9 @@ def evaluate_model(
     # and the full-mode triplets
     E_pre = forward_rows(model.net, test_ds.features)
     if variant.family != "triplet":
-        report.auc = auc_tags(
-            row_scores(model.net, model.bank, E_pre, variant.disentanglement),
-            test_ds.labels,
-        )
+        report.auc = auc_tags(score_blocks(
+            E_pre, model.bank.weights.values, model.net.config.normalize_output,
+            variant.disentanglement, model.space)[0], test_ds.labels)
     sub = {}
     if variant.disentanglement:
         sub = accuracies(unit_blocks(E_pre, test_ds.space.block_size), "sub")

@@ -93,11 +93,20 @@ class Dataset:
         return self.features.shape[1]
 
 
+def _int_pair(v) -> tuple:
+    """``v`` as a pair of ints (``as_ints``); another length raises
+    TypeError."""
+    pair = as_ints(v)
+    if len(pair) != 2:
+        raise TypeError(f"expected a (min, max) pair, got {v!r}")
+    return pair
+
+
 # the type rule of each SyntheticSpec field but the space; a value is
 # checked, not converted, as VariantConfig's values are
 SPEC_TYPES = {
     "feature_dim": as_int, "tracks": as_int, "excerpts_per_track": as_int,
-    "tags_per_notion_range": as_ints, "sigma_within": as_float,
+    "tags_per_notion_range": _int_pair, "sigma_within": as_float,
     "sigma_excerpt": as_float, "seed": as_int,
 }
 
@@ -117,6 +126,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_types(self, SPEC_TYPES, "synthetic")
+        self.tags_per_notion_range = tuple(self.tags_per_notion_range)
         if self.feature_dim <= 0 or self.tracks <= 0 or self.excerpts_per_track <= 0:
             raise ConfigurationError("all synthetic counts must be positive")
         lo, hi = self.tags_per_notion_range
@@ -141,8 +151,6 @@ class SyntheticSpec:
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         d = dict(d)
         d["space"] = LabelSpace.from_dict(d["space"])
-        if "tags_per_notion_range" in d:
-            d["tags_per_notion_range"] = tuple(d["tags_per_notion_range"])
         return cls(**d)
 
 
@@ -211,36 +219,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     excerpts are rows ``tr * excerpts_per_track`` onwards.
     """
     return _write_parts(spec, np.zeros(spec.tracks, dtype=np.intp))[0]
-
-
-def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
-    """Fraction of tag assignments recovered by nearest-centroid decoding.
-
-    Used as a generation-time sanity oracle: with noise small relative to
-    centroid separation this should be close to 1.
-    """
-    space = spec.space
-    cents = tag_centroids(spec)
-    blocks = _feature_blocks(spec.feature_dim, space.num_notions)
-    hits = 0
-    total = 0
-    for features, labels in zip(dataset.features, dataset.labels):
-        for g, notion in enumerate(space.notions):
-            block = blocks[g]
-            true_tags = {
-                t for t in notion.tags if labels[space.tag_index[t]] > 0
-            }
-            k = len(true_tags)
-            tag_idx = [space.tag_index[t] for t in notion.tags]
-            # score each tag by how much its centroid explains the block
-            scores = [
-                float(np.dot(features[block], cents[ti, block]))
-                for ti in tag_idx
-            ]
-            top = {notion.tags[i] for i in np.argsort(scores)[::-1][:k]}
-            hits += len(top & true_tags)
-            total += k
-    return hits / total if total else 0.0
 
 
 def check_fractions(fractions) -> tuple[float, ...]:

@@ -21,8 +21,8 @@ each centroid to its own notion's block.  The sigmoid is numpy's
 scipy at run time.
 
 The relu MLP with the head (``relu_layers``) and the score formula
-(``_score_node``) each return their value and a ``backward`` closure with a
-hand-written gradient.
+(``score_blocks``, which takes rows already embedded) each return their
+value and a ``backward`` closure with a hand-written gradient.
 """
 
 from __future__ import annotations
@@ -218,29 +218,6 @@ def embed(net: EmbeddingNet, x) -> np.ndarray:
     return E[0] if x.ndim == 1 else E
 
 
-def score_blocks(net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool):
-    """The (N, tags) sigmoid scores, tags in global order.
-
-    ``S = sigmoid(N(F) @ (C * M).T)`` (see the module docstring): F is the
-    net's full pre-normalization embedding, N row L2 normalization if the net
-    normalizes its output (per notion block if ``disentangled``) and M all
-    ones or, if ``disentangled``, the tag-by-dimension block mask, so each
-    tag is scored in its own notion's block.  Returns S and ``backward(g)``,
-    which returns one ``(name, gradient)`` pair per parameter of the net and
-    then the bank's (``BANK_PARAM``).
-    """
-    F, net_backward = net.full_embedding(np.atleast_2d(x))
-    S, score_backward = _score_node(F, bank.weights.values,
-                                    net.config.normalize_output,
-                                    disentangled, net.space)
-
-    def backward(g):
-        gF, gC = score_backward(g)
-        return [*net_backward(gF), (BANK_PARAM, gC)]
-
-    return S, backward
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-z))``, the formula of ``scipy.special.expit``.
 
@@ -257,9 +234,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def _score_node(F: np.ndarray, C: np.ndarray, normalized: bool,
-                disentangled: bool, space: LabelSpace):
-    """``sigmoid(N(F) @ (C * M).T)`` (module docstring).
+def score_blocks(F: np.ndarray, C: np.ndarray, normalized: bool,
+                 disentangled: bool, space: LabelSpace):
+    """The (N, tags) sigmoid scores ``sigmoid(N(F) @ (C * M).T)`` (module
+    docstring) of the items whose pre-normalization embeddings, the rows of
+    ``full_embedding``, are the rows of F; tags in global order.
 
     Both normalizations are guarded row L2: of F's rows, or of the rows of F
     cut into its notion blocks.  Returns S and ``backward(g)``, which returns
@@ -293,16 +272,9 @@ def class_scores(
 ) -> np.ndarray:
     """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    S = row_scores(net, bank, forward_rows(net, np.atleast_2d(x)), disentangled)
+    S = score_blocks(forward_rows(net, np.atleast_2d(x)), bank.weights.values,
+                     net.config.normalize_output, disentangled, net.space)[0]
     return S[0] if x.ndim == 1 else S
-
-
-def row_scores(net: EmbeddingNet, bank: CentroidBank, F: np.ndarray,
-               disentangled: bool) -> np.ndarray:
-    """``class_scores`` of the items whose pre-normalization embeddings, the
-    rows of ``net.full_embedding``, are the rows of ``F``."""
-    return _score_node(F, bank.weights.values, net.config.normalize_output,
-                       disentangled, net.space)[0]
 
 
 # ---------------------------------------------------------------------------

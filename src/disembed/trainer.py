@@ -1,11 +1,13 @@
 """Variant-dispatching training loop: Adam, plateau schedule, early stopping,
 and best-validation-epoch restoration.
 
-A training step runs the family's forward, then chains the backward closures
-of its layers by hand (the net's ``full_embedding`` and
-``triplet_batch_loss`` for the triplet family, ``_bce`` for proxy and
-classification) and writes the parameter gradients into one flat vector
-(``autodiff.grad``) that ``Adam.step`` reads in place.
+Every family trains with one step: one net forward (``full_embedding``) of
+the step's input rows, then the family's loss of the embedded rows
+(``_family_loss``: ``triplet_batch_loss``, or ``score_blocks`` then
+``bce_sum`` for proxy and classification).  ``autodiff.grad`` runs the
+chained backward closures as it writes the parameter gradients into one flat
+vector that ``Adam.step`` reads in place.  Only the batch source differs by
+family, and validation applies the same loss to the embedded split.
 
 A triplet step runs one net forward over every row of its batches, one
 loss call over all of them, and one net backward over the rows of the
@@ -261,32 +263,63 @@ def validation_loss(
     if len(valid_ds) == 0:
         raise ConfigurationError("validation split is empty")
     variant = model.variant
+    F = model.net.full_embedding(valid_ds.features)[0]
+    if variant.family != "triplet":  # BCE: the mean per-sample loss
+        return float(_family_loss(model, F, (valid_ds.labels, 1.0))[0]) / len(valid_ds)
+    if val_triplets is None:
+        val_triplets, val_track_triplets = _fixed_validation_triplets(
+            variant, valid_ds
+        )
+    idx, masks, weights = _triplet_inputs(variant, model.space, val_triplets,
+                                          val_track_triplets)
+    return float(_family_loss(model, F[idx], (masks, weights))[0])
+
+
+def _family_loss(model: TrainedModel, F, batch):
+    """The family's loss of F, rows of ``full_embedding``: the triplet hinge
+    for ``batch = (masks, weights)``, or for ``batch = (Y, scale)`` ``scale``
+    times the summed BCE of F's scores against labels Y.  Returns the loss and
+    ``backward()``, which returns the rows of F that carry gradient (None for
+    all rows), their gradient, and the ``(name, gradient)`` pieces of the
+    parameters past F: the bank's for BCE."""
+    variant = model.variant
     if variant.family == "triplet":
-        if val_triplets is None:
-            val_triplets, val_track_triplets = _fixed_validation_triplets(
-                variant, valid_ds
-            )
-        idx, masks, weights = _triplet_inputs(variant, model.space,
-                                              val_triplets, val_track_triplets)
-        E = model.net.full_embedding(valid_ds.features)[0]
-        return float(triplet_batch_loss(E[idx], variant.margin, masks, weights)[0])
-    # BCE families: mean per-sample loss over the whole split
-    return float(_bce(model, valid_ds.features, valid_ds.labels)[0]) / len(valid_ds)
-
-
-def _bce(model: TrainedModel, X, Y, scale=1.0):
-    """Summed BCE of the model's scores for X against labels Y: one score
-    call and one loss call over all tags.  Returns the loss and
-    ``backward()``, which yields the ``(name, gradient)`` pieces of ``scale``
-    times the loss for ``autodiff.grad``."""
-    S, score_backward = score_blocks(model.net, model.bank, X,
-                                     model.variant.disentanglement)
+        loss, backward = triplet_batch_loss(F, variant.margin, *batch)
+        return loss, lambda: (*backward(), ())  # no pieces past F
+    Y, scale = batch
+    S, score_backward = score_blocks(F, model.bank.weights.values,
+                                     model.net.config.normalize_output,
+                                     variant.disentanglement, model.space)
     loss, bce_backward = bce_sum(S, Y)
 
     def backward():
-        yield from score_backward(bce_backward(scale))
+        gF, gC = score_backward(bce_backward(scale))
+        return None, gF, [(BANK_PARAM, gC)]
 
-    return loss, backward
+    return loss * scale, backward
+
+
+def _pieces(net_backward, backward):
+    """A step's ``(name, gradient)`` pieces for ``autodiff.grad``: the net's
+    through the rows ``backward()`` returns, then the pieces past F."""
+    rows, gF, extra = backward()
+    yield from net_backward(gF, rows)
+    yield from extra
+
+
+def _batches(variant: VariantConfig, space: LabelSpace, train_ds: Dataset,
+             sampler, rng):
+    """One epoch's steps as ``(inputs, batch)``: the dataset rows to embed
+    and ``_family_loss``'s batch."""
+    if variant.family != "triplet":
+        for X, Y in batch_iterator(train_ds, variant.batch_size, "sample", rng):
+            yield X, (Y, 1.0 / len(X))
+        return
+    it = batch_iterator(train_ds, variant.batch_size, "triplet", rng,
+                        sampler=sampler, track_reg=variant.track_reg)
+    for tags, tracks in it:
+        idx, masks, weights = _triplet_inputs(variant, space, tags, tracks)
+        yield train_ds.features[idx], (masks, weights)
 
 
 def train(
@@ -305,13 +338,9 @@ def train(
     params = _all_params(model)
     adam = Adam(params, lr=variant.lr)
     sched = PlateauSchedule(lr=variant.lr)
-    is_triplet = variant.family == "triplet"
-    sampler = (
-        checked_sampler(train_ds, "training", tracks=variant.track_reg)
-        if is_triplet else None
-    )
-    val_triplets = val_tracks = None
-    if is_triplet:
+    sampler = val_triplets = val_tracks = None
+    if variant.family == "triplet":
+        sampler = checked_sampler(train_ds, "training", tracks=variant.track_reg)
         val_triplets, val_tracks = _fixed_validation_triplets(variant, valid_ds)
 
     g, slots = ad.packed(params)  # the flat gradient, laid out like adam.flat
@@ -326,32 +355,12 @@ def train(
             np.random.SeedSequence([variant.seed, 3, epoch])
         )
         batch_losses = []
-        if is_triplet:
-            it = batch_iterator(
-                train_ds,
-                variant.batch_size,
-                "triplet",
-                rng,
-                sampler=sampler,
-                track_reg=variant.track_reg,
-            )
-            for tag_batch, track_batch in it:
-                idx, masks, weights = _triplet_inputs(variant, space,
-                                                      tag_batch, track_batch)
-                E, net_backward = model.net.full_embedding(train_ds.features[idx])
-                loss, backward = triplet_batch_loss(E, variant.margin, masks,
-                                                    weights)
-                rows, gE = backward()
-                ad.grad(slots, net_backward(gE, rows))
-                adam.step(g)
-                batch_losses.append(float(loss))
-        else:
-            for X, Y in batch_iterator(train_ds, variant.batch_size, "sample", rng):
-                scale = 1.0 / len(X)
-                loss, backward = _bce(model, X, Y, scale)
-                ad.grad(slots, backward())
-                adam.step(g)
-                batch_losses.append(float(loss * scale))
+        for inputs, batch in _batches(variant, space, train_ds, sampler, rng):
+            F, net_backward = model.net.full_embedding(inputs)
+            loss, backward = _family_loss(model, F, batch)
+            ad.grad(slots, _pieces(net_backward, backward))
+            adam.step(g)
+            batch_losses.append(float(loss))
         train_loss = float(np.mean(batch_losses))
         if not math.isfinite(train_loss):
             raise TrainingDivergedError(

@@ -36,9 +36,9 @@ from disembed.sampling import TripletBatch
 from disembed.trainer import (
     TrainedModel,
     VariantConfig,
-    _bce,
+    _family_loss,
+    _pieces,
     _triplet_inputs,
-    triplet_batch_loss,
 )
 
 from conftest import finite_difference, relative_error
@@ -211,6 +211,15 @@ def _check_model_gradient(seed, hidden, batch, loss_of, hinge_of=None,
         assert err < 1e-4, f"seed {seed} hidden {hidden} param {name}: rel err {err}"
 
 
+def _step(model, inputs, batch):
+    """A training step as the trainer's loop runs it: ``full_embedding``
+    then ``_family_loss``.  Returns the loss and ``backward()``, the step's
+    ``(name, gradient)`` pieces for ``grad``."""
+    F, net_backward = model.net.full_embedding(inputs)
+    loss, backward = _family_loss(model, F, batch)
+    return loss, lambda: _pieces(net_backward, backward)
+
+
 def _triplet_rows(space, rng, batch):
     """Random anchor/positive/negative input rows plus per-row notion
     indices."""
@@ -253,16 +262,8 @@ def test_loss_gradients_match_finite_differences():
                                                         tracks)
 
             def loss_of(net, bank, X):
-                def build():
-                    E, net_backward = net.full_embedding(XT[idx])
-                    loss, backward = triplet_batch_loss(
-                        E, variant.margin, step_masks, weights)
-
-                    def step_backward():
-                        rows, gE = backward()
-                        return net_backward(gE, rows)
-                    return loss, step_backward
-                return build
+                model = TrainedModel(net, None, variant, space)
+                return lambda: _step(model, XT[idx], (step_masks, weights))
             return loss_of
 
         def triplet_reject(masks):
@@ -325,7 +326,7 @@ def test_loss_gradients_match_finite_differences():
                 rng = np.random.default_rng(np.random.SeedSequence([seed, 53]))
                 Y = (rng.random((batch, space.num_tags)) < 0.5).astype(float)
                 model = TrainedModel(net, bank, variant, space)
-                return lambda: _bce(model, X, Y)
+                return lambda: _step(model, X, (Y, 1.0))
             return loss_of
 
         _check_model_gradient(seed, hidden, batch, bce_loss("proxy", True))

@@ -11,7 +11,7 @@ from disembed import autodiff as ad
 from disembed.autodiff import Adam, Param, PlateauSchedule, grad, packed
 from disembed.errors import TrainingDivergedError
 from disembed.losses import bce_sum, triplet_batch_loss
-from disembed.model import _score_node, relu_layers
+from disembed.model import score_blocks, relu_layers
 
 from conftest import (
     finite_difference,
@@ -115,7 +115,7 @@ def test_matmul_transpose_b_gradient(small_space):
     w = rng.normal(size=(3, 4))
 
     def forward():
-        return _score_node(P["F"].values, P["C"].values, False, False,
+        return score_blocks(P["F"].values, P["C"].values, False, False,
                            small_space)
 
     check_gradient(forward, P, w)
@@ -130,7 +130,7 @@ def test_normalized_score_gradient(small_space, disentangled):
     w = rng.normal(size=(3, 4))
 
     def forward():
-        return _score_node(P["F"].values, P["C"].values, True, disentangled,
+        return score_blocks(P["F"].values, P["C"].values, True, disentangled,
                            small_space)
 
     check_gradient(forward, P, w)
@@ -147,14 +147,14 @@ def test_dead_notion_block_scores_one_half(small_space):
     w = rng.normal(size=(3, 4))
 
     def forward():
-        S, backward = _score_node(F, C.values, True, True, space)
+        S, backward = score_blocks(F, C.values, True, True, space)
         return S, lambda g: backward(g)[1:]  # the gradient of C
 
     S = forward()[0]
     shape_tags = space.tag_indices_of_notion("shape")
     assert np.array_equal(S[:, shape_tags], np.full((3, 2), 0.5))
     check_gradient(forward, {"C": C}, w)
-    gF, _ = _score_node(F, C.values, True, True, space)[1](w)
+    gF, _ = score_blocks(F, C.values, True, True, space)[1](w)
     assert np.isfinite(gF).all()
 
 
@@ -171,7 +171,7 @@ def _relu_stage(t):
 
 
 def _sigmoid_stage(t):
-    S, backward = _score_node(t.values, np.eye(4), False, False, None)
+    S, backward = score_blocks(t.values, np.eye(4), False, False, None)
     return (np.sum(STAGE_WEIGHTS * S),
             lambda g: backward(g * STAGE_WEIGHTS)[:1])
 
@@ -242,7 +242,7 @@ def test_reshape_and_concat_gradients(small_space):
 
     def forward():
         F, head_backward = relu_layers(h, [(H.values, None)])
-        S, score_backward = _score_node(F, C, True, True, small_space)
+        S, score_backward = score_blocks(F, C, True, True, small_space)
         return S, lambda g: head_backward(score_backward(g)[0])
 
     check_gradient(forward, {"H": H}, w, tol=1e-5)

@@ -145,10 +145,13 @@ def test_variants_with_equal_keys_build_and_score_identically(seed):
         for variant in (a, b):
             model = build_model(variant, space, X.shape[1])
             params = {**model.net.params, "C": model.bank.weights}
-            S, score_backward = score_blocks(model.net, model.bank, X,
-                                             variant.disentanglement)
+            F, net_backward = model.net.full_embedding(X)
+            S, score_backward = score_blocks(F, model.bank.weights.values,
+                                             variant.normalization,
+                                             variant.disentanglement, space)
+            gF, gC = score_backward(bce_sum(S, Y)[1](1.0))
             grads = packed(params)[1]
-            grad(grads, score_backward(bce_sum(S, Y)[1](1.0)))
+            grad(grads, [*net_backward(gF), ("C", gC)])
             runs.append(({k: p.values for k, p in params.items()}, S, grads))
         (pa, sa, ga), (pb, sb, gb) = runs
         assert pa.keys() == pb.keys() == ga.keys() == gb.keys()

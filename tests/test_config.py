@@ -180,6 +180,8 @@ WRONG_TYPES = {
     "fractions": ({"fractions": [0.8, "x", 0.15]}, "'fractions'"),
     "synthetic_tracks": ({"synthetic": {"tracks": "x"}},
                          "'synthetic.tracks'"),
+    "synthetic_range_triple": ({"synthetic": {"tags_per_notion_range": [1, 2, 3]}},
+                               "'synthetic.tags_per_notion_range'"),
     "synthetic_unknown_key": ({"synthetic": {"colour": 1}}, "colour"),
     "synthetic_not_a_dict": ({"synthetic": "x"}, "'synthetic'"),
     "dataset_not_a_dict": ({"synthetic": None, "dataset": "notadict"},

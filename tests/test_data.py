@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from disembed import data
 from disembed.data import (
     Dataset,
+    _feature_blocks,
     Item,
     SyntheticSpec,
     generate_splits,
     generate_synthetic,
     load_dataset,
-    nearest_centroid_decode,
     save_dataset,
     tag_centroids,
 )
@@ -87,6 +87,36 @@ def test_noiseless_identical_tag_sets_identical_features(small_space):
             assert np.array_equal(f, feats[0])
 
 
+def nearest_centroid_decode(dataset: Dataset, spec: SyntheticSpec) -> float:
+    """Fraction of tag assignments recovered by nearest-centroid decoding.
+
+    Used as a generation-time sanity oracle: with noise small relative to
+    centroid separation this should be close to 1.
+    """
+    space = spec.space
+    cents = tag_centroids(spec)
+    blocks = _feature_blocks(spec.feature_dim, space.num_notions)
+    hits = 0
+    total = 0
+    for features, labels in zip(dataset.features, dataset.labels):
+        for g, notion in enumerate(space.notions):
+            block = blocks[g]
+            true_tags = {
+                t for t in notion.tags if labels[space.tag_index[t]] > 0
+            }
+            k = len(true_tags)
+            tag_idx = [space.tag_index[t] for t in notion.tags]
+            # score each tag by how much its centroid explains the block
+            scores = [
+                float(np.dot(features[block], cents[ti, block]))
+                for ti in tag_idx
+            ]
+            top = {notion.tags[i] for i in np.argsort(scores)[::-1][:k]}
+            hits += len(top & true_tags)
+            total += k
+    return hits / total if total else 0.0
+
+
 def test_nearest_centroid_decoder_recovers_tags(spec):
     # sigma 0.1 is small relative to unit-variance centroids
     ds = generate_synthetic(spec)
@@ -128,6 +158,10 @@ SPEC_NOT_TYPED = {
     "seed_str": ({"seed": "0"}, "'seed'"),
     "range_float": ({"tags_per_notion_range": (1.0, 2)},
                     "'tags_per_notion_range'"),
+    "range_triple": ({"tags_per_notion_range": (1, 2, 3)},
+                     "'tags_per_notion_range': expected a .min, max. pair"),
+    "range_single": ({"tags_per_notion_range": (1,)},
+                     "'tags_per_notion_range': expected a .min, max. pair"),
     "sigma_within_str": ({"sigma_within": "1.0"}, "'sigma_within'"),
     "sigma_excerpt_none": ({"sigma_excerpt": None}, "'sigma_excerpt'"),
 }
@@ -143,6 +177,12 @@ def test_spec_names_the_key_of_a_value_of_the_wrong_type(small_space, case):
 def test_spec_keeps_the_values_it_checks(small_space):
     spec = SyntheticSpec(space=small_space, sigma_within=1, seed=np.int64(4))
     assert type(spec.sigma_within) is int and type(spec.seed) is np.int64
+
+
+def test_spec_keeps_tags_per_notion_range_as_a_tuple(small_space):
+    spec = SyntheticSpec(space=small_space, tags_per_notion_range=[1, 2])
+    assert spec.tags_per_notion_range == (1, 2)
+    assert spec == SyntheticSpec(space=small_space, tags_per_notion_range=(1, 2))
 
 
 def _subset(ds, idx):

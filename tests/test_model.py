@@ -304,7 +304,8 @@ def test_score_blocks_is_one_all_tags_block(small_space, rng):
     for normalize, disentangled in ((True, False), (True, True),
                                     (False, False)):
         net, bank = make_net(small_space, normalize=normalize)
-        S = score_blocks(net, bank, X, disentangled)[0]
+        S = score_blocks(net.full_embedding(X)[0], bank.weights.values,
+                         normalize, disentangled, small_space)[0]
         assert S.shape == (3, small_space.num_tags)
         assert np.array_equal(S, class_scores(net, bank, X, disentangled))
 
@@ -366,9 +367,12 @@ def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion
                     small_space.notions[dead_notion].name)
                 net.params["H"].values[:, cut] = 0.0
             params = {**net.params, "C": bank.weights}
-            S, score_backward = score_blocks(net, bank, X, True)
+            F, net_backward = net.full_embedding(X)
+            S, score_backward = score_blocks(F, bank.weights.values, True,
+                                             True, small_space)
+            gF, gC = score_backward(bce_sum(S, Y)[1](1.0))
             got = packed(params)[1]
-            grad(got, score_backward(bce_sum(S, Y)[1](1.0)))
+            grad(got, [*net_backward(gF), ("C", gC)])
             ref_S, want = reference_disentangled(net, bank, X, Y)
             assert np.abs(S - ref_S).max() < 1e-12
             if dead_notion is not None:

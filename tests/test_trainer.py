@@ -380,6 +380,45 @@ def test_triplet_step_makes_one_loss_call(splits, monkeypatch, kw):
     assert calls == steps + validation
 
 
+@pytest.mark.parametrize("kw", [
+    dict(family="proxy"),
+    dict(family="proxy", disentanglement=True),
+    dict(family="classification", normalization=False),
+], ids=["proxy", "proxy-disent", "classification"])
+def test_bce_step_makes_one_forward_score_and_loss_call(splits, monkeypatch,
+                                                        kw):
+    # the BCE counterpart of the two triplet step tests above: each training
+    # step and each validation makes one full_embedding call over its rows,
+    # then one score_blocks and one bce_sum call over the same rows, each
+    # patched where the trainer looks it up
+    space, (train_ds, valid_ds, _) = splits
+    calls, batch_rows = [], []
+    iterate = trainer.batch_iterator
+
+    def recording_iterator(*args, **kwargs):
+        for X, Y in iterate(*args, **kwargs):
+            batch_rows.append(len(X))
+            yield X, Y
+
+    def recording(name, fn, rows_arg):
+        def wrapper(*args, **kwargs):
+            calls.append((name, len(args[rows_arg])))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(trainer, "batch_iterator", recording_iterator)
+    monkeypatch.setattr(EmbeddingNet, "full_embedding",
+                        recording("forward", EmbeddingNet.full_embedding, 1))
+    monkeypatch.setattr(trainer, "score_blocks",
+                        recording("score", trainer.score_blocks, 0))
+    monkeypatch.setattr(trainer, "bce_sum", recording("bce", trainer.bce_sum, 0))
+    variant = quick(max_epochs=1, **kw)
+    train(variant, space, train_ds, valid_ds)
+    assert len(batch_rows) > 1 and batch_rows[0] == variant.batch_size
+    assert calls == [(name, rows) for rows in batch_rows + [len(valid_ds)]
+                     for name in ("forward", "score", "bce")]
+
+
 def test_triplet_epoch_slower_than_classification(splits):
     # an epoch of triplet steps costs visibly more than one of BCE batches
     space, (train_ds, valid_ds, _) = splits
