@@ -43,7 +43,7 @@ def main():
           f"({result.seconds:.1f}s), best validation loss "
           f"{result.best_valid_loss:.4f}")
 
-    E = embed(result.model.net, test_ds.features)
+    E = embed(result.model.net, test_ds.features, variant.normalization)
     recall = retrieval_recall(E, test_ds.labels, [1, 4])
     print(f"\nretrieval on the test split: "
           f"R@1 {recall[1]:.3f}, R@4 {recall[4]:.3f}")

@@ -8,7 +8,7 @@ time ratio, multi-label R@K, tag AUC, and triplet prediction.
 from .autodiff import Adam, Param, PlateauSchedule, grad
 from .benchmark import evaluate_model, run_benchmark
 from .config import ExperimentConfig, default_config, default_label_space
-from .data import Dataset, Item, SyntheticSpec, generate_splits, generate_synthetic
+from .data import Dataset, SyntheticSpec, generate_splits, generate_synthetic
 from .errors import (
     ConfigurationError,
     DatasetError,
@@ -16,14 +16,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .labelspace import LabelSpace, Notion
-from .model import (
-    CentroidBank,
-    EmbeddingNet,
-    NetConfig,
-    class_scores,
-    embed,
-    init_params,
-)
+from .model import EmbeddingNet, class_scores, embed, init_params
 from .sampling import Triplet, TripletBatch, TripletSampler, batch_iterator
 from .evaluation import (
     EvalReport,

@@ -103,7 +103,7 @@ def evaluate_model(
     E_pre = forward_rows(model.net, test_ds.features)
     if variant.family != "triplet":
         report.auc = auc_tags(score_blocks(
-            E_pre, model.bank.weights.values, model.net.config.normalize_output,
+            E_pre, model.bank.values, variant.normalization,
             variant.disentanglement, model.space)[0], test_ds.labels)
     sub = {}
     if variant.disentanglement:
@@ -113,7 +113,8 @@ def evaluate_model(
     report.recall_at = retrieval_recall(U, test_ds.labels, ks, normalized=True)
     if variant.family == "triplet":
         protos = build_prototypes(
-            embed(model.net, train_ds.features), train_ds.labels
+            embed(model.net, train_ds.features, variant.normalization),
+            train_ds.labels
         )
         report.auc = auc_tags(U @ ad.l2_rows(protos)[0].T, test_ds.labels)
     # the report's key order: full mode, sub mode, then the track triplets

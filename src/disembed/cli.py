@@ -135,7 +135,8 @@ def cmd_export_embeddings(args) -> int:
     dataset = load_dataset(args.data, model.space)
     space_arg = args.space
     if space_arg == "full":
-        E = np.atleast_2d(embed(model.net, dataset.features))
+        E = np.atleast_2d(embed(model.net, dataset.features,
+                                model.variant.normalization))
     else:
         block = model.space.block_slice(space_arg)
         E = forward_rows(model.net, np.atleast_2d(dataset.features))[:, block]

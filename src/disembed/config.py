@@ -38,6 +38,13 @@ def default_label_space() -> LabelSpace:
     )
 
 
+# the top-level keys of a config object that each set one field as they are
+# (once from_dict has checked their types), and the field each one sets
+_FIELDS = {"seed": "seed", "output_dir": "output_dir", "eval_ks": "eval_ks",
+           "triplets_per_notion": "triplets_per_notion",
+           "fractions": "fractions", "dataset": "dataset_paths"}
+
+
 @dataclass
 class ExperimentConfig:
     space: LabelSpace
@@ -110,9 +117,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The config a JSON object describes.  A missing label space, a
-        value of the wrong type or an unknown ``synthetic`` key raises
+        """The config a JSON object describes; a key it leaves out takes the
+        field's default.  An unknown key, a missing label space, a value of
+        the wrong type or an unknown ``synthetic`` key raises
         ConfigurationError naming the key."""
+        unknown = sorted(set(d) - {"label_space", "synthetic", "variants",
+                                   *_FIELDS})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config key(s): {', '.join(map(repr, unknown))}")
         try:
             space = LabelSpace.from_dict(d["label_space"])
         except KeyError as exc:
@@ -120,7 +133,7 @@ class ExperimentConfig:
         d = _converted(d, "", {"seed": as_int, "eval_ks": as_ints,
                                "triplets_per_notion": as_int,
                                "fractions": as_floats})
-        seed = d.get("seed", 0)
+        seed = d.get("seed", cls.seed)
         synthetic = None
         if d.get("synthetic") is not None:
             if not isinstance(d["synthetic"], dict):
@@ -129,10 +142,9 @@ class ExperimentConfig:
                     f"{d['synthetic']!r}"
                 )
             syn = _converted(d["synthetic"], "synthetic.", SPEC_TYPES)
-            syn["space"] = space.to_dict()
             syn.setdefault("seed", seed)
             try:
-                synthetic = SyntheticSpec.from_dict(syn)
+                synthetic = SyntheticSpec(space=space, **syn)
             except TypeError as exc:  # an unknown key
                 raise ConfigurationError(
                     f"config key 'synthetic': {exc}") from exc
@@ -150,17 +162,8 @@ class ExperimentConfig:
                     variants.append(VariantConfig.from_dict(vd))
                 except (TypeError, ValueError) as exc:
                     raise ConfigurationError(f"bad variant entry: {exc}") from exc
-        return cls(
-            space=space,
-            synthetic=synthetic,
-            dataset_paths=d.get("dataset"),
-            variants=variants,
-            eval_ks=d.get("eval_ks", DEFAULT_KS),
-            triplets_per_notion=d.get("triplets_per_notion", 2000),
-            fractions=d.get("fractions", DEFAULT_FRACTIONS),
-            output_dir=d.get("output_dir", "out"),
-            seed=seed,
-        )
+        return cls(space=space, synthetic=synthetic, variants=variants,
+                   **{field: d[key] for key, field in _FIELDS.items() if key in d})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

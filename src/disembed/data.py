@@ -3,7 +3,7 @@
 A ``Dataset`` holds its rows once, as parallel arrays (ids, track ids, a
 feature matrix and a multi-hot label matrix).  The generator writes each row
 once, straight into its split's arrays, and the TSV reader each line into
-its row; ``Item`` records only build small datasets by hand.
+its row.
 
 The synthetic generator stands in for a large tagged-audio corpus: each tag
 owns a centroid inside its notion's block of feature space, a track mixes one
@@ -26,16 +26,6 @@ from .errors import (
 from .labelspace import LabelSpace
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Item:
-    """One row of a hand-built dataset; see ``Dataset.from_items``."""
-
-    id: str
-    track_id: str
-    features: np.ndarray
-    labels: np.ndarray  # multi-hot over the label space
 
 
 class Dataset:
@@ -61,29 +51,6 @@ class Dataset:
                 f"labels of shape {self.labels.shape}, expected "
                 f"{(n, space.num_tags)}"
             )
-
-    @classmethod
-    def from_items(cls, items, space: LabelSpace) -> "Dataset":
-        """Stack ``Item`` records into a dataset."""
-        items = list(items)
-        if not items:
-            return cls(space, [], [], np.zeros((0, 0)), np.zeros((0, space.num_tags)))
-        widths = {len(i.features) for i in items}
-        if len(widths) != 1:
-            raise DatasetError(f"inconsistent feature widths: {sorted(widths)}")
-        for i in items:
-            if len(i.labels) != space.num_tags:
-                raise DatasetError(
-                    f"item {i.id!r}: label vector length {len(i.labels)} "
-                    f"!= tag count {space.num_tags}"
-                )
-        return cls(
-            space,
-            [i.id for i in items],
-            [i.track_id for i in items],
-            np.stack([i.features for i in items]),
-            np.stack([i.labels for i in items]),
-        )
 
     def __len__(self):
         return len(self.ids)

@@ -101,10 +101,6 @@ class LabelSpace:
             )
         return tuple(t for t, x in zip(self.tags, vector) if x != 0)
 
-    def mask(self, notion: str) -> np.ndarray:
-        """Read-only length-d 0/1 selector of ``notion``'s block."""
-        return self.notion_block_mask[self.notion_index(notion)]
-
     @cached_property
     def notion_block_mask(self) -> np.ndarray:
         """Read-only (notions, d) 0/1 matrix whose row i is notion i's mask."""

@@ -3,13 +3,16 @@
 The backbone is a relu MLP and the head one relu layer ``H`` of width d,
 whose output is the notion blocks side by side (d/G columns each, notion
 order).  Block g of ``relu(f @ H)`` is notion g's own sub-dense relu layer,
-``relu(f @ H[:, block g])``, since relu acts entrywise.  The centroid bank
-holds one bias-free weight vector of length d per tag and serves as proxy
-and classification centroid interchangeably.
+``relu(f @ H[:, block g])``, since relu acts entrywise.  d is the label
+space's ``embedding_dim``.  The centroid bank is one (tags, d) ``Param``,
+named ``C`` next to the net's parameters: one bias-free weight vector per
+tag, serving as proxy and classification centroid interchangeably.
 
 Every proxy and classification model scores tags with one formula over the
 full pre-normalization embedding F, the centroid bank C and a fixed (tags, d)
-mask M, selected by two flags, (normalized, disentangled):
+mask M, selected by two flags, (normalized, disentangled).  The flags are
+the variant's; the net holds none, so ``embed``, ``class_scores`` and
+``score_blocks`` take them as arguments:
 
     S = sigmoid(N(F) @ (C * M).T)
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,19 +45,6 @@ from .labelspace import LabelSpace
 BANK_PARAM = "C"
 # rows per full_embedding call when a whole split is embedded (forward_rows)
 _FORWARD_CHUNK = 256
-
-
-@dataclass
-class NetConfig:
-    input_dim: int
-    embedding_dim: int
-    hidden: tuple[int, ...] = (128, 128)
-    normalize_output: bool = False
-
-    def __post_init__(self):
-        if self.input_dim <= 0 or self.embedding_dim <= 0:
-            raise ConfigurationError("dimensions must be positive")
-        check_hidden(self.hidden)
 
 
 def check_hidden(hidden) -> None:
@@ -73,31 +62,28 @@ def check_hidden(hidden) -> None:
 
 
 class EmbeddingNet:
-    """MLP backbone plus one relu embedding head ``H`` of width d."""
+    """MLP backbone of the given hidden widths plus one relu embedding head
+    ``H`` of width d, the space's ``embedding_dim``."""
 
-    def __init__(self, config: NetConfig, space: LabelSpace):
-        if config.embedding_dim != space.embedding_dim:
-            raise ConfigurationError(
-                "net embedding_dim must match the label space"
-            )
-        self.config = config
+    def __init__(self, space: LabelSpace, input_dim: int, hidden):
+        if input_dim <= 0:
+            raise ConfigurationError("dimensions must be positive")
+        check_hidden(hidden)
         self.space = space
+        self.input_dim = input_dim
         self.params: dict[str, Param] = {}
-        dims = [config.input_dim, *config.hidden]
+        dims = [input_dim, *hidden]
         for i in range(len(dims) - 1):
             self.params[f"W{i}"] = Param(np.zeros((dims[i], dims[i + 1])))
             self.params[f"b{i}"] = Param(np.zeros(dims[i + 1]))
-        self.params["H"] = Param(np.zeros((dims[-1], config.embedding_dim)))
-
-    @property
-    def n_hidden(self) -> int:
-        return len(self.config.hidden)
+        self.params["H"] = Param(np.zeros((dims[-1], space.embedding_dim)))
 
     def _layers(self):
         """The ``(W, b)`` pairs of the MLP then ``(H, None)``, as arrays."""
         P = self.params
+        n_hidden = len(P) // 2  # W{i} and b{i} per hidden layer, then H
         return [(P[f"W{i}"].values, P[f"b{i}"].values)
-                for i in range(self.n_hidden)] + [(P["H"].values, None)]
+                for i in range(n_hidden)] + [(P["H"].values, None)]
 
     def backbone(self, x) -> np.ndarray:
         """f_{n-1}: the relu MLP's output for a 2-D x."""
@@ -118,10 +104,9 @@ class EmbeddingNet:
         order; ``rows`` is as in ``relu_layers``.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.config.input_dim:
+        if x.shape[-1] != self.input_dim:
             raise ConfigurationError(
-                f"input width {x.shape[-1]} != net input_dim "
-                f"{self.config.input_dim}"
+                f"input width {x.shape[-1]} != net input_dim {self.input_dim}"
             )
         F, backward = relu_layers(x, self._layers())
         return F, lambda g, rows=None: zip(self.params, backward(g, rows))
@@ -162,16 +147,9 @@ def relu_layers(x: np.ndarray, layers):
     return hs[-1], backward
 
 
-class CentroidBank:
-    """One weight vector of length d per tag; no bias terms."""
-
-    def __init__(self, space: LabelSpace):
-        self.space = space
-        self.weights = Param(np.zeros((space.num_tags, space.embedding_dim)))
-
-
-def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None:
-    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in)."""
+def init_params(net: EmbeddingNet, bank: Param | None, seed: int) -> None:
+    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in), the
+    net's in name order, then the (tags, d) bank's, whose fan-in is d."""
     rng = np.random.default_rng(np.uint64(seed))
     for name in sorted(net.params):
         p = net.params[name]
@@ -182,11 +160,8 @@ def init_params(net: EmbeddingNet, bank: CentroidBank | None, seed: int) -> None
         bound = 1.0 / np.sqrt(fan_in)
         p.values = rng.uniform(-bound, bound, size=p.values.shape)
     if bank is not None:
-        fan_in = bank.space.embedding_dim
-        bound = 1.0 / np.sqrt(fan_in)
-        bank.weights.values = rng.uniform(
-            -bound, bound, size=bank.weights.values.shape
-        )
+        bound = 1.0 / np.sqrt(net.space.embedding_dim)
+        bank.values = rng.uniform(-bound, bound, size=bank.values.shape)
 
 
 def forward_rows(net: EmbeddingNet, x) -> np.ndarray:
@@ -203,17 +178,18 @@ def forward_rows(net: EmbeddingNet, x) -> np.ndarray:
         starts.pop()
     if len(starts) <= 1:
         return net.full_embedding(x)[0]
-    F = np.empty((len(x), net.config.embedding_dim))
+    F = np.empty((len(x), net.space.embedding_dim))
     for start, stop in zip(starts, [*starts[1:], len(x)]):
         F[start:stop] = net.full_embedding(x[start:stop])[0]
     return F
 
 
-def embed(net: EmbeddingNet, x) -> np.ndarray:
-    """Forward pass; L2-normalized iff the net was configured to normalize."""
+def embed(net: EmbeddingNet, x, normalized: bool) -> np.ndarray:
+    """Forward pass of a row or a 2-D batch; L2-normalized rows iff
+    ``normalized``."""
     x = np.asarray(x, dtype=np.float64)
     E = forward_rows(net, np.atleast_2d(x))
-    if net.config.normalize_output:
+    if normalized:
         E = ad.l2_rows(E)[0]
     return E[0] if x.ndim == 1 else E
 
@@ -267,13 +243,12 @@ def score_blocks(F: np.ndarray, C: np.ndarray, normalized: bool,
     return S, backward
 
 
-def class_scores(
-    net: EmbeddingNet, bank: CentroidBank, x, disentangled: bool
-) -> np.ndarray:
+def class_scores(net: EmbeddingNet, bank: Param, x, normalized: bool,
+                 disentangled: bool) -> np.ndarray:
     """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
     x = np.asarray(x, dtype=np.float64)
-    S = score_blocks(forward_rows(net, np.atleast_2d(x)), bank.weights.values,
-                     net.config.normalize_output, disentangled, net.space)[0]
+    S = score_blocks(forward_rows(net, np.atleast_2d(x)), bank.values,
+                     normalized, disentangled, net.space)[0]
     return S[0] if x.ndim == 1 else S
 
 

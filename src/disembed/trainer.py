@@ -14,6 +14,11 @@ loss call over all of them, and one net backward over the rows of the
 triplets past the margin only: a triplet whose hinge is zero has an exactly
 zero gradient.  Each weight gradient is then one sum over all of the step's
 active rows, tag batch first and N, A, P within a batch.
+
+A model's shape and normalization are its variant's: ``build_model`` gives
+the net the variant's hidden widths and the space's width d, the score
+formula reads ``variant.normalization``, and a saved bundle's ``net`` block
+is derived from the variant and the space.
 """
 
 from __future__ import annotations
@@ -36,9 +41,7 @@ from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
 from .model import (
     BANK_PARAM,
-    CentroidBank,
     EmbeddingNet,
-    NetConfig,
     check_hidden,
     init_params,
     load_params,
@@ -183,8 +186,11 @@ def paper_variants(**overrides) -> list[VariantConfig]:
 
 @dataclass
 class TrainedModel:
+    """A variant's net and, for proxy and classification, its (tags, d) bank
+    ``C``.  Its shape and normalization are the variant's."""
+
     net: EmbeddingNet
-    bank: CentroidBank | None
+    bank: ad.Param | None
     variant: VariantConfig
     space: LabelSpace
 
@@ -202,16 +208,10 @@ class TrainResult:
 def build_model(
     variant: VariantConfig, space: LabelSpace, input_dim: int
 ) -> TrainedModel:
-    net = EmbeddingNet(
-        NetConfig(
-            input_dim=input_dim,
-            embedding_dim=space.embedding_dim,
-            hidden=variant.hidden,
-            normalize_output=variant.normalization,
-        ),
-        space,
-    )
-    bank = None if variant.family == "triplet" else CentroidBank(space)
+    net = EmbeddingNet(space, input_dim, variant.hidden)
+    bank = None
+    if variant.family != "triplet":
+        bank = ad.Param(np.zeros((space.num_tags, space.embedding_dim)))
     init_params(net, bank, variant.seed)
     return TrainedModel(net, bank, variant, space)
 
@@ -219,7 +219,7 @@ def build_model(
 def _all_params(model: TrainedModel) -> dict[str, ad.Param]:
     params = dict(model.net.params)
     if model.bank is not None:
-        params[BANK_PARAM] = model.bank.weights
+        params[BANK_PARAM] = model.bank
     return params
 
 
@@ -287,8 +287,8 @@ def _family_loss(model: TrainedModel, F, batch):
         loss, backward = triplet_batch_loss(F, variant.margin, *batch)
         return loss, lambda: (*backward(), ())  # no pieces past F
     Y, scale = batch
-    S, score_backward = score_blocks(F, model.bank.weights.values,
-                                     model.net.config.normalize_output,
+    S, score_backward = score_blocks(F, model.bank.values,
+                                     variant.normalization,
                                      variant.disentanglement, model.space)
     loss, bce_backward = bce_sum(S, Y)
 
@@ -399,13 +399,14 @@ def save_curves(path, curves) -> None:
 # model bundle persistence: <prefix>.params (binary) + <prefix>.json (config)
 
 
-def _net_meta(net: EmbeddingNet) -> dict:
-    c = net.config
+def _net_meta(model: TrainedModel) -> dict:
+    """The bundle's ``net`` block, as the model's variant and space build
+    it."""
     return {
-        "input_dim": c.input_dim,
-        "embedding_dim": c.embedding_dim,
-        "hidden": list(c.hidden),
-        "normalize_output": c.normalize_output,
+        "input_dim": model.net.input_dim,
+        "embedding_dim": model.space.embedding_dim,
+        "hidden": list(model.variant.hidden),
+        "normalize_output": model.variant.normalization,
     }
 
 
@@ -413,7 +414,7 @@ def save_model(prefix, model: TrainedModel) -> None:
     save_params(f"{prefix}.params", _all_params(model))
     meta = {
         "variant": model.variant.to_dict(),
-        "net": _net_meta(model.net),
+        "net": _net_meta(model),
         "space": model.space.to_dict(),
     }
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
@@ -441,7 +442,7 @@ def load_model(prefix) -> TrainedModel:
         raise ConfigurationError(f"{path}: missing key {exc}") from exc
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    built = _net_meta(model.net)
+    built = _net_meta(model)
     for key in sorted(saved.keys() | built.keys()):
         if key not in built:
             raise ConfigurationError(f"{path}: unknown net key {key!r}")

@@ -1,9 +1,56 @@
-"""Shared fixtures and oracles for the test suite."""
+"""Shared fixtures, oracles and hand-built datasets for the test suite."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from disembed.data import Dataset
+from disembed.errors import DatasetError
 from disembed.labelspace import LabelSpace
+
+
+@dataclass(frozen=True)
+class Item:
+    """One row of a hand-built dataset; see ``from_items``."""
+
+    id: str
+    track_id: str
+    features: np.ndarray
+    labels: np.ndarray  # multi-hot over the label space
+
+
+def from_items(items, space: LabelSpace) -> Dataset:
+    """Stack ``Item`` records into a dataset."""
+    items = list(items)
+    if not items:
+        return Dataset(space, [], [], np.zeros((0, 0)), np.zeros((0, space.num_tags)))
+    widths = {len(i.features) for i in items}
+    if len(widths) != 1:
+        raise DatasetError(f"inconsistent feature widths: {sorted(widths)}")
+    for i in items:
+        if len(i.labels) != space.num_tags:
+            raise DatasetError(
+                f"item {i.id!r}: label vector length {len(i.labels)} "
+                f"!= tag count {space.num_tags}"
+            )
+    return Dataset(
+        space,
+        [i.id for i in items],
+        [i.track_id for i in items],
+        np.stack([i.features for i in items]),
+        np.stack([i.labels for i in items]),
+    )
+
+
+def n_hidden(net) -> int:
+    """The number of hidden layers of an ``EmbeddingNet``: one ``W{i}`` each."""
+    return sum(name.startswith("W") for name in net.params)
+
+
+def mask(space: LabelSpace, notion: str) -> np.ndarray:
+    """Read-only length-d 0/1 selector of ``notion``'s block."""
+    return space.notion_block_mask[space.notion_index(notion)]
 
 
 @pytest.fixture

@@ -25,13 +25,7 @@ from disembed.evaluation import (
     triplet_accuracy,
 )
 from disembed.labelspace import LabelSpace
-from disembed.model import (
-    CentroidBank,
-    EmbeddingNet,
-    NetConfig,
-    class_scores,
-    init_params,
-)
+from disembed.model import EmbeddingNet, class_scores, init_params
 from disembed.sampling import TripletBatch
 from disembed.trainer import (
     TrainedModel,
@@ -41,7 +35,7 @@ from disembed.trainer import (
     _triplet_inputs,
 )
 
-from conftest import finite_difference, relative_error
+from conftest import finite_difference, mask, n_hidden, relative_error
 
 
 # --- shared construction helpers -------------------------------------------
@@ -59,20 +53,16 @@ def random_space(rng) -> LabelSpace:
 
 
 def make_net(space, input_dim, hidden, seed):
-    """A normalizing net and a bank."""
-    net = EmbeddingNet(
-        NetConfig(input_dim=input_dim, embedding_dim=space.embedding_dim,
-                  hidden=hidden, normalize_output=True),
-        space,
-    )
-    bank = CentroidBank(space)
+    """A net and a (tags, d) bank."""
+    net = EmbeddingNet(space, input_dim, hidden)
+    bank = ad.Param(np.zeros((space.num_tags, space.embedding_dim)))
     init_params(net, bank, seed)
     return net, bank
 
 
 def numpy_backbone(net, X):
     h = np.asarray(X, dtype=np.float64)
-    for i in range(net.n_hidden):
+    for i in range(n_hidden(net)):
         h = np.maximum(h @ net.params[f"W{i}"].values
                        + net.params[f"b{i}"].values, 0.0)
     return h
@@ -93,7 +83,7 @@ def subdense_scores(net, bank, X):
         E = subdense_block(net, h, notion.name)
         U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), ad.NORM_EPS)
         tags = space.tag_indices_of_notion(notion.name)
-        C = bank.weights.values[tags][:, space.block_slice(notion.name)]
+        C = bank.values[tags][:, space.block_slice(notion.name)]
         S[:, tags] = expit(U @ C.T)
     return S
 
@@ -125,14 +115,15 @@ def test_disentangled_score_identities():
 
         for net, b in ((dense, bank), other):
             worst_disent = max(worst_disent, float(np.abs(
-                class_scores(net, b, X, True) - subdense_scores(net, b, X)
+                class_scores(net, b, X, True, True)
+                - subdense_scores(net, b, X)
             ).max()))
 
         # independent recomputation: sigmoid of normalized-embedding dot bank
         E = dense.full_embedding(X)[0]
         U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True), ad.NORM_EPS)
-        expect = expit(U @ bank.weights.values.T)
-        s_proxy = class_scores(dense, bank, X, False)
+        expect = expit(U @ bank.values.T)
+        s_proxy = class_scores(dense, bank, X, True, False)
         worst_norm = max(worst_norm, float(np.abs(s_proxy - expect).max()))
     elapsed = time.perf_counter() - start
     assert worst_disent < 1e-9, f"max disentangled score gap {worst_disent}"
@@ -159,7 +150,7 @@ def _min_kink_distance(net, X) -> float:
     """Smallest |pre-activation| across every relu in the forward pass."""
     h = np.asarray(X, dtype=np.float64)
     worst = np.inf
-    for i in range(net.n_hidden):
+    for i in range(n_hidden(net)):
         z = h @ net.params[f"W{i}"].values + net.params[f"b{i}"].values
         worst = min(worst, float(np.abs(z).min()))
         h = np.maximum(z, 0.0)
@@ -202,7 +193,7 @@ def _check_model_gradient(seed, hidden, batch, loss_of, hinge_of=None,
                                          hinge_of, reject)
     params = dict(net.params)
     if with_bank:
-        params["C"] = bank.weights
+        params["C"] = bank
     analytic = packed(params)[1]
     grad(analytic, build()[1]())
     numeric = finite_difference(lambda: float(build()[0]), params, step=1e-6)
@@ -551,7 +542,7 @@ def test_mask_partition_and_subdense_identity():
     for seed in range(10):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 61]))
         space = random_space(rng)
-        vectors = [space.mask(n.name) for n in space.notions]
+        vectors = [mask(space, n.name) for n in space.notions]
         total = np.sum(vectors, axis=0)
         assert np.abs(total - 1.0).max() < 1e-12, f"seed {seed}: partition"
         for i in range(len(vectors)):
@@ -569,7 +560,7 @@ def test_mask_partition_and_subdense_identity():
             block = subdense_block(net, h, notion.name)
             assert np.abs(E[:, cut] - block).max() < 1e-12, \
                 f"seed {seed}: {notion.name} block of the full embedding"
-            masked = E * space.mask(notion.name)
+            masked = E * mask(space, notion.name)
             padded = np.zeros_like(masked)
             padded[:, cut] = block
             assert np.abs(masked - padded).max() < 1e-12, \

@@ -144,9 +144,9 @@ def test_variants_with_equal_keys_build_and_score_identically(seed):
         runs = []
         for variant in (a, b):
             model = build_model(variant, space, X.shape[1])
-            params = {**model.net.params, "C": model.bank.weights}
+            params = {**model.net.params, "C": model.bank}
             F, net_backward = model.net.full_embedding(X)
-            S, score_backward = score_blocks(F, model.bank.weights.values,
+            S, score_backward = score_blocks(F, model.bank.values,
                                              variant.normalization,
                                              variant.disentanglement, space)
             gF, gC = score_backward(bce_sum(S, Y)[1](1.0))
@@ -249,7 +249,7 @@ def test_evaluate_model_forwards_each_row_once(monkeypatch, variant):
     assert min(chunks) > 1 and max(chunks) <= 17
     if variant.family != "triplet":
         scores = class_scores(trained.net, trained.bank, test_ds.features,
-                              variant.disentanglement)
+                              variant.normalization, variant.disentanglement)
         assert report.auc == auc_tags(scores, test_ds.labels)
 
 

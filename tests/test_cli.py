@@ -134,7 +134,8 @@ def test_export_embeddings_round_trip(tiny_config, tmp_path):
 
     model = load_model(prefix)
     ds = load_dataset(out / "test.tsv", model.space)
-    expect = np.atleast_2d(embed(model.net, ds.features))
+    expect = np.atleast_2d(embed(model.net, ds.features,
+                                 model.variant.normalization))
     rows = dest.read_text().strip().split("\n")
     assert len(rows) == len(ds)
     got = np.array([[float(x) for x in r.split("\t")[2:]] for r in rows])

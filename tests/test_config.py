@@ -5,6 +5,8 @@ import json
 import pytest
 
 from disembed.config import (
+    DEFAULT_FRACTIONS,
+    DEFAULT_KS,
     DEFAULT_LR,
     ExperimentConfig,
     default_config,
@@ -166,6 +168,23 @@ def test_from_dict_rejects_bad_variant(small_space):
     }
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["triplet_per_notion", "label_spaces",
+                                 "variant"])
+def test_from_dict_rejects_unknown_keys(small_space, key):
+    # a misspelled key would otherwise leave its field at the default unseen
+    with pytest.raises(ConfigurationError,
+                       match=f"unknown config key\\(s\\): '{key}'"):
+        ExperimentConfig.from_dict({**_base(small_space), key: 5})
+
+
+def test_from_dict_builds_the_synthetic_spec_on_its_space(small_space):
+    cfg = ExperimentConfig.from_dict({**_base(small_space), "seed": 3})
+    assert cfg.synthetic.space is cfg.space
+    assert cfg.synthetic.seed == 3
+    assert (cfg.eval_ks, cfg.triplets_per_notion, cfg.fractions,
+            cfg.output_dir) == (DEFAULT_KS, 2000, DEFAULT_FRACTIONS, "out")
 
 
 def _base(small_space) -> dict:

@@ -13,7 +13,6 @@ from disembed import data
 from disembed.data import (
     Dataset,
     _feature_blocks,
-    Item,
     SyntheticSpec,
     generate_splits,
     generate_synthetic,
@@ -24,6 +23,8 @@ from disembed.data import (
 from disembed.config import default_config, default_label_space
 from disembed.errors import ConfigurationError, DatasetError
 from disembed.labelspace import LabelSpace
+
+from conftest import Item, from_items
 
 
 @pytest.fixture
@@ -328,13 +329,13 @@ def test_dataset_rejects_ragged_features(small_space):
         Item("b", "t1", np.zeros(5), small_space.multi_hot(["red", "round"])),
     ]
     with pytest.raises(DatasetError):
-        Dataset.from_items(items, small_space)
+        from_items(items, small_space)
 
 
 def test_dataset_rejects_wrong_label_length(small_space):
     items = [Item("a", "t0", np.zeros(4), np.zeros(3))]
     with pytest.raises(DatasetError):
-        Dataset.from_items(items, small_space)
+        from_items(items, small_space)
 
 
 # --- file format ----------------------------------------------------------
@@ -522,7 +523,7 @@ def test_save_rejects_a_tagless_item_before_writing(small_space, tmp_path,
              small_space.multi_hot(["red"]) if k != 2 else np.zeros(4))
         for k in range(4)
     ]
-    ds = Dataset.from_items(items, small_space)
+    ds = from_items(items, small_space)
     path = tmp_path / "out.tsv"
     if existing is not None:
         path.write_bytes(existing)

@@ -6,6 +6,8 @@ import pytest
 from disembed.errors import ConfigurationError
 from disembed.labelspace import LabelSpace, Notion
 
+from conftest import mask
+
 
 def test_tag_ordering_is_concatenated_notion_order(small_space):
     assert small_space.tags == ("red", "blue", "round", "square")
@@ -63,7 +65,7 @@ def test_block_slices_partition_dimension(small_space):
 
 
 def test_masks_partition_and_orthogonality(small_space):
-    masks = [small_space.mask(n.name) for n in small_space.notions]
+    masks = [mask(small_space, n.name) for n in small_space.notions]
     total = sum(masks)
     assert np.array_equal(total, np.ones(8))
     for i, mi in enumerate(masks):
@@ -82,7 +84,7 @@ def test_masks_partition_random_spaces(seed):
         for i in range(g)
     ]
     space = LabelSpace(notions, embedding_dim=d)
-    masks = [space.mask(n.name) for n in space.notions]
+    masks = [mask(space, n.name) for n in space.notions]
     assert np.array_equal(sum(masks), np.ones(d))
     stacked = np.stack(masks)
     # each dimension belongs to exactly one mask
@@ -114,7 +116,7 @@ def test_notion_dataclass_accepted_directly():
 
 
 def test_mask_is_binary(small_space):
-    m = small_space.mask("color")
+    m = mask(small_space, "color")
     assert np.array_equal(m, [1.0] * 4 + [0.0] * 4)
     assert not m.flags.writeable
 

@@ -7,14 +7,12 @@ import pytest
 from scipy.special import expit
 
 from disembed import model
-from disembed.autodiff import NORM_EPS, grad, packed
+from disembed.autodiff import NORM_EPS, Param, grad, packed
 from disembed.config import default_label_space
 from disembed.errors import ConfigurationError
 from disembed.losses import LOG_FLOOR, bce_sum
 from disembed.model import (
-    CentroidBank,
     EmbeddingNet,
-    NetConfig,
     class_scores,
     embed,
     forward_rows,
@@ -25,18 +23,13 @@ from disembed.model import (
     sigmoid,
 )
 
+from conftest import mask, n_hidden
 
-def make_net(space, normalize=False, hidden=(12, 10), seed=0):
-    net = EmbeddingNet(
-        NetConfig(
-            input_dim=6,
-            embedding_dim=space.embedding_dim,
-            hidden=hidden,
-            normalize_output=normalize,
-        ),
-        space,
-    )
-    bank = CentroidBank(space)
+
+def make_net(space, hidden=(12, 10), seed=0):
+    """A net on 6 input features and its (tags, d) bank, initialized."""
+    net = EmbeddingNet(space, 6, hidden)
+    bank = Param(np.zeros((space.num_tags, space.embedding_dim)))
     init_params(net, bank, seed)
     return net, bank
 
@@ -52,15 +45,16 @@ def per_block_embedding(net, X, notion):
 # --- construction and init -------------------------------------------------
 
 
-def test_embedding_dim_must_match_space(small_space):
-    with pytest.raises(ConfigurationError):
-        EmbeddingNet(NetConfig(input_dim=6, embedding_dim=4), small_space)
+def test_net_width_is_the_spaces(small_space):
+    net = EmbeddingNet(small_space, 6, (5,))
+    assert net.params["H"].values.shape == (5, small_space.embedding_dim)
+    assert forward_rows(net, np.zeros((3, 6))).shape == (3, 8)
 
 
 @pytest.mark.parametrize("hidden", [(0,), (128, 0), (-3,), (4.0,)])
 def test_net_rejects_hidden_widths_below_one(small_space, hidden):
     with pytest.raises(ConfigurationError, match="hidden widths"):
-        NetConfig(input_dim=6, embedding_dim=8, hidden=hidden)
+        EmbeddingNet(small_space, 6, hidden)
 
 
 def test_init_bounds_and_determinism(small_space):
@@ -73,7 +67,7 @@ def test_init_bounds_and_determinism(small_space):
         else:
             bound = 1.0 / np.sqrt(p.values.shape[0])
             assert np.abs(p.values).max() <= bound
-    assert np.array_equal(bank1.weights.values, bank2.weights.values)
+    assert np.array_equal(bank1.values, bank2.values)
     net3, _ = make_net(small_space, seed=6)
     assert not np.array_equal(net1.params["W0"].values, net3.params["W0"].values)
 
@@ -83,19 +77,18 @@ def test_init_bounds_and_determinism(small_space):
 
 def test_embed_normalized_iff_configured(small_space, rng):
     X = rng.normal(size=(5, 6))
-    net, _ = make_net(small_space, normalize=True)
-    norms = np.linalg.norm(embed(net, X), axis=1)
+    net, _ = make_net(small_space)
+    norms = np.linalg.norm(embed(net, X, True), axis=1)
     assert np.allclose(norms, 1.0, atol=1e-9)
-    net, _ = make_net(small_space, normalize=False)
-    norms = np.linalg.norm(embed(net, X), axis=1)
+    norms = np.linalg.norm(embed(net, X, False), axis=1)
     assert not np.allclose(norms, 1.0, atol=1e-3)
 
 
 def test_embed_single_vector(small_space, rng):
     net, _ = make_net(small_space)
     x = rng.normal(size=6)
-    single = embed(net, x)
-    batch = embed(net, x[None, :])
+    single = embed(net, x, False)
+    batch = embed(net, x[None, :], False)
     assert single.shape == (8,)
     assert np.array_equal(single, batch[0])
 
@@ -103,15 +96,15 @@ def test_embed_single_vector(small_space, rng):
 def test_embed_rejects_wrong_width(small_space):
     # one width check in the one forward covers embed, the masked embedding
     # and class_scores, single vectors and batches alike
-    net, bank = make_net(small_space, normalize=True)
+    net, bank = make_net(small_space)
     for x in (np.zeros(7), np.zeros((3, 5))):
         with pytest.raises(ConfigurationError, match="input width"):
-            embed(net, x)
+            embed(net, x, True)
         with pytest.raises(ConfigurationError, match="input width"):
-            net.full_embedding(np.atleast_2d(x))[0] * small_space.mask("color")
+            net.full_embedding(np.atleast_2d(x))[0] * mask(small_space, "color")
         for disentangled in (False, True):
             with pytest.raises(ConfigurationError, match="input width"):
-                class_scores(net, bank, x, disentangled)
+                class_scores(net, bank, x, True, disentangled)
 
 
 CHUNK = model._FORWARD_CHUNK
@@ -125,9 +118,8 @@ def test_forward_rows_equals_one_forward_bit_for_bit(monkeypatch, n):
     # the rows of one full_embedding call exactly; a 1-row tail would be a
     # matrix-vector product, so it joins the chunk before it
     space = default_label_space()
-    net = EmbeddingNet(NetConfig(input_dim=64, embedding_dim=space.embedding_dim),
-                       space)
-    init_params(net, CentroidBank(space), 5)
+    net = EmbeddingNet(space, 64, (128, 128))
+    init_params(net, Param(np.zeros((space.num_tags, space.embedding_dim))), 5)
     X = np.random.default_rng(n).normal(size=(n, 64))
     whole = net.full_embedding(X)[0]
     chunks, forward = [], EmbeddingNet.full_embedding
@@ -143,15 +135,12 @@ def test_forward_rows_equals_one_forward_bit_for_bit(monkeypatch, n):
     assert min(chunks) > 1 and max(chunks) <= CHUNK + 1
     if n > CHUNK:
         assert len(chunks) == n // CHUNK
-    assert embed(net, X).tobytes() == whole.tobytes()
+    assert embed(net, X, False).tobytes() == whole.tobytes()
 
 
 def test_embed_zero_weights_is_guarded(small_space, caplog):
-    net = EmbeddingNet(
-        NetConfig(input_dim=6, embedding_dim=8, normalize_output=True),
-        small_space,
-    )  # all-zero parameters
-    out = embed(net, np.ones(6))
+    net = EmbeddingNet(small_space, 6, (128, 128))  # all-zero parameters
+    out = embed(net, np.ones(6), True)
     assert np.array_equal(out, np.zeros(8))
 
 
@@ -159,7 +148,7 @@ def test_masked_embed_zeroes_other_blocks(small_space, rng):
     net, _ = make_net(small_space)
     X = rng.normal(size=(4, 6))
     full = net.full_embedding(X)[0]
-    m = full * small_space.mask("color")
+    m = full * mask(small_space, "color")
     assert np.array_equal(m[:, 4:], np.zeros((4, 4)))
     assert np.array_equal(m[:, :4], full[:, :4])
 
@@ -168,7 +157,7 @@ def test_masks_sum_to_full_embedding(small_space, rng):
     net, _ = make_net(small_space)
     X = rng.normal(size=(4, 6))
     full = net.full_embedding(X)[0]
-    total = sum(full * small_space.mask(n.name) for n in small_space.notions)
+    total = sum(full * mask(small_space, n.name) for n in small_space.notions)
     assert np.allclose(total, full, atol=0)
 
 
@@ -179,7 +168,7 @@ def test_masked_equals_subdense_block(small_space, rng):
         net, _ = make_net(small_space, seed=seed)
         X = rng.normal(size=(5, 6))
         for notion in small_space.notions:
-            masked = net.full_embedding(X)[0] * small_space.mask(notion.name)
+            masked = net.full_embedding(X)[0] * mask(small_space, notion.name)
             padded = np.zeros_like(masked)
             padded[:, small_space.block_slice(notion.name)] = \
                 per_block_embedding(net, X, notion.name)
@@ -196,7 +185,7 @@ def test_hand_value_normalized_score(small_space):
     u[0] = 1.0
     C = np.zeros((4, 8))
     C[0, 0] = 2.0
-    bank.weights.values = C
+    bank.values = C
     # bypass the network: score formula on a known unit vector
     s = expit(u @ C.T)
     assert s[0] == pytest.approx(0.88079707797788, abs=1e-10)
@@ -236,29 +225,29 @@ def test_sigmoid_in_place_is_bit_equal_to_its_formula():
 
 
 def test_proxy_equals_classification_normalized(small_space, rng):
-    # a proxy and a normalized classifier are one call on a normalizing net:
-    # sigmoid of the row-normalized embedding against the bank
-    net, bank = make_net(small_space, normalize=True)
+    # a proxy and a normalized classifier are one call: sigmoid of the
+    # row-normalized embedding against the bank
+    net, bank = make_net(small_space)
     X = rng.normal(size=(6, 6))
     F = net.full_embedding(X)[0]
     U = F / np.maximum(np.linalg.norm(F, axis=1, keepdims=True), NORM_EPS)
-    expect = expit(U @ bank.weights.values.T)
-    assert np.abs(class_scores(net, bank, X, False) - expect).max() < 1e-12
+    expect = expit(U @ bank.values.T)
+    assert np.abs(class_scores(net, bank, X, True, False) - expect).max() < 1e-12
 
 
 def test_disentangled_proxy_equals_subdense_classification(small_space, rng):
     # masked scoring of the full embedding equals scoring each notion's tags
     # on that notion's own sub-dense relu layer, for two draws of the head
     for seed in (0, 1):
-        net, bank = make_net(small_space, normalize=True, seed=seed)
+        net, bank = make_net(small_space, seed=seed)
         X = rng.normal(size=(6, 6))
-        got = class_scores(net, bank, X, True)
+        got = class_scores(net, bank, X, True, True)
         for notion in small_space.notions:
             tags = small_space.tag_indices_of_notion(notion.name)
             E = per_block_embedding(net, X, notion.name)
             U = E / np.maximum(np.linalg.norm(E, axis=1, keepdims=True),
                                NORM_EPS)
-            C = bank.weights.values[tags][:, small_space.block_slice(notion.name)]
+            C = bank.values[tags][:, small_space.block_slice(notion.name)]
             assert np.abs(got[:, tags] - expit(U @ C.T)).max() < 1e-9
 
 
@@ -266,24 +255,24 @@ def test_scores_in_open_unit_interval(small_space, rng):
     X = rng.normal(size=(6, 6))
     for normalize, disentangled in ((True, False), (True, True),
                                     (False, False)):
-        net, bank = make_net(small_space, normalize=normalize)
-        s = class_scores(net, bank, X, disentangled)
+        net, bank = make_net(small_space)
+        s = class_scores(net, bank, X, normalize, disentangled)
         assert s.shape == (6, 4)
         assert (s > 0).all() and (s < 1).all()
 
 
 def test_normalized_scores_scale_invariant(small_space, rng):
-    net, bank = make_net(small_space, normalize=True)
+    net, bank = make_net(small_space)
     X = rng.normal(size=(6, 6))
-    before = class_scores(net, bank, X, False)
+    before = class_scores(net, bank, X, True, False)
     net.params["H"].values = net.params["H"].values * 7.5
-    after = class_scores(net, bank, X, False)
+    after = class_scores(net, bank, X, True, False)
     assert np.abs(before - after).max() < 1e-9
     # the plain classifier is NOT scale invariant
     net2, bank2 = make_net(small_space)
-    plain_before = class_scores(net2, bank2, X, False)
+    plain_before = class_scores(net2, bank2, X, False, False)
     net2.params["H"].values = net2.params["H"].values * 7.5
-    plain_after = class_scores(net2, bank2, X, False)
+    plain_after = class_scores(net2, bank2, X, False, False)
     assert np.abs(plain_before - plain_after).max() > 1e-6
 
 
@@ -303,11 +292,12 @@ def test_score_blocks_is_one_all_tags_block(small_space, rng):
     X = rng.normal(size=(3, 6))
     for normalize, disentangled in ((True, False), (True, True),
                                     (False, False)):
-        net, bank = make_net(small_space, normalize=normalize)
-        S = score_blocks(net.full_embedding(X)[0], bank.weights.values,
+        net, bank = make_net(small_space)
+        S = score_blocks(net.full_embedding(X)[0], bank.values,
                          normalize, disentangled, small_space)[0]
         assert S.shape == (3, small_space.num_tags)
-        assert np.array_equal(S, class_scores(net, bank, X, disentangled))
+        assert np.array_equal(
+            S, class_scores(net, bank, X, normalize, disentangled))
 
 
 def reference_disentangled(net, bank, X, Y):
@@ -320,11 +310,11 @@ def reference_disentangled(net, bank, X, Y):
     """
     space, P = net.space, net.params
     hs = [X]
-    for i in range(net.n_hidden):
+    for i in range(n_hidden(net)):
         hs.append(np.maximum(hs[-1] @ P[f"W{i}"].values + P[f"b{i}"].values, 0))
     H = P["H"].values
     F = np.maximum(hs[-1] @ H, 0)
-    C = bank.weights.values
+    C = bank.values
     S, dF, dC = np.zeros(Y.shape), np.zeros_like(F), np.zeros_like(C)
     for notion in space.notions:
         tags = space.tag_indices_of_notion(notion.name)
@@ -345,7 +335,7 @@ def reference_disentangled(net, bank, X, Y):
     g = dF * (F > 0)
     grads = {"C": dC, "H": hs[-1].T @ g}
     g = g @ H.T
-    for i in reversed(range(net.n_hidden)):
+    for i in reversed(range(n_hidden(net))):
         g = g * (hs[i + 1] > 0)
         grads[f"b{i}"] = g.sum(axis=0)
         grads[f"W{i}"] = hs[i].T @ g
@@ -360,15 +350,15 @@ def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion
         X = rng.normal(size=(5, 6))
         Y = (rng.random((5, small_space.num_tags)) < 0.5).astype(float)
         for init_seed in (seed, seed + 100):
-            net, bank = make_net(small_space, normalize=True, seed=init_seed)
+            net, bank = make_net(small_space, seed=init_seed)
             if dead_notion is not None:
                 # a zero notion block takes the normalization guard path
                 cut = small_space.block_slice(
                     small_space.notions[dead_notion].name)
                 net.params["H"].values[:, cut] = 0.0
-            params = {**net.params, "C": bank.weights}
+            params = {**net.params, "C": bank}
             F, net_backward = net.full_embedding(X)
-            S, score_backward = score_blocks(F, bank.weights.values, True,
+            S, score_backward = score_blocks(F, bank.values, True,
                                              True, small_space)
             gF, gC = score_backward(bce_sum(S, Y)[1](1.0))
             got = packed(params)[1]
@@ -389,7 +379,7 @@ def test_disentangled_scores_match_per_notion_reference(small_space, dead_notion
 def test_param_file_round_trip(small_space, tmp_path, rng):
     net, bank = make_net(small_space, seed=11)
     params = dict(net.params)
-    params["C"] = bank.weights
+    params["C"] = bank
     path = tmp_path / "weights.params"
     save_params(path, params)
     back = load_params(path)
@@ -408,7 +398,7 @@ def test_param_file_rejects_garbage(tmp_path):
 def test_param_file_rejects_truncation(small_space, tmp_path):
     net, bank = make_net(small_space)
     path = tmp_path / "trunc.params"
-    save_params(path, {"C": bank.weights})
+    save_params(path, {"C": bank})
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ConfigurationError):
@@ -418,7 +408,7 @@ def test_param_file_rejects_truncation(small_space, tmp_path):
 def _small_param_file(small_space, tmp_path):
     net, bank = make_net(small_space, hidden=(3,))
     path = tmp_path / "small.params"
-    save_params(path, {"b0": net.params["b0"], "C": bank.weights})
+    save_params(path, {"b0": net.params["b0"], "C": bank})
     return path, path.read_bytes()
 
 
@@ -442,7 +432,7 @@ def test_param_file_rejects_trailing_bytes(small_space, tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_param_file_rejects_non_finite_values(small_space, tmp_path, bad):
     net, bank = make_net(small_space)
-    weights = bank.weights.values.copy()
+    weights = bank.values.copy()
     weights[1, 2] = bad
     path = tmp_path / "bad.params"
     save_params(path, {"C": weights})

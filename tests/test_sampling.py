@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 
 from disembed.benchmark import load_or_generate, sample_eval_triplets
 from disembed.config import default_config
-from disembed.data import Dataset, Item, SyntheticSpec, generate_splits
+from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import DatasetError
 from disembed.sampling import (
     Triplet,
@@ -17,6 +17,8 @@ from disembed.sampling import (
     checked_sampler,
 )
 from disembed.trainer import VariantConfig, train
+
+from conftest import Item, from_items
 
 
 def toy_dataset(small_space):
@@ -36,7 +38,7 @@ def toy_dataset(small_space):
              small_space.multi_hot(tags))
         for i, tr, tags in rows
     ]
-    return Dataset.from_items(items, small_space)
+    return from_items(items, small_space)
 
 
 def test_underpopulated_tags_excluded(small_space):
@@ -114,12 +116,12 @@ def regular_dataset(small_space):
              ["blue", "round"], ["red", "round"], ["blue", "square"],
              ["red", "square"]] * 3)
     ]
-    return Dataset.from_items(items, small_space)
+    return from_items(items, small_space)
 
 
 def test_empty_dataset_rejected(small_space):
     with pytest.raises(DatasetError):
-        TripletSampler(Dataset.from_items([], small_space))
+        TripletSampler(from_items([], small_space))
 
 
 def test_track_sampling_needs_multi_item_track(small_space):
@@ -127,7 +129,7 @@ def test_track_sampling_needs_multi_item_track(small_space):
         Item("a", "trA", np.zeros(4), small_space.multi_hot(["red", "round"])),
         Item("b", "trB", np.zeros(4), small_space.multi_hot(["blue", "round"])),
     ]
-    sampler = TripletSampler(Dataset.from_items(items, small_space))
+    sampler = TripletSampler(from_items(items, small_space))
     with pytest.raises(DatasetError):
         sampler.track_triplets(np.random.default_rng(0), 1)
 
@@ -217,7 +219,7 @@ def edge_dataset(small_space):
             ("blue", "round", "t4")]
     items = [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot([c, sh]))
              for k, (c, sh, tr) in enumerate(rows)]
-    return Dataset.from_items(items, small_space)
+    return from_items(items, small_space)
 
 
 def assert_valid(ds, tags, tracks, notion=None):
@@ -289,7 +291,7 @@ def test_track_negatives_in_the_anchors_track_are_redrawn(small_space):
     # negatives land in it and are redrawn, some many times; 'pair' holds two
     # rows and row 19 is a track of its own
     tracks = ["big"] * 17 + ["pair"] * 2 + ["single"]
-    ds = Dataset.from_items(
+    ds = from_items(
         [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot(["red", "round"]))
          for k, tr in enumerate(tracks)], small_space)
     sampler = TripletSampler(ds)
@@ -357,8 +359,8 @@ def test_checked_sampler_names_split_and_notion(small_space):
     ds = edge_dataset(small_space)
     assert checked_sampler(ds, "test", ["color", "shape"], tracks=True)
     with pytest.raises(DatasetError, match="validation split is empty"):
-        checked_sampler(Dataset.from_items([], small_space), "validation")
-    only_blue = Dataset.from_items(
+        checked_sampler(from_items([], small_space), "validation")
+    only_blue = from_items(
         [Item(f"b{k}", f"t{k}", np.zeros(4),
               small_space.multi_hot(["blue", "round"])) for k in range(3)],
         small_space)
@@ -366,7 +368,7 @@ def test_checked_sampler_names_split_and_notion(small_space):
         checked_sampler(only_blue, "test", ["color", "shape"])
     with pytest.raises(DatasetError, match="validation split: no sampleable"):
         checked_sampler(only_blue, "validation")
-    singles = Dataset.from_items(
+    singles = from_items(
         [Item(f"s{k}", f"t{k}", np.zeros(4), small_space.multi_hot([c, "round"]))
          for k, c in enumerate(["red", "red", "blue"])],
         small_space)
@@ -385,7 +387,7 @@ def test_eval_triplets_error_names_test_split_and_notion():
 
 def test_validation_triplets_error_names_validation_split(small_space):
     train_ds = edge_dataset(small_space)
-    valid_ds = Dataset.from_items(
+    valid_ds = from_items(
         [Item(f"v{k}", f"t{k}", np.zeros(4),
               small_space.multi_hot(["blue", "round"])) for k in range(3)],
         small_space)

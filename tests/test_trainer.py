@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from disembed.benchmark import load_or_generate
 from disembed.config import ExperimentConfig, default_config
 from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import ConfigurationError
-from disembed.model import EmbeddingNet
+from disembed.model import EmbeddingNet, class_scores, embed
 from disembed.trainer import (
     VariantConfig,
     _all_params,
@@ -27,6 +28,8 @@ from disembed.trainer import (
     train,
     validation_loss,
 )
+
+from conftest import from_items, mask, n_hidden
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +248,7 @@ def reference_triplet_losses(E, triplets, masks, margin) -> np.ndarray:
 def _np_forward(net, X):
     """The dense net's pre-normalization embedding in plain numpy."""
     h = X
-    for i in range(net.n_hidden):
+    for i in range(n_hidden(net)):
         W, b = net.params[f"W{i}"].values, net.params[f"b{i}"].values
         h = np.maximum(h @ W + b, 0)
     return np.maximum(h @ net.params["H"].values, 0)
@@ -266,7 +269,7 @@ def test_triplet_validation_loss_matches_numpy_reference(splits, kw):
         tags, tracks = _fixed_validation_triplets(variant, valid_ds)
         masks = None
         if variant.disentanglement:
-            masks = np.stack([space.mask(t.notion) for t in tags])
+            masks = np.stack([mask(space, t.notion) for t in tags])
         ref = reference_triplet_losses(E, tags, masks, variant.margin).mean()
         if variant.track_reg:
             ref += variant.track_reg_weight * reference_triplet_losses(
@@ -482,12 +485,38 @@ def test_first_training_gradients_are_pinned(monkeypatch):
     assert not moved, f"gradients moved for {moved}: {digests}"
 
 
-def test_empty_split_rejected(splits):
-    from disembed.data import Dataset
+# float.hex of each (train_loss, valid_loss, lr) of a tiny run's curves, per
+# BCE variant.  The gradient digests see only the first validation loss, so
+# this pins the per-step scaling of the training loss and the division of
+# the summed validation BCE by the split size over three epochs
+BCE_CURVES = {
+    "proxy": [
+        ("0x1.547c227670dc9p+1", "0x1.48d686075d44fp+1", "0x1.47ae147ae147bp-8"),
+        ("0x1.40d793490e335p+1", "0x1.4387cfad5bcabp+1", "0x1.47ae147ae147bp-8"),
+        ("0x1.370fda0d2b057p+1", "0x1.3dfde0c261835p+1", "0x1.47ae147ae147bp-8"),
+    ],
+    "classification": [
+        ("0x1.5dadfe2aba650p+1", "0x1.5577778e92fe5p+1", "0x1.47ae147ae147bp-8"),
+        ("0x1.4e935b6689c81p+1", "0x1.492f461e57828p+1", "0x1.47ae147ae147bp-8"),
+        ("0x1.3936e645cc60fp+1", "0x1.3506b754079a4p+1", "0x1.47ae147ae147bp-8"),
+    ],
+}
 
+
+@pytest.mark.parametrize("family", list(BCE_CURVES))
+def test_bce_loss_curves_are_pinned(splits, family):
+    space, (train_ds, valid_ds, _) = splits
+    variant = quick(family=family, normalization=family == "proxy")
+    curves = train(variant, space, train_ds, valid_ds).curves
+    assert [epoch for epoch, *_ in curves] == [0, 1, 2]
+    got = [tuple(float.hex(v) for v in row[1:]) for row in curves]
+    assert got == BCE_CURVES[family]
+
+
+def test_empty_split_rejected(splits):
     space, (train_ds, valid_ds, _) = splits
     with pytest.raises(ConfigurationError):
-        train(quick(family="proxy"), space, Dataset.from_items([], space), valid_ds)
+        train(quick(family="proxy"), space, from_items([], space), valid_ds)
 
 
 # --- persistence -----------------------------------------------------------
@@ -503,11 +532,9 @@ def test_model_save_load_round_trip(splits, tmp_path):
     save_model(prefix, res.model)
     back = load_model(prefix)
     assert back.variant == res.model.variant
-    from disembed.model import embed
-
     X = test_ds.features
-    assert np.array_equal(embed(back.net, X), embed(res.model.net, X))
-    assert np.array_equal(back.bank.weights.values, res.model.bank.weights.values)
+    assert np.array_equal(embed(back.net, X, True), embed(res.model.net, X, True))
+    assert np.array_equal(back.bank.values, res.model.bank.values)
 
 
 def test_load_model_rejects_wrong_params(splits, tmp_path):
@@ -522,7 +549,7 @@ def test_load_model_rejects_wrong_params(splits, tmp_path):
     from disembed.model import save_params
 
     params = dict(other.model.net.params)
-    params["C"] = other.model.bank.weights
+    params["C"] = other.model.bank
     save_params(f"{prefix}.params", params)
     with pytest.raises(ConfigurationError):
         load_model(prefix)
@@ -556,6 +583,9 @@ BUNDLE_FAULTS = {
     # a net block that contradicts the variant it was saved with
     "net_not_normalized": lambda meta: meta["net"].update(
         normalize_output=False),
+    # the width d is the label space's
+    "net_embedding_dim_differs": lambda meta: meta["net"].update(
+        embedding_dim=16),
     "variant_hidden_differs": lambda meta: meta["variant"].update(hidden=[7]),
     "invalid_json": None,
 }
@@ -576,6 +606,37 @@ def test_load_model_rejects_malformed_bundle(splits, tmp_path, fault):
         path.write_text(json.dumps(meta))
     with pytest.raises(ConfigurationError, match=r"m\.json"):
         load_model(prefix)
+
+
+# bundles saved by an earlier version, and the sha256 of the embeddings and
+# the tag scores of five fixed rows under each: the on-disk format, and what a
+# bundle loads as, stay fixed
+DATA = pathlib.Path(__file__).parent / "data"
+SAVED_BUNDLES = {
+    "classification": (
+        "b13543b90ec7d289f9f2f316e0925f137c98fc3da0b574338dc1d4ebfb5e5c98",
+        "c6dd92f590835b760c639704e30ed81a261638d52b8fbc7238bcc915e36a7a41"),
+    "proxy_norm_disent": (
+        "a0662ba96843f503db09d0980c5c741ccf7251634e5a4d6e30b076c476a34db2",
+        "20857b8fd0662f5b643467e3a1d81abae4fa952494c19df76f7a5166f00b2665"),
+}
+
+
+@pytest.mark.parametrize("name", list(SAVED_BUNDLES))
+def test_saved_bundle_loads_to_its_digests(tmp_path, name):
+    prefix = DATA / f"bundle_{name}"
+    model = load_model(prefix)
+    v = model.variant
+    X = np.random.default_rng(0).normal(size=(5, 6))
+    E = embed(model.net, X, v.normalization)
+    S = class_scores(model.net, model.bank, X, v.normalization,
+                     v.disentanglement)
+    assert (hashlib.sha256(E.tobytes()).hexdigest(),
+            hashlib.sha256(S.tobytes()).hexdigest()) == SAVED_BUNDLES[name]
+    save_model(tmp_path / "m", model)
+    for ext in ("json", "params"):
+        assert ((tmp_path / f"m.{ext}").read_bytes()
+                == pathlib.Path(f"{prefix}.{ext}").read_bytes())
 
 
 def test_save_curves_format(tmp_path):
