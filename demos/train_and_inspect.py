@@ -12,8 +12,7 @@ import numpy as np
 from disembed.benchmark import sample_eval_triplets
 from disembed.config import DEFAULT_LR, default_label_space
 from disembed.data import SyntheticSpec, generate_splits
-from disembed.evaluation import retrieval_recall, triplet_accuracy
-from disembed.model import embed
+from disembed.evaluation import retrieval_recall, triplet_accuracy, unit_blocks
 from disembed.trainer import VariantConfig, train
 
 
@@ -43,17 +42,20 @@ def main():
           f"({result.seconds:.1f}s), best validation loss "
           f"{result.best_valid_loss:.4f}")
 
-    E = embed(result.model.net, test_ds.features, variant.normalization)
-    recall = retrieval_recall(E, test_ds.labels, [1, 4])
+    # the metrics compare unit rows: of the full vector, or of each notion's
+    # own block
+    E_pre = result.model.net.full_embedding(test_ds.features)[0]
+    U_full = unit_blocks(E_pre, space.embedding_dim)
+    U_sub = unit_blocks(E_pre, space.block_size)
+    recall = retrieval_recall(U_full, test_ds.labels, [1, 4])
     print(f"\nretrieval on the test split: "
           f"R@1 {recall[1]:.3f}, R@4 {recall[4]:.3f}")
 
     by_notion, _ = sample_eval_triplets(test_ds, per_notion=500, seed=args.seed)
-    E_pre = result.model.net.full_embedding(test_ds.features)[0]
     print("\ntriplet accuracy per notion (own sub-space vs full vector):")
     for notion, triplets in by_notion.items():
-        sub = triplet_accuracy(E_pre, triplets, mode="sub")
-        full = triplet_accuracy(E_pre, triplets, mode="full")
+        sub = triplet_accuracy(U_sub, triplets, mode="sub")
+        full = triplet_accuracy(U_full, triplets, mode="full")
         marker = "sub wins" if sub >= full else "full wins"
         print(f"  {notion:<11} sub {sub:.3f}  full {full:.3f}   ({marker})")
 

@@ -1,5 +1,5 @@
-"""Parameters, the flat gradient of one training step, Adam, and a
-reduce-on-plateau schedule.
+"""Parameters, the flat gradient of one training step, and Adam and a
+reduce-on-plateau schedule whose one setting is the learning rate.
 
 The network is fixed, so there is no graph: each layer is a plain function
 that returns its value and a ``backward`` closure with a hand-written
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,7 +96,8 @@ def grad(slots: dict, pieces) -> None:
 
 
 class Adam:
-    """Adam with bias correction over a named parameter dict.
+    """Adam with bias correction over a named parameter dict.  ``lr`` is
+    the one setting; ``beta1``, ``beta2`` and ``eps`` are fixed.
 
     The parameters are packed, in dict order, into the contiguous vector
     ``flat``; each parameter's ``values`` is rebound to a view of it, so a
@@ -103,12 +105,13 @@ class Adam:
     restores them.
     """
 
-    def __init__(self, params: dict, lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict, lr=0.005):
         self.params = params
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.flat, views = packed(params)
         for p, view in zip(params.values(), views.values()):
@@ -152,15 +155,17 @@ class Adam:
 class PlateauSchedule:
     """Reduce the learning rate by ``factor`` after ``patience`` epochs without
     a strict improvement of the validation loss; stop after ``max_reductions``
-    reductions have been spent and patience runs out again."""
+    reductions have been spent and patience runs out again.  ``lr`` is the
+    one setting; the other fields are the schedule's state."""
+
+    factor: ClassVar[float] = 5.0
+    patience: ClassVar[int] = 10
+    max_reductions: ClassVar[int] = 5
 
     lr: float
-    factor: float = 5.0
-    patience: int = 10
-    max_reductions: int = 5
-    best: float = field(default=math.inf)
-    since_improvement: int = 0
-    reductions: int = 0
+    best: float = field(default=math.inf, init=False)
+    since_improvement: int = field(default=0, init=False)
+    reductions: int = field(default=0, init=False)
 
     def update(self, validation_loss: float) -> tuple[float, bool]:
         """Record one epoch's validation loss.  Returns (current lr, stop)."""

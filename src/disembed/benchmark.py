@@ -89,7 +89,7 @@ def evaluate_model(
     by_notion, track_triplets = eval_triplets
 
     def accuracies(U, mode: str) -> dict:
-        per_notion = [triplet_accuracy(U, t, mode=mode, normalized=True)
+        per_notion = [triplet_accuracy(U, t, mode=mode)
                       for t in by_notion.values()]
         accs = {f"{mode}/{k}": v for k, v in zip(by_notion, per_notion)}
         accs[f"{mode}/overall"] = float(np.mean(per_notion))
@@ -110,7 +110,7 @@ def evaluate_model(
         sub = accuracies(unit_blocks(E_pre, test_ds.space.block_size), "sub")
     U = unit_blocks(E_pre, E_pre.shape[1])
     del E_pre
-    report.recall_at = retrieval_recall(U, test_ds.labels, ks, normalized=True)
+    report.recall_at = retrieval_recall(U, test_ds.labels, ks)
     if variant.family == "triplet":
         protos = build_prototypes(
             embed(model.net, train_ds.features, variant.normalization),
@@ -121,8 +121,7 @@ def evaluate_model(
     report.triplet_accuracy = {
         **accuracies(U, "full"),
         **sub,
-        "full/track": triplet_accuracy(U, track_triplets, mode="full",
-                                       normalized=True),
+        "full/track": triplet_accuracy(U, track_triplets, mode="full"),
     }
     return report
 

@@ -12,8 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .benchmark import (
     evaluate_model,
     load_or_generate,
@@ -135,11 +133,10 @@ def cmd_export_embeddings(args) -> int:
     dataset = load_dataset(args.data, model.space)
     space_arg = args.space
     if space_arg == "full":
-        E = np.atleast_2d(embed(model.net, dataset.features,
-                                model.variant.normalization))
+        E = embed(model.net, dataset.features, model.variant.normalization)
     else:
         block = model.space.block_slice(space_arg)
-        E = forward_rows(model.net, np.atleast_2d(dataset.features))[:, block]
+        E = forward_rows(model.net, dataset.features)[:, block]
     out_path = args.out or "embeddings.tsv"
     with open(out_path, "w", encoding="utf-8") as fh:
         for item_id, track_id, row in zip(dataset.ids, dataset.track_ids, E):

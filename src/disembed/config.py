@@ -6,13 +6,14 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .data import SPEC_TYPES, SyntheticSpec, check_fractions
-from .errors import ConfigurationError, as_floats, as_int, as_ints, check_types
+from .data import DEFAULT_FRACTIONS, SPEC_TYPES, SyntheticSpec, check_fractions
+from .errors import (
+    ConfigurationError, as_floats, as_int, as_ints, as_seed, check_types,
+)
 from .labelspace import LabelSpace
 from .trainer import VariantConfig, paper_variants
 
 DEFAULT_KS = (1, 2, 4, 8)
-DEFAULT_FRACTIONS = (0.8, 0.05, 0.15)
 # desk-scale cap: with patience 10 the schedule rarely stops earlier, and the
 # qualitative benchmark orderings are established well before convergence
 DEFAULT_MAX_EPOCHS = 25
@@ -61,7 +62,7 @@ class ExperimentConfig:
         if not self.variants:
             raise ConfigurationError("need at least one variant")
         # checked, not converted, as VariantConfig's values are
-        check_types(self, {"seed": as_int, "eval_ks": as_ints,
+        check_types(self, {"seed": as_seed, "eval_ks": as_ints,
                            "triplets_per_notion": as_int,
                            "fractions": check_fractions}, "config")
         if len(self.fractions) != 3:
@@ -72,8 +73,9 @@ class ExperimentConfig:
         ks = list(self.eval_ks)
         if any(k <= 0 for k in ks) or ks != sorted(ks) or len(set(ks)) != len(ks):
             raise ConfigurationError("eval_ks must be positive and ascending")
-        if self.synthetic is None and self.dataset_paths is None:
-            raise ConfigurationError("need a synthetic spec or dataset paths")
+        if (self.synthetic is None) == (self.dataset_paths is None):
+            raise ConfigurationError(
+                "need one data source: config key 'synthetic' or 'dataset'")
         paths = self.dataset_paths
         if paths is not None and not (
             isinstance(paths, dict)
@@ -130,7 +132,7 @@ class ExperimentConfig:
             space = LabelSpace.from_dict(d["label_space"])
         except KeyError as exc:
             raise ConfigurationError("config is missing 'label_space'") from exc
-        d = _converted(d, "", {"seed": as_int, "eval_ks": as_ints,
+        d = _converted(d, "", {"seed": as_seed, "eval_ks": as_ints,
                                "triplets_per_notion": as_int,
                                "fractions": as_floats})
         seed = d.get("seed", cls.seed)
@@ -159,7 +161,7 @@ class ExperimentConfig:
                 vd = dict(vd)
                 vd.setdefault("seed", seed)
                 try:
-                    variants.append(VariantConfig.from_dict(vd))
+                    variants.append(VariantConfig(**vd))
                 except (TypeError, ValueError) as exc:
                     raise ConfigurationError(f"bad variant entry: {exc}") from exc
         return cls(space=space, synthetic=synthetic, variants=variants,

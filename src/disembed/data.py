@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, DatasetError, as_float, as_floats, as_int, as_ints,
-    check_types,
+    as_seed, check_types,
 )
 from .labelspace import LabelSpace
 
@@ -74,7 +74,7 @@ def _int_pair(v) -> tuple:
 SPEC_TYPES = {
     "feature_dim": as_int, "tracks": as_int, "excerpts_per_track": as_int,
     "tags_per_notion_range": _int_pair, "sigma_within": as_float,
-    "sigma_excerpt": as_float, "seed": as_int,
+    "sigma_excerpt": as_float, "seed": as_seed,
 }
 
 
@@ -113,12 +113,6 @@ class SyntheticSpec:
         d["space"] = self.space.to_dict()
         d["tags_per_notion_range"] = list(self.tags_per_notion_range)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        d = dict(d)
-        d["space"] = LabelSpace.from_dict(d["space"])
-        return cls(**d)
 
 
 def _feature_blocks(feature_dim: int, num_notions: int) -> list[slice]:
@@ -219,12 +213,14 @@ def _track_parts(n_tracks: int, fractions, seed: int) -> np.ndarray:
     return np.repeat(np.arange(len(fractions)), sizes)[np.argsort(perm)]
 
 
+# (train, valid, test) shares of the tracks, unless a config says otherwise
+DEFAULT_FRACTIONS = (0.8, 0.05, 0.15)
 # draws of generate_splits before it gives up
 _SPLIT_ATTEMPTS = 20
 
 
 def generate_splits(
-    spec: SyntheticSpec, fractions=(0.8, 0.05, 0.15)
+    spec: SyntheticSpec, fractions=DEFAULT_FRACTIONS
 ) -> tuple[Dataset, ...]:
     """One part per fraction, each track's excerpts in one part, each row
     written once, straight into its part; re-drawn at seed ``spec.seed +

@@ -26,12 +26,12 @@ class TrainingDivergedError(DisembedError):
 
 def check_types(obj, rules: dict, what: str) -> None:
     """Apply each rule to ``obj``'s attribute of that name, discarding the
-    result; a TypeError or ConfigurationError raises ConfigurationError
-    naming ``what`` and the key."""
+    result; a TypeError, ValueError or ConfigurationError raises
+    ConfigurationError naming ``what`` and the key."""
     for key, rule in rules.items():
         try:
             rule(getattr(obj, key))
-        except (TypeError, ConfigurationError) as exc:
+        except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(f"{what} key {key!r}: {exc}") from exc
 
 
@@ -40,6 +40,15 @@ def as_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise TypeError(f"expected an integer, got {v!r}")
     return int(v)
+
+
+def as_seed(v) -> int:
+    """``v`` as an int (``as_int``) >= 0, a seed numpy's generators take; a
+    negative one raises ValueError."""
+    seed = as_int(v)
+    if seed < 0:
+        raise ValueError(f"expected an integer >= 0, got {v!r}")
+    return seed
 
 
 def as_float(v) -> float:

@@ -5,8 +5,9 @@ Tag AUC is the rank statistic (Hanley & McNeil 1982), ranked with numpy
 alone: one sort of each tag's score column gives its positives' average
 ranks, ties sharing the mean of their ranks as in ``scipy.stats.rankdata``,
 without importing ``scipy.stats``.
-Triplet prediction compares cosines of rows, or of their notion blocks,
-normalized by ``autodiff.l2_rows``, as every cosine of the package is.
+R@K and triplet prediction take unit rows: ``unit_blocks`` normalizes rows,
+or their notion blocks, by ``autodiff.l2_rows``, as every cosine of the
+package is, and a cosine is then the dot product of two rows.
 """
 
 from __future__ import annotations
@@ -30,40 +31,35 @@ _RECALL_GROUP = 32
 _TRIPLET_CHUNK = 512
 
 
-def retrieval_recall(embeddings, labels, ks, *,
-                     normalized: bool = False) -> dict[int, float]:
+def retrieval_recall(U, labels, ks) -> dict[int, float]:
     """Mean multi-label R@K over all queries with at least one label.
 
-    Candidates are all other items, ranked by descending cosine similarity
-    with ties broken by ascending item index, exactly as a stable sort of
-    every row would rank them.  K is clamped to n - 1, so a query never
-    retrieves itself.  Zero-label queries are excluded from the average
-    (logged); a ValueError is raised when no query has a label.
-    ``normalized=True`` says ``embeddings`` already are the rows normalized
-    by ``autodiff.l2_rows`` (``unit_blocks`` of the full width), which are
-    then ranked as they are instead of in a normalized copy.
+    ``U`` holds unit rows, one per item: ``unit_blocks`` of the full width,
+    so a dot product of two rows is their cosine.  Candidates are all other
+    items, ranked by descending cosine similarity with ties broken by
+    ascending item index, exactly as a stable sort of every row would rank
+    them.  K is clamped to n - 1, so a query never retrieves itself.
+    Zero-label queries are excluded from the average (logged); a ValueError
+    is raised when no query has a label.
 
     Memory: O(``_RECALL_BLOCK`` x n), never n x n, however many
     similarities tie: the float64 similarities of one block of
     ``_RECALL_BLOCK`` query rows at a time, boolean masks of the same shape
     and index arrays over the block's candidates, at most kmax c per row
-    (``_top_neighbors``), plus n x kmax neighbour indices, and the
-    normalized copy of the rows unless ``normalized``.
+    (``_top_neighbors``), plus n x kmax neighbour indices.
     """
-    E = np.asarray(embeddings, dtype=np.float64)
-    if not np.isfinite(E).all():
+    U = np.asarray(U, dtype=np.float64)
+    if not np.isfinite(U).all():
         raise ValueError("embeddings must be finite")
-    if not normalized:
-        E = ad.l2_rows(E)[0]
     L = np.asarray(labels) > 0
-    n = len(E)
+    n = len(U)
     label_counts = L.sum(axis=1)
     valid = label_counts > 0
     if not valid.any():
         raise ValueError("no query has a label to retrieve")
     if (~valid).any():
         log.info("excluding %d zero-label queries from R@K", int((~valid).sum()))
-    top = _top_neighbors(E, min(max(ks), n - 1))
+    top = _top_neighbors(U, min(max(ks), n - 1))
     out = {}
     for k in ks:
         covered = L[top[:, :k]].any(axis=1)
@@ -215,27 +211,25 @@ def unit_blocks(embeddings, width: int) -> np.ndarray:
     return ad.l2_rows(E.reshape(-1, width))[0].reshape(E.shape)
 
 
-def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full",
-                     *, normalized: bool = False) -> float:
+def triplet_accuracy(U, triplets: TripletBatch, mode: str = "full") -> float:
     """Fraction of triplets with cos(anchor, positive) > cos(anchor, negative);
     ties count as incorrect.
 
-    ``embeddings`` are pre-normalization rows, one per dataset item, which the
-    ``TripletBatch`` ``triplets`` indexes.  A cosine is the dot product of two
-    rows normalized by ``autodiff.l2_rows``; mode="sub" normalizes and compares
-    each tag triplet's notion block alone, with the blocks and the notion
-    indices of ``triplets.space``, whose ``embedding_dim`` must be the rows'
-    width.  ``normalized=True`` says ``embeddings`` already are
-    ``unit_blocks`` of the rows for ``mode``, so a caller scoring several
-    batches normalizes once.  Memory: the normalized rows and three
+    ``U`` holds ``unit_blocks`` of the embeddings for ``mode``, one row per
+    dataset item, which the ``TripletBatch`` ``triplets`` indexes: of the
+    full width for mode "full", so a cosine is the dot product of two rows,
+    and of ``space.block_size`` for mode "sub", which compares each tag
+    triplet's notion block alone, with the blocks and the notion indices of
+    ``triplets.space``, whose ``embedding_dim`` must be the rows' width.  A
+    caller scoring several batches normalizes once.  Memory: three
     ``_TRIPLET_CHUNK`` x width arrays.
     """
     if mode not in ("full", "sub"):
         raise ValueError(f"unknown space mode: {mode!r}")
     if len(triplets) == 0:
         raise ValueError("no triplets to evaluate")
-    E = np.asarray(embeddings, dtype=np.float64)
-    n, width = E.shape
+    U = np.asarray(U, dtype=np.float64)
+    n, width = U.shape
     space = triplets.space
     if mode == "sub":
         if triplets.notion is None:
@@ -244,7 +238,7 @@ def triplet_accuracy(embeddings, triplets: TripletBatch, mode: str = "full",
             raise ValueError(f"sub mode needs {space.embedding_dim}-wide "
                              f"embeddings, got {width}")
         width = space.block_size
-    U = (E if normalized else unit_blocks(E, width)).reshape(n, -1, width)
+    U = U.reshape(n, -1, width)
     correct = 0
     for start in range(0, len(triplets), _TRIPLET_CHUNK):
         t = triplets[start:start + _TRIPLET_CHUNK]

@@ -185,13 +185,12 @@ def forward_rows(net: EmbeddingNet, x) -> np.ndarray:
 
 
 def embed(net: EmbeddingNet, x, normalized: bool) -> np.ndarray:
-    """Forward pass of a row or a 2-D batch; L2-normalized rows iff
+    """Forward pass of the 2-D batch ``x``; L2-normalized rows iff
     ``normalized``."""
-    x = np.asarray(x, dtype=np.float64)
-    E = forward_rows(net, np.atleast_2d(x))
+    E = forward_rows(net, x)
     if normalized:
         E = ad.l2_rows(E)[0]
-    return E[0] if x.ndim == 1 else E
+    return E
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -245,11 +244,10 @@ def score_blocks(F: np.ndarray, C: np.ndarray, normalized: bool,
 
 def class_scores(net: EmbeddingNet, bank: Param, x, normalized: bool,
                  disentangled: bool) -> np.ndarray:
-    """Per-tag scores in (0, 1) as a (N, tags) array, tags in global order."""
-    x = np.asarray(x, dtype=np.float64)
-    S = score_blocks(forward_rows(net, np.atleast_2d(x)), bank.values,
-                     normalized, disentangled, net.space)[0]
-    return S[0] if x.ndim == 1 else S
+    """Per-tag scores in (0, 1) of the 2-D batch ``x`` as a (N, tags) array,
+    tags in global order."""
+    return score_blocks(forward_rows(net, x), bank.values, normalized,
+                        disentangled, net.space)[0]
 
 
 # ---------------------------------------------------------------------------

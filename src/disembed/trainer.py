@@ -35,7 +35,8 @@ from . import autodiff as ad
 from .autodiff import Adam, PlateauSchedule
 from .data import Dataset
 from .errors import (
-    ConfigurationError, TrainingDivergedError, as_float, as_int, check_types,
+    ConfigurationError, TrainingDivergedError, as_float, as_int, as_seed,
+    check_types,
 )
 from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
@@ -66,7 +67,7 @@ def _flag(v) -> bool:
 _VARIANT_TYPES = {
     "normalization": _flag, "disentanglement": _flag, "track_reg": _flag,
     "margin": as_float, "lr": as_float, "track_reg_weight": as_float,
-    "batch_size": as_int, "max_epochs": as_int, "seed": as_int,
+    "batch_size": as_int, "max_epochs": as_int, "seed": as_seed,
 }
 
 
@@ -155,13 +156,6 @@ class VariantConfig:
         if self.family == "proxy":
             d["family"] = "classification"
         return tuple(sorted(d.items()))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VariantConfig":
-        d = dict(d)
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
-        return cls(**d)
 
 
 def paper_variants(**overrides) -> list[VariantConfig]:
@@ -435,7 +429,7 @@ def load_model(prefix) -> TrainedModel:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     try:
         space = LabelSpace.from_dict(meta["space"])
-        variant = VariantConfig.from_dict(meta["variant"])
+        variant = VariantConfig(**meta["variant"])
         saved = dict(meta["net"])
         model = build_model(variant, space, saved["input_dim"])
     except KeyError as exc:

@@ -23,6 +23,7 @@ from disembed.evaluation import (
     retrieval_recall,
     strip_timing,
     triplet_accuracy,
+    unit_blocks,
 )
 from disembed.labelspace import LabelSpace
 from disembed.model import EmbeddingNet, class_scores, init_params
@@ -402,6 +403,7 @@ def test_metrics_match_brute_force_oracles():
         d = int(rng.integers(3, 7))
         T = int(rng.integers(2, 6))
         E = rng.normal(size=(n, d))
+        U = unit_blocks(E, d)  # the unit rows the metrics take
         L = (rng.random((n, T)) < 0.4).astype(float)
         L[L.sum(axis=1) == 0, 0] = 1.0
         if (L.sum(axis=0) == 0).any() or (L.sum(axis=0) == n).all():
@@ -409,7 +411,7 @@ def test_metrics_match_brute_force_oracles():
             L[1] = 0.0
             L[1, 0] = 1.0
 
-        got = retrieval_recall(E, L, [1, 3])
+        got = retrieval_recall(U, L, [1, 3])
         assert got[1] == brute_recall(E, L, 1), f"seed {seed}: recall@1"
         assert got[3] == brute_recall(E, L, 3), f"seed {seed}: recall@3"
 
@@ -421,7 +423,7 @@ def test_metrics_match_brute_force_oracles():
                          for _ in range(15)]).T
         # track triplets read no tag, so any label space serves
         triplets = TripletBatch(*rows, None, None, default_label_space())
-        assert triplet_accuracy(E, triplets, mode="full") == \
+        assert triplet_accuracy(U, triplets, mode="full") == \
             brute_triplet_accuracy(E, triplets), f"seed {seed}: triplets"
 
         protos = build_prototypes(E, L)
@@ -451,7 +453,7 @@ def benchmark_medians():
     for run in runs:
         for rd in run["reports"]:
             assert rd["error"] is None, rd["error"]
-            name = VariantConfig.from_dict(rd["variant"]).name
+            name = VariantConfig(**rd["variant"]).name
             row = by_variant.setdefault(name, {"r1": [], "auc": [],
                                                "ratio": [], "sub": {}, "full": {}})
             row["r1"].append(rd["recall_at"]["1"])

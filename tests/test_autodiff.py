@@ -346,7 +346,8 @@ def test_adam_first_step_matches_hand_computation():
 
 def test_adam_two_steps_hand_values():
     p = Param(np.array([0.0]))
-    opt = Adam({"p": p}, lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam({"p": p}, lr=0.5)
+    assert (Adam.beta1, Adam.beta2, Adam.eps) == (0.9, 0.999, 1e-8)
     for g in ([1.0], [2.0]):
         opt.step(np.array(g))
     # replicate the textbook update by hand
@@ -419,44 +420,65 @@ def test_adam_parameters_are_views_of_one_vector():
 
 
 def test_plateau_reduces_after_patience():
-    sched = PlateauSchedule(lr=1.0, factor=5.0, patience=3, max_reductions=2)
+    # the schedule's fixed constants: divide by 5 after 10 epochs without a
+    # strict improvement, at most 5 times
+    assert (PlateauSchedule.factor, PlateauSchedule.patience,
+            PlateauSchedule.max_reductions) == (5.0, 10, 5)
+    sched = PlateauSchedule(lr=1.0)
     assert sched.update(10.0) == (1.0, False)
-    for _ in range(2):
+    for _ in range(9):
         lr, stop = sched.update(10.0)
         assert (lr, stop) == (1.0, False)
-    lr, stop = sched.update(10.0)  # third non-improving epoch
+    lr, stop = sched.update(10.0)  # tenth non-improving epoch
     assert lr == pytest.approx(0.2)
     assert not stop
 
 
 def test_plateau_strict_improvement_required():
-    sched = PlateauSchedule(lr=1.0, patience=2)
+    sched = PlateauSchedule(lr=1.0)
     sched.update(1.0)
     # equal loss is not an improvement
     lr, _ = sched.update(1.0)
     assert sched.since_improvement == 1
-    lr, _ = sched.update(1.0)
+    for _ in range(9):
+        lr, _ = sched.update(1.0)
     assert lr == pytest.approx(0.2)
 
 
 def test_plateau_stops_after_max_reductions():
-    sched = PlateauSchedule(lr=1.0, patience=1, max_reductions=2)
+    sched = PlateauSchedule(lr=1.0)
     sched.update(5.0)
     stops = []
-    for _ in range(4):
+    for _ in range(61):
         _, stop = sched.update(5.0)
         stops.append(stop)
-    assert stops == [False, False, True, True]
-    assert sched.lr == pytest.approx(1.0 / 25)
+    # five reductions at epochs 10, 20, ..., 50; patience runs out again at 60
+    assert stops == [False] * 59 + [True, True]
+    assert sched.lr == pytest.approx(1.0 / 5**5)
 
 
 def test_plateau_improvement_resets_counter():
-    sched = PlateauSchedule(lr=1.0, patience=2)
+    sched = PlateauSchedule(lr=1.0)
     sched.update(5.0)
     sched.update(5.0)
     sched.update(4.0)  # improvement
     assert sched.since_improvement == 0
     assert sched.lr == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Adam({"p": Param(np.zeros(2))}, lr=0.1, beta1=0.5),
+    lambda: Adam({"p": Param(np.zeros(2))}, lr=0.1, eps=1e-6),
+    lambda: PlateauSchedule(lr=1.0, patience=3),
+    lambda: PlateauSchedule(lr=1.0, factor=2.0),
+    lambda: PlateauSchedule(lr=1.0, max_reductions=1),
+    lambda: PlateauSchedule(lr=1.0, best=0.0),
+    lambda: PlateauSchedule(lr=1.0, reductions=5),
+], ids=["beta1", "eps", "patience", "factor", "max_reductions", "best",
+        "reductions"])
+def test_optimizer_constants_and_schedule_state_are_not_arguments(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_plateau_raises_on_nan():

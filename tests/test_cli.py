@@ -83,6 +83,15 @@ def test_generate_requires_synthetic_spec(tmp_path):
     assert main(["generate", "--config", str(path)]) == 1
 
 
+def test_negative_seed_is_a_configuration_error(tiny_config, capsys):
+    cfg_path, out = tiny_config
+    assert main(["generate", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "'seed'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_then_evaluate(tiny_config, capsys):
     cfg_path, out = tiny_config
     assert main(["train", "--config", str(cfg_path), "--variant-index", "0"]) == 0

@@ -124,6 +124,47 @@ def test_with_seed_pushes_seed_down():
     assert all(v.seed == 17 for v in cfg.variants)
 
 
+def test_with_seed_round_trips_a_dataset_only_config(small_space):
+    paths = {"train": "a.tsv", "valid": "b.tsv", "test": "c.tsv"}
+    cfg = ExperimentConfig(space=small_space, dataset_paths=paths,
+                           variants=[VariantConfig(family="proxy")])
+    back = cfg.with_seed(4)
+    assert (back.seed, back.variants[0].seed) == (4, 4)
+    assert back.synthetic is None and back.dataset_paths == paths
+    assert back.with_seed(0).to_dict() == cfg.to_dict()
+
+
+def test_config_refuses_both_synthetic_and_dataset(small_space):
+    # the files would be read while the report showed the unused spec
+    paths = {"train": "a.tsv", "valid": "b.tsv", "test": "c.tsv"}
+    with pytest.raises(ConfigurationError, match="'synthetic' or 'dataset'"):
+        ExperimentConfig(space=small_space,
+                         synthetic=SyntheticSpec(space=small_space),
+                         dataset_paths=paths,
+                         variants=[VariantConfig(family="proxy")])
+    with pytest.raises(ConfigurationError, match="'synthetic' or 'dataset'"):
+        ExperimentConfig.from_dict({**_base(small_space), "dataset": paths})
+
+
+# a negative seed is refused where it is given, not where numpy first
+# draws from it
+NEGATIVE_SEEDS = {
+    "variant": lambda space: VariantConfig(family="triplet", seed=-1),
+    "synthetic": lambda space: SyntheticSpec(space=space, seed=-1),
+    "config": lambda space: ExperimentConfig(
+        space=space, synthetic=SyntheticSpec(space=space),
+        variants=[VariantConfig(family="proxy")], seed=-1),
+    "config_dict": lambda space: ExperimentConfig.from_dict(
+        {**_base(space), "seed": -1}),
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_SEEDS))
+def test_negative_seed_is_refused_at_construction(small_space, case):
+    with pytest.raises(ConfigurationError, match="'seed'.*>= 0"):
+        NEGATIVE_SEEDS[case](small_space)
+
+
 def test_from_json(tmp_path):
     cfg = default_config(seed=4)
     path = tmp_path / "cfg.json"

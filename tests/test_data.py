@@ -145,7 +145,8 @@ def test_spec_validation(small_space):
 
 
 def test_spec_dict_round_trip(spec):
-    back = SyntheticSpec.from_dict(spec.to_dict())
+    d = spec.to_dict()
+    back = SyntheticSpec(**{**d, "space": LabelSpace.from_dict(d["space"])})
     assert back.to_dict() == spec.to_dict()
 
 

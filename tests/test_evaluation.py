@@ -117,14 +117,14 @@ def tied_embeddings(rng, n, d=8):
 # --- recall ----------------------------------------------------------------
 
 
+def unit(E):
+    """The unit rows of ``E`` that ``retrieval_recall`` ranks."""
+    return unit_blocks(E, np.shape(E)[1])
+
+
 def recall(E, L, ks):
-    """``retrieval_recall`` of the rows ``E``, asserted equal to that of
-    their ``unit_blocks`` passed with ``normalized=True``, which are ranked
-    as they are instead of in a normalized copy."""
-    got = retrieval_recall(E, L, ks)
-    U = unit_blocks(E, np.shape(E)[1])
-    assert retrieval_recall(U, L, ks, normalized=True) == got
-    return got
+    """``retrieval_recall`` of the unit rows of ``E``."""
+    return retrieval_recall(unit(E), L, ks)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -173,14 +173,14 @@ def test_retrieval_recall_clamps_k_to_other_items(n):
 
 
 def test_retrieval_recall_single_item_retrieves_nothing():
-    assert retrieval_recall(np.ones((1, 3)), np.ones((1, 2)), [1, 2]) == {
+    assert recall(np.ones((1, 3)), np.ones((1, 2)), [1, 2]) == {
         1: 0.0, 2: 0.0}
 
 
 def test_retrieval_recall_without_labelled_query_raises():
     E = np.random.default_rng(0).normal(size=(5, 3))
     with pytest.raises(ValueError, match="no query has a label"):
-        retrieval_recall(E, np.zeros((5, 4)), [1])
+        recall(E, np.zeros((5, 4)), [1])
 
 
 def test_retrieval_recall_rejects_non_finite_embeddings():
@@ -257,11 +257,11 @@ def test_retrieval_recall_memory_is_blocks_not_n_squared(rng):
     # one n x n float64 similarity matrix is 8 n^2 bytes (72 MB here); the
     # blocked ranking holds one 256 x n float64 block (6 MB) and a mask of it
     n = 3000
-    E = rng.normal(size=(n, 16))
+    U = unit(rng.normal(size=(n, 16)))
     L = rng.random((n, 20)) < 0.2
     tracemalloc.start()
     try:
-        retrieval_recall(E, L, (1, 2, 4, 8))
+        retrieval_recall(U, L, (1, 2, 4, 8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,11 +336,11 @@ def test_retrieval_recall_memory_on_all_tied_rows_is_a_few_blocks(kind):
     # peak stays within three float64 similarity blocks however many of a
     # row's similarities are equal; sorting every tied column took seven
     n = 3000
-    E = all_tied_embeddings(kind, n)
+    U = unit(all_tied_embeddings(kind, n))
     L = np.random.default_rng(4).random((n, 20)) < 0.2
     tracemalloc.start()
     try:
-        retrieval_recall(E, L, (1, 2, 4, 8))
+        retrieval_recall(U, L, (1, 2, 4, 8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,12 +538,19 @@ def as_batch(records, space):
     return batch
 
 
+def accuracy(E, batch, mode="full"):
+    """``triplet_accuracy`` of the ``unit_blocks`` of ``E`` for ``mode``: of
+    the full width, or of the batch space's block size in sub mode."""
+    width = np.shape(E)[1] if mode == "full" else batch.space.block_size
+    return triplet_accuracy(unit_blocks(E, width), batch, mode=mode)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_triplet_accuracy_matches_brute_force(seed, small_space):
     rng = np.random.default_rng(seed)
     E = rng.normal(size=(10, 8))
     triplets = make_triplets(30, np.arange(10), rng, "color", small_space)
-    got = triplet_accuracy(E, as_batch(triplets, small_space), mode="full")
+    got = accuracy(E, as_batch(triplets, small_space), mode="full")
     correct = 0
     for t in triplets:
         ca = np.dot(E[t.anchor], E[t.positive]) / (
@@ -560,16 +567,16 @@ def test_triplet_accuracy_sub_space_uses_block(small_space, rng):
     E = rng.normal(size=(8, 8))
     batch = as_batch(make_triplets(20, np.arange(8), rng, "shape", small_space),
                      small_space)
-    got = triplet_accuracy(E, batch, mode="sub")
+    got = accuracy(E, batch, mode="sub")
     sl = small_space.block_slice("shape")
-    expect = triplet_accuracy(E[:, sl].copy(), batch, mode="full")
+    expect = accuracy(E[:, sl].copy(), batch, mode="full")
     assert got == pytest.approx(expect)
 
 
 def test_triplet_accuracy_ties_are_incorrect(small_space):
     E = np.ones((3, 8))  # all cosines identical -> every comparison ties
     triplets = as_batch([Triplet(0, 1, 2, "red", "color", "tag")], small_space)
-    assert triplet_accuracy(E, triplets, mode="full") == 0.0
+    assert accuracy(E, triplets, mode="full") == 0.0
 
 
 def test_triplet_accuracy_rejects_an_empty_batch(small_space):
@@ -596,8 +603,8 @@ def test_triplet_accuracy_equals_loop_on_near_ties(seed, small_space):
     triplets += make_triplets(300, np.arange(n), rng, "shape", small_space)
     rng.shuffle(triplets)
     batch = as_batch(triplets, small_space)
-    full = triplet_accuracy(E, batch, mode="full")
-    sub = triplet_accuracy(E, batch, mode="sub")
+    full = accuracy(E, batch, mode="full")
+    sub = accuracy(E, batch, mode="sub")
     assert full == loop_triplet_accuracy(E, triplets)
     assert sub == loop_triplet_accuracy(E, triplets, "sub", small_space)
     assert 0.0 < full < 1.0 and 0.0 < sub < 1.0
@@ -615,19 +622,19 @@ def test_triplet_batch_scores_like_its_records(seed, small_space):
     batch = TripletBatch(*rows, tags, np.take(notion_of_tag, tags), small_space)
     records = list(batch)
     assert {t.notion for t in records} == {"color", "shape"}
-    assert triplet_accuracy(E, batch) == loop_triplet_accuracy(E, records)
-    assert triplet_accuracy(E, batch, mode="sub") == \
+    assert accuracy(E, batch) == loop_triplet_accuracy(E, records)
+    assert accuracy(E, batch, mode="sub") == \
         loop_triplet_accuracy(E, records, "sub", small_space)
     tracks = TripletBatch(*rows, None, None, small_space)
-    assert triplet_accuracy(E, tracks) == loop_triplet_accuracy(E, records)
+    assert accuracy(E, tracks) == loop_triplet_accuracy(E, records)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
 def test_triplet_accuracy_of_unit_blocks_in_chunks_equals_loop(
         chunk, small_space, monkeypatch):
-    # rows normalized once per mode by unit_blocks and passed with
-    # normalized=True score as the raw rows do; the triplets are gathered a
-    # chunk at a time, the last chunk partial
+    # rows normalized once per mode by unit_blocks score as the loop over
+    # raw rows does; the triplets are gathered a chunk at a time, the last
+    # chunk partial
     if chunk is not None:
         monkeypatch.setattr(evaluation, "_TRIPLET_CHUNK", chunk)
     rng = np.random.default_rng(5)
@@ -640,9 +647,8 @@ def test_triplet_accuracy_of_unit_blocks_in_chunks_equals_loop(
     for mode, width in (("full", 8), ("sub", small_space.block_size)):
         expect = loop_triplet_accuracy(E, triplets, mode, small_space)
         assert 0.0 < expect < 1.0
-        assert triplet_accuracy(E, batch, mode=mode) == expect
         U = unit_blocks(E, width)
-        assert triplet_accuracy(U, batch, mode=mode, normalized=True) == expect
+        assert triplet_accuracy(U, batch, mode=mode) == expect
 
 
 def test_unit_blocks_rejects_a_width_that_does_not_divide_the_rows():
@@ -664,7 +670,7 @@ def test_sub_mode_reads_notions_in_the_batch_space(small_space):
     assert batch.notion.tolist() == [1] * 200 + [0] * 200
     want = loop_triplet_accuracy(E, triplets, "sub", swapped)
     assert want != loop_triplet_accuracy(E, triplets, "sub", small_space)
-    assert triplet_accuracy(E, batch, mode="sub") == want
+    assert accuracy(E, batch, mode="sub") == want
 
 
 def test_sub_mode_rejects_track_triplets(small_space):
@@ -680,8 +686,8 @@ def test_sub_mode_rejects_a_width_other_than_the_space(small_space, width):
     E = np.random.default_rng(0).normal(size=(4, width))
     t = as_batch([Triplet(1, 2, 3, "red", "color", "tag")], small_space)
     with pytest.raises(ValueError, match="8-wide"):
-        triplet_accuracy(E, t, mode="sub")
-    assert 0.0 <= triplet_accuracy(E, t, mode="full") <= 1.0
+        accuracy(E, t, mode="sub")
+    assert 0.0 <= accuracy(E, t, mode="full") <= 1.0
 
 
 # --- timing ratio and reports ---------------------------------------------

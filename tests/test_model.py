@@ -84,13 +84,12 @@ def test_embed_normalized_iff_configured(small_space, rng):
     assert not np.allclose(norms, 1.0, atol=1e-3)
 
 
-def test_embed_single_vector(small_space, rng):
-    net, _ = make_net(small_space)
-    x = rng.normal(size=6)
-    single = embed(net, x, False)
-    batch = embed(net, x[None, :], False)
-    assert single.shape == (8,)
-    assert np.array_equal(single, batch[0])
+def test_embed_and_class_scores_take_2d_rows_only(small_space):
+    net, bank = make_net(small_space)
+    with pytest.raises(ValueError, match="2-D"):
+        embed(net, np.zeros(6), True)
+    with pytest.raises(ValueError, match="2-D"):
+        class_scores(net, bank, np.zeros(6), True, False)
 
 
 def test_embed_rejects_wrong_width(small_space):
@@ -140,8 +139,8 @@ def test_forward_rows_equals_one_forward_bit_for_bit(monkeypatch, n):
 
 def test_embed_zero_weights_is_guarded(small_space, caplog):
     net = EmbeddingNet(small_space, 6, (128, 128))  # all-zero parameters
-    out = embed(net, np.ones(6), True)
-    assert np.array_equal(out, np.zeros(8))
+    out = embed(net, np.ones((1, 6)), True)
+    assert np.array_equal(out, np.zeros((1, 8)))
 
 
 def test_masked_embed_zeroes_other_blocks(small_space, rng):

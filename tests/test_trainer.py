@@ -143,7 +143,7 @@ def test_variant_values_are_checked_not_converted():
 
 def test_variant_dict_round_trip():
     v = quick(family="triplet", disentanglement=True, track_reg=True, seed=7)
-    assert VariantConfig.from_dict(v.to_dict()) == v
+    assert VariantConfig(**v.to_dict()) == v
 
 
 def test_build_model_head_selection(splits):
