@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
-from .data import DEFAULT_FRACTIONS, SPEC_TYPES, SyntheticSpec, check_fractions
-from .errors import (
-    ConfigurationError, as_floats, as_int, as_ints, as_seed, check_types,
-)
+from .data import DEFAULT_FRACTIONS, SyntheticSpec, check_fractions
+from .errors import ConfigurationError, as_count, as_ints, as_seed, check_types
 from .labelspace import LabelSpace
 from .trainer import VariantConfig, paper_variants
 
@@ -39,8 +38,8 @@ def default_label_space() -> LabelSpace:
     )
 
 
-# the top-level keys of a config object that each set one field as they are
-# (once from_dict has checked their types), and the field each one sets
+# the top-level keys of a config object that each set one field as they are,
+# and the field each one sets
 _FIELDS = {"seed": "seed", "output_dir": "output_dir", "eval_ks": "eval_ks",
            "triplets_per_notion": "triplets_per_notion",
            "fractions": "fractions", "dataset": "dataset_paths"}
@@ -63,16 +62,18 @@ class ExperimentConfig:
             raise ConfigurationError("need at least one variant")
         # checked, not converted, as VariantConfig's values are
         check_types(self, {"seed": as_seed, "eval_ks": as_ints,
-                           "triplets_per_notion": as_int,
-                           "fractions": check_fractions}, "config")
+                           "triplets_per_notion": as_count,
+                           "fractions": check_fractions,
+                           "output_dir": os.fspath}, "config")
         if len(self.fractions) != 3:
             raise ConfigurationError(
                 f"config key 'fractions': {len(self.fractions)} parts, "
                 f"expected 3 (train, valid, test)"
             )
         ks = list(self.eval_ks)
-        if any(k <= 0 for k in ks) or ks != sorted(ks) or len(set(ks)) != len(ks):
-            raise ConfigurationError("eval_ks must be positive and ascending")
+        if not ks or ks[0] <= 0 or ks != sorted(set(ks)):
+            raise ConfigurationError(
+                f"config key 'eval_ks': expected ascending integers >= 1, got {ks}")
         if (self.synthetic is None) == (self.dataset_paths is None):
             raise ConfigurationError(
                 "need one data source: config key 'synthetic' or 'dataset'")
@@ -86,8 +87,6 @@ class ExperimentConfig:
                 "config key 'dataset' must map 'train', 'valid' and 'test' "
                 f"to file paths, got {paths!r}"
             )
-        if self.triplets_per_notion < 1:
-            raise ConfigurationError("triplets_per_notion must be >= 1")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Rebuild with a new global seed pushed into data and variants."""
@@ -120,9 +119,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config a JSON object describes; a key it leaves out takes the
-        field's default.  An unknown key, a missing label space, a value of
-        the wrong type or an unknown ``synthetic`` key raises
-        ConfigurationError naming the key."""
+        field's default.  Each value goes as written to the constructor that
+        declares it, which checks it, so the config's ``to_dict`` repeats the
+        object's values; only the top-level ``seed``, which is copied into
+        the synthetic spec and each variant that sets none, is read here.
+        An unknown key, a missing label space or a value of the wrong type
+        raises ConfigurationError naming the key."""
         unknown = sorted(set(d) - {"label_space", "synthetic", "variants",
                                    *_FIELDS})
         if unknown:
@@ -132,38 +134,27 @@ class ExperimentConfig:
             space = LabelSpace.from_dict(d["label_space"])
         except KeyError as exc:
             raise ConfigurationError("config is missing 'label_space'") from exc
-        d = _converted(d, "", {"seed": as_seed, "eval_ks": as_ints,
-                               "triplets_per_notion": as_int,
-                               "fractions": as_floats})
-        seed = d.get("seed", cls.seed)
-        synthetic = None
-        if d.get("synthetic") is not None:
-            if not isinstance(d["synthetic"], dict):
-                raise ConfigurationError(
-                    f"config key 'synthetic' must be an object, got "
-                    f"{d['synthetic']!r}"
-                )
-            syn = _converted(d["synthetic"], "synthetic.", SPEC_TYPES)
-            syn.setdefault("seed", seed)
-            try:
-                synthetic = SyntheticSpec(space=space, **syn)
-            except TypeError as exc:  # an unknown key
-                raise ConfigurationError(
-                    f"config key 'synthetic': {exc}") from exc
-        variants_d = d.get("variants")
-        if variants_d is None:
+        try:
+            seed = as_seed(d.get("seed", cls.seed))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"config key 'seed': {exc}") from exc
+        synthetic = d.get("synthetic")
+        if synthetic is not None:
+            synthetic = _built("synthetic", synthetic,
+                               partial(SyntheticSpec, space), seed)
+        variants = d.get("variants")
+        if variants is None:
             variants = paper_variants(
                 seed=seed, max_epochs=DEFAULT_MAX_EPOCHS, lr=DEFAULT_LR
             )
+        elif isinstance(variants, list):
+            variants = [_built("variants", v, VariantConfig, seed)
+                        for v in variants]
         else:
-            variants = []
-            for vd in variants_d:
-                vd = dict(vd)
-                vd.setdefault("seed", seed)
-                try:
-                    variants.append(VariantConfig(**vd))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigurationError(f"bad variant entry: {exc}") from exc
+            raise ConfigurationError(
+                f"config key 'variants': expected a list of objects, got "
+                f"{variants!r}"
+            )
         return cls(space=space, synthetic=synthetic, variants=variants,
                    **{field: d[key] for key, field in _FIELDS.items() if key in d})
 
@@ -177,19 +168,18 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
 
-def _converted(d: dict, prefix: str, types: dict) -> dict:
-    """A copy of ``d`` with each value whose key is in ``types`` passed
-    through its converter; one that fails raises ConfigurationError naming
-    ``prefix`` + the key."""
-    out = dict(d)
-    for key, convert in types.items():
-        if key in out:
-            try:
-                out[key] = convert(out[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"config key {prefix + key!r}: {exc}") from exc
-    return out
+def _built(key: str, entry, make, seed: int):
+    """``make(seed=seed, **entry)`` for the object ``entry`` of a config's
+    ``key``; a ``seed`` in ``entry`` wins.  An entry that is not an object or
+    that holds an unknown key raises ConfigurationError naming ``key``;
+    ``make``'s own ConfigurationError names the entry's key."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"config key {key!r}: expected an object, got {entry!r}")
+    try:
+        return make(**{"seed": seed, **entry})
+    except TypeError as exc:  # an unknown or missing key
+        raise ConfigurationError(f"config key {key!r}: {exc}") from exc
 
 
 def default_config(seed: int = 0, max_epochs: int = DEFAULT_MAX_EPOCHS) -> ExperimentConfig:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DatasetError, as_float, as_floats, as_int, as_ints,
+    ConfigurationError, DatasetError, as_count, as_float, as_floats, as_ints,
     as_seed, check_types,
 )
 from .labelspace import LabelSpace
@@ -69,10 +69,10 @@ def _int_pair(v) -> tuple:
     return pair
 
 
-# the type rule of each SyntheticSpec field but the space; a value is
+# the rule of each SyntheticSpec field but the space; a value is
 # checked, not converted, as VariantConfig's values are
 SPEC_TYPES = {
-    "feature_dim": as_int, "tracks": as_int, "excerpts_per_track": as_int,
+    "feature_dim": as_count, "tracks": as_count, "excerpts_per_track": as_count,
     "tags_per_notion_range": _int_pair, "sigma_within": as_float,
     "sigma_excerpt": as_float, "seed": as_seed,
 }
@@ -94,8 +94,6 @@ class SyntheticSpec:
     def __post_init__(self):
         check_types(self, SPEC_TYPES, "synthetic")
         self.tags_per_notion_range = tuple(self.tags_per_notion_range)
-        if self.feature_dim <= 0 or self.tracks <= 0 or self.excerpts_per_track <= 0:
-            raise ConfigurationError("all synthetic counts must be positive")
         lo, hi = self.tags_per_notion_range
         if lo < 1 or hi < lo:
             raise ConfigurationError(

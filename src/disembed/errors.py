@@ -42,13 +42,19 @@ def as_int(v) -> int:
     return int(v)
 
 
-def as_seed(v) -> int:
-    """``v`` as an int (``as_int``) >= 0, a seed numpy's generators take; a
-    negative one raises ValueError."""
-    seed = as_int(v)
-    if seed < 0:
-        raise ValueError(f"expected an integer >= 0, got {v!r}")
-    return seed
+def at_least(low: int):
+    """The rule taking ``v`` as an int (``as_int``) >= ``low``; a smaller one
+    raises ValueError."""
+    def rule(v) -> int:
+        n = as_int(v)
+        if n < low:
+            raise ValueError(f"expected an integer >= {low}, got {v!r}")
+        return n
+    return rule
+
+
+as_seed = at_least(0)  # a seed numpy's generators take
+as_count = at_least(1)
 
 
 def as_float(v) -> float:

@@ -12,7 +12,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_count, check_types
+
+
+def _name(v) -> str:
+    if not isinstance(v, str) or not v:
+        raise TypeError(f"expected a non-empty string, got {v!r}")
+    return v
+
+
+def _tag_names(v) -> tuple:
+    """``v``, a list or tuple of strings, as a tuple; the TSV format's rules
+    on a tag name's characters are ``save_dataset``'s."""
+    if not isinstance(v, (list, tuple)) or not all(isinstance(t, str) for t in v):
+        raise TypeError(f"expected a list of tag names, got {v!r}")
+    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -20,19 +34,22 @@ class Notion:
     name: str
     tags: tuple[str, ...]
 
+    def __post_init__(self):
+        check_types(self, {"name": _name, "tags": _tag_names}, "notion")
+        object.__setattr__(self, "tags", tuple(self.tags))
+
 
 class LabelSpace:
     """Immutable declaration of notions, tags, and the embedding layout."""
 
     def __init__(self, notions, embedding_dim: int):
+        self.embedding_dim = embedding_dim
+        check_types(self, {"embedding_dim": as_count}, "label space")
         notions = tuple(
-            n if isinstance(n, Notion) else Notion(n[0], tuple(n[1]))
-            for n in notions
+            n if isinstance(n, Notion) else Notion(n[0], n[1]) for n in notions
         )
         if not notions:
             raise ConfigurationError("label space needs at least one notion")
-        if embedding_dim <= 0:
-            raise ConfigurationError("embedding_dim must be positive")
         if embedding_dim % len(notions) != 0:
             raise ConfigurationError(
                 f"embedding_dim {embedding_dim} not divisible by "

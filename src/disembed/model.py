@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param
-from .errors import ConfigurationError, as_int
+from .errors import ConfigurationError
 from .labelspace import LabelSpace
 
 # the centroid bank's parameter name next to the net's W{i}, b{i} and H
@@ -47,28 +47,14 @@ BANK_PARAM = "C"
 _FORWARD_CHUNK = 256
 
 
-def check_hidden(hidden) -> None:
-    """Raise ConfigurationError unless every hidden width is an int
-    (``errors.as_int``) >= 1."""
-    widths = tuple(hidden)
-    try:
-        valid = all(as_int(width) >= 1 for width in widths)
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ConfigurationError(
-            f"hidden widths must be integers >= 1, got {widths}"
-        )
-
-
 class EmbeddingNet:
     """MLP backbone of the given hidden widths plus one relu embedding head
-    ``H`` of width d, the space's ``embedding_dim``."""
+    ``H`` of width d, the space's ``embedding_dim``.  The widths are a
+    variant's, which ``VariantConfig`` has checked."""
 
     def __init__(self, space: LabelSpace, input_dim: int, hidden):
         if input_dim <= 0:
             raise ConfigurationError("dimensions must be positive")
-        check_hidden(hidden)
         self.space = space
         self.input_dim = input_dim
         self.params: dict[str, Param] = {}

@@ -35,15 +35,14 @@ from . import autodiff as ad
 from .autodiff import Adam, PlateauSchedule
 from .data import Dataset
 from .errors import (
-    ConfigurationError, TrainingDivergedError, as_float, as_int, as_seed,
-    check_types,
+    ConfigurationError, TrainingDivergedError, as_count, as_float, as_seed,
+    at_least, check_types,
 )
 from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
 from .model import (
     BANK_PARAM,
     EmbeddingNet,
-    check_hidden,
     init_params,
     load_params,
     save_params,
@@ -62,12 +61,20 @@ def _flag(v) -> bool:
     return v
 
 
-# the type rule of each scalar VariantConfig field; a value is checked, not
+def _family(v) -> str:
+    if v not in FAMILIES:
+        raise ValueError(f"expected one of {', '.join(FAMILIES)}, got {v!r}")
+    return v
+
+
+# the rule of each VariantConfig field; a value is checked, not
 # converted, so a config's report keeps its bytes
 _VARIANT_TYPES = {
+    "family": _family,
     "normalization": _flag, "disentanglement": _flag, "track_reg": _flag,
     "margin": as_float, "lr": as_float, "track_reg_weight": as_float,
-    "batch_size": as_int, "max_epochs": as_int, "seed": as_seed,
+    "batch_size": as_count, "max_epochs": at_least(0), "seed": as_seed,
+    "hidden": lambda widths: tuple(map(as_count, widths)),
 }
 
 
@@ -96,8 +103,6 @@ class VariantConfig:
 
     def __post_init__(self):
         check_types(self, _VARIANT_TYPES, "variant")
-        if self.family not in FAMILIES:
-            raise ConfigurationError(f"unknown family: {self.family!r}")
         if self.track_reg and not (
             self.family == "triplet" and self.disentanglement
         ):
@@ -116,17 +121,14 @@ class VariantConfig:
             raise ConfigurationError(
                 "disentangled classification requires normalization"
             )
-        if self.margin < 0 or self.lr <= 0 or self.batch_size < 1:
-            raise ConfigurationError("bad margin / lr / batch size")
+        if self.margin < 0 or self.lr <= 0:
+            raise ConfigurationError("bad margin / lr")
         for key in ("margin", "lr", "track_reg_weight"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(f"{key} must be finite")
         if self.track_reg_weight < 0:
             raise ConfigurationError("track_reg_weight must be >= 0")
-        if self.max_epochs < 0:
-            raise ConfigurationError("max_epochs must be >= 0")
         self.hidden = tuple(self.hidden)
-        check_hidden(self.hidden)
 
     @property
     def name(self) -> str:

@@ -1,14 +1,18 @@
 """Command-line interface: subcommands, exit codes, artifact round trips."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from disembed.cli import main
-from disembed.config import ExperimentConfig, default_label_space
+from disembed.config import (
+    _FIELDS, ExperimentConfig, default_config, default_label_space,
+)
 from disembed.data import SyntheticSpec
 from disembed.labelspace import LabelSpace
+from disembed.trainer import VariantConfig
 
 
 @pytest.fixture
@@ -90,6 +94,38 @@ def test_negative_seed_is_a_configuration_error(tiny_config, capsys):
     assert err.startswith("configuration error: ") and "'seed'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# every key of a config file, as its path from the top level
+CONFIG_KEYS = (
+    [(key,) for key in _FIELDS]
+    + [("synthetic", f.name) for f in fields(SyntheticSpec) if f.name != "space"]
+    + [("variants", 0, f.name) for f in fields(VariantConfig)]
+    + [("label_space", "embedding_dim"), ("label_space", "notions", 0, "name"),
+       ("label_space", "notions", 0, "tags"), ("synthetic",), ("variants",)]
+)
+
+
+@pytest.mark.parametrize("path", CONFIG_KEYS,
+                         ids=lambda path: ".".join(map(str, path)))
+def test_every_config_key_rejects_a_wrong_type(tmp_path, capsys, path):
+    # a list holding null is the wrong type for every key, so a key whose
+    # value goes unchecked fails here instead of in a run
+    d = default_config(0).to_dict()
+    d["output_dir"] = str(tmp_path / "out")
+    if path == ("dataset",):  # the one data source is the malformed one
+        d["synthetic"] = None
+    node = d
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = [None]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["generate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert repr(path[-1]) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_then_evaluate(tiny_config, capsys):

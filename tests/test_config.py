@@ -50,7 +50,7 @@ def test_config_requires_data_source(small_space):
         )
 
 
-@pytest.mark.parametrize("ks", [(0, 1), (2, 1), (1, 1, 2)])
+@pytest.mark.parametrize("ks", [(0, 1), (2, 1), (1, 1, 2), ()])
 def test_config_validates_ks(small_space, ks):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(
@@ -239,13 +239,24 @@ WRONG_TYPES = {
     "eval_ks": ({"eval_ks": ["a"]}, "'eval_ks'"),
     "fractions": ({"fractions": [0.8, "x", 0.15]}, "'fractions'"),
     "synthetic_tracks": ({"synthetic": {"tracks": "x"}},
-                         "'synthetic.tracks'"),
+                         "synthetic key 'tracks'"),
     "synthetic_range_triple": ({"synthetic": {"tags_per_notion_range": [1, 2, 3]}},
-                               "'synthetic.tags_per_notion_range'"),
+                               "synthetic key 'tags_per_notion_range'"),
     "synthetic_unknown_key": ({"synthetic": {"colour": 1}}, "colour"),
     "synthetic_not_a_dict": ({"synthetic": "x"}, "'synthetic'"),
     "dataset_not_a_dict": ({"synthetic": None, "dataset": "notadict"},
                            "'dataset'"),
+    "output_dir": ({"output_dir": 5}, "config key 'output_dir'"),
+    # variants that are not a list of objects used to escape as a raw
+    # TypeError or ValueError
+    "variants_int": ({"variants": 5}, "config key 'variants'"),
+    "variants_int_entry": ({"variants": [5]}, "config key 'variants'"),
+    "variants_str_entry": ({"variants": ["x"]}, "config key 'variants'"),
+    "variants_null_entry": ({"variants": [None]}, "config key 'variants'"),
+    "variant_unknown_key": ({"variants": [{"family": "proxy", "colour": 1}]},
+                            "config key 'variants'.*colour"),
+    "variant_hidden": ({"variants": [{"family": "proxy", "hidden": 5}]},
+                       "variant key 'hidden'"),
 }
 
 
@@ -254,6 +265,18 @@ def test_from_dict_names_the_key_of_a_wrong_type(small_space, case):
     fields, key = WRONG_TYPES[case]
     with pytest.raises(ConfigurationError, match=key):
         ExperimentConfig.from_dict({**_base(small_space), **fields})
+
+
+def test_from_dict_keeps_values_as_written(small_space):
+    # values are checked, not converted, so the report's config repeats the
+    # file: an integer sigma stays an integer
+    d = {**_base(small_space), "synthetic": {"sigma_within": 1},
+         "fractions": [0.5, 0.25, 0.25], "variants": [{"family": "proxy",
+                                                       "margin": 0}]}
+    out = ExperimentConfig.from_dict(d).to_dict()
+    assert (out["synthetic"]["sigma_within"], out["fractions"],
+            out["variants"][0]["margin"]) == (1, [0.5, 0.25, 0.25], 0)
+    assert type(out["synthetic"]["sigma_within"]) is int
 
 
 def test_cli_reports_a_wrong_type_without_traceback(small_space, tmp_path,

@@ -110,6 +110,29 @@ def test_from_dict_rejects_malformed():
         LabelSpace.from_dict({"notions": [{"name": "a"}], "embedding_dim": 4})
 
 
+# names and the width of the wrong type: a string of tags used to be split
+# into one-letter tags, and a bool or float width was converted silently
+BAD_DECLARATIONS = {
+    "tags_string": ([("genre", "rock")], 4, "notion key 'tags'"),
+    "tag_int": ([("genre", ["rock", 7])], 4, "notion key 'tags'"),
+    "notion_int": ([(3, ["rock"])], 4, "notion key 'name'"),
+    "notion_empty": ([("", ["rock"])], 4, "notion key 'name'"),
+    "dim_bool": ([("genre", ["rock"])], True, "'embedding_dim'"),
+    "dim_float": ([("genre", ["rock"])], 4.0, "'embedding_dim'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DECLARATIONS))
+def test_declaration_of_the_wrong_type_is_refused(case):
+    notions, dim, key = BAD_DECLARATIONS[case]
+    with pytest.raises(ConfigurationError, match=key):
+        LabelSpace(notions, embedding_dim=dim)
+    d = {"notions": [{"name": n, "tags": t} for n, t in notions],
+         "embedding_dim": dim}
+    with pytest.raises(ConfigurationError, match=key):
+        LabelSpace.from_dict(d)
+
+
 def test_notion_dataclass_accepted_directly():
     space = LabelSpace([Notion("a", ("x",)), Notion("b", ("y",))], embedding_dim=4)
     assert space.tags == ("x", "y")

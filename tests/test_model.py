@@ -51,12 +51,6 @@ def test_net_width_is_the_spaces(small_space):
     assert forward_rows(net, np.zeros((3, 6))).shape == (3, 8)
 
 
-@pytest.mark.parametrize("hidden", [(0,), (128, 0), (-3,), (4.0,)])
-def test_net_rejects_hidden_widths_below_one(small_space, hidden):
-    with pytest.raises(ConfigurationError, match="hidden widths"):
-        EmbeddingNet(small_space, 6, hidden)
-
-
 def test_init_bounds_and_determinism(small_space):
     net1, bank1 = make_net(small_space, seed=5)
     net2, bank2 = make_net(small_space, seed=5)

@@ -84,11 +84,14 @@ def test_the_eight_paper_variants():
         dict(family="triplet", margin=-0.5),
         dict(family="triplet", lr=0.0),
         dict(family="triplet", max_epochs=-1),
-        # hidden widths below 1 (numpy used to overflow or raise on them)
+        # hidden widths below 1 or not integers (numpy used to overflow or
+        # raise on them), or not a list
         dict(family="triplet", hidden=(0,)),
         dict(family="proxy", hidden=(128, 0)),
         dict(family="classification", hidden=(-3,)),
         dict(family="classification", hidden=("8",)),
+        dict(family="classification", hidden=(4.0,)),
+        dict(family="triplet", hidden=5),
         # a negative weight maximizes the track hinge; a non-finite margin,
         # rate or weight only surfaced as a diverged epoch
         dict(family="triplet", disentanglement=True, track_reg=True,
@@ -124,7 +127,8 @@ def test_illegal_variants_rejected(kw):
 
 @pytest.mark.parametrize("key, value", [
     ("normalization", "false"), ("batch_size", 64.5), ("max_epochs", 2.0),
-    ("seed", 1.5), ("margin", True), ("lr", "0.1"),
+    ("seed", 1.5), ("margin", True), ("lr", "0.1"), ("hidden", 5),
+    ("hidden", [4.0]),
 ])
 def test_variant_type_error_names_the_key(key, value):
     # a config file's variant of the wrong type is rejected when the config
