@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import autodiff as ad
-from . import trainer
+from . import streams, trainer
 from .config import ExperimentConfig
 from .data import Dataset, generate_splits, load_dataset
 from .errors import DisembedError
@@ -48,11 +48,10 @@ def sample_eval_triplets(
     """Fixed tag triplets per notion plus track triplets from the test split."""
     notions = [n.name for n in test_ds.space.notions]
     sampler = checked_sampler(test_ds, "test", notions, tracks=True)
-    by_notion = {}
-    for i, notion in enumerate(notions):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, i]))
-        by_notion[notion] = sampler.tag_triplets(rng, per_notion, notion)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
+    by_notion = {notion: sampler.tag_triplets(streams.rng("eval_tags", seed, i),
+                                              per_notion, notion)
+                 for i, notion in enumerate(notions)}
+    rng = streams.rng("eval_tracks", seed)
     return by_notion, sampler.track_triplets(rng, per_notion)
 
 

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import streams
 from .errors import (
     ConfigurationError, DatasetError, as_count, as_float, as_floats, as_ints,
     as_seed, check_types,
@@ -121,7 +122,7 @@ def _feature_blocks(feature_dim: int, num_notions: int) -> list[slice]:
 
 def tag_centroids(spec: SyntheticSpec) -> np.ndarray:
     """Per-tag feature centroid, nonzero only in the tag's notion block."""
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
+    rng = streams.rng("centroids", spec.seed)
     space = spec.space
     blocks = _feature_blocks(spec.feature_dim, space.num_notions)
     cents = np.zeros((space.num_tags, spec.feature_dim))
@@ -140,7 +141,7 @@ def _write_parts(spec: SyntheticSpec, track_parts: np.ndarray) -> tuple:
     tracks' excerpts, in track order.  Every part must hold a track."""
     space = spec.space
     cents = tag_centroids(spec)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
+    rng = streams.rng("tracks", spec.seed)
     lo, hi = spec.tags_per_notion_range
     per, width = spec.excerpts_per_track, spec.feature_dim
     sizes = np.bincount(track_parts) * per
@@ -207,7 +208,7 @@ def _track_parts(n_tracks: int, fractions, seed: int) -> np.ndarray:
             f"split part {i} of {len(fractions)} (fraction {fractions[i]}) "
             f"is empty: it rounds to none of {n_tracks} track(s)"
         )
-    perm = np.random.default_rng(seed).permutation(n_tracks)
+    perm = streams.rng("split", seed).permutation(n_tracks)
     return np.repeat(np.arange(len(fractions)), sizes)[np.argsort(perm)]
 
 
@@ -221,11 +222,12 @@ def generate_splits(
     spec: SyntheticSpec, fractions=DEFAULT_FRACTIONS
 ) -> tuple[Dataset, ...]:
     """One part per fraction, each track's excerpts in one part, each row
-    written once, straight into its part; re-drawn at seed ``spec.seed +
-    1000 + k`` until every tag has a positive in the first part.  Bad
-    fractions or a part that rounds to no track raise before any draw."""
+    written once, straight into its part; re-drawn at ``streams.redraw_seed``
+    until every tag has a positive in the first part (streams ``split``,
+    ``centroids``, ``tracks``).  Bad fractions or a part that rounds to no
+    track raise before any draw."""
     for attempt in range(_SPLIT_ATTEMPTS):
-        sp = replace(spec, seed=spec.seed + 1000 + attempt) if attempt else spec
+        sp = replace(spec, seed=streams.redraw_seed(spec.seed, attempt))
         parts = _write_parts(sp, _track_parts(sp.tracks, fractions, sp.seed))
         if (parts[0].labels.sum(axis=0) > 0).all():
             return parts

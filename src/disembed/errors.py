@@ -26,12 +26,12 @@ class TrainingDivergedError(DisembedError):
 
 def check_types(obj, rules: dict, what: str) -> None:
     """Apply each rule to ``obj``'s attribute of that name, discarding the
-    result; a TypeError, ValueError or ConfigurationError raises
-    ConfigurationError naming ``what`` and the key."""
+    result; a TypeError, ValueError, OverflowError or ConfigurationError
+    raises ConfigurationError naming ``what`` and the key."""
     for key, rule in rules.items():
         try:
             rule(getattr(obj, key))
-        except (TypeError, ValueError, ConfigurationError) as exc:
+        except (TypeError, ValueError, OverflowError, ConfigurationError) as exc:
             raise ConfigurationError(f"{what} key {key!r}: {exc}") from exc
 
 

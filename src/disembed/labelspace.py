@@ -143,8 +143,17 @@ class LabelSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelSpace":
-        try:
-            notions = [(n["name"], n["tags"]) for n in d["notions"]]
-            return cls(notions, d["embedding_dim"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"bad label space declaration: {exc}") from exc
+        """The space a JSON object declares; a missing key reads as null.
+        Errors name the key and, in a notion, the notion's position."""
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"label space: expected an object, got {d!r}")
+        notions = d.get("notions")
+        if not isinstance(notions, list):
+            raise ConfigurationError(
+                f"label space key 'notions': expected a list, got {notions!r}")
+        for i, n in enumerate(notions):
+            if not isinstance(n, dict):
+                raise ConfigurationError(f"label space key 'notions' entry {i}: "
+                                         f"expected an object, got {n!r}")
+        return cls([(n.get("name"), n.get("tags")) for n in notions],
+                   d.get("embedding_dim"))

@@ -36,7 +36,7 @@ import struct
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, streams
 from .autodiff import Param
 from .errors import ConfigurationError
 from .labelspace import LabelSpace
@@ -134,9 +134,9 @@ def relu_layers(x: np.ndarray, layers):
 
 
 def init_params(net: EmbeddingNet, bank: Param | None, seed: int) -> None:
-    """Deterministic scaled-uniform init: weights in +-1/sqrt(fan_in), the
-    net's in name order, then the (tags, d) bank's, whose fan-in is d."""
-    rng = np.random.default_rng(np.uint64(seed))
+    """Scaled-uniform init from stream ``init``: weights in +-1/sqrt(fan_in),
+    the net's in name order, then the (tags, d) bank's, whose fan-in is d."""
+    rng = streams.rng("init", seed)
     for name in sorted(net.params):
         p = net.params[name]
         if name.startswith("b"):

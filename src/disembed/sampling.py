@@ -10,10 +10,10 @@ of them, and a uniform negative among the rows of the other tracks.
 flat (CSR) pools that the sampler builds once: the tag or track, the
 anchor, the positive among the other members, and the negative.  Track
 negatives that land in the anchor's own track are redrawn, only those, until
-none is left.  ``TripletSampler.batches`` draws an epoch's tag triplets in
-one such call, its track triplets in a second, and slices both into
-batches.  A batch is a ``TripletBatch`` of row index arrays, which iterates
-and indexes as ``Triplet`` records.
+none is left.  ``batch_iterator`` draws an epoch's tag triplets in one such
+call, its track triplets in a second, and slices both into batches.  A
+batch is a ``TripletBatch`` of row index arrays, which iterates and indexes
+as ``Triplet`` records.
 """
 
 from __future__ import annotations
@@ -214,8 +214,10 @@ class TripletSampler:
             raise DatasetError(
                 f"no sampleable tag{'' if notion is None else f' in notion {notion!r}'}"
             )
-        pools = self._tag_pools[notion][0]
-        return self._tag_batch(_draw(rng, pools, count), notion)
+        pools, tag_ids, notion_ids = self._tag_pools[notion]
+        anchor, positive, negative, choice = _draw(rng, pools, count)
+        return TripletBatch(anchor, positive, negative, tag_ids[choice],
+                            notion_ids[choice], self.space)
 
     def track_triplets(self, rng: np.random.Generator, count: int) -> TripletBatch:
         """``count`` track triplets: anchor/positive from a uniform multi-item
@@ -223,36 +225,7 @@ class TripletSampler:
         _check_count(count)
         if not self.has_track_pairs:
             raise DatasetError("need a track with >= 2 samples and another track")
-        return self._track_batch(_draw(rng, self._track_pools, count))
-
-    def batches(
-        self, rng: np.random.Generator, batch_size: int, total: int,
-        track_reg: bool = False,
-    ) -> list[tuple[TripletBatch, TripletBatch | None]]:
-        """``total`` tag triplets in (tag, track) batches of ``batch_size``;
-        with ``track_reg`` each tag batch is followed by as many track
-        triplets, else the track batch is None.
-
-        These are one ``tag_triplets(rng, total)`` and then, with
-        ``track_reg``, one ``track_triplets(rng, total)``, sliced.
-        """
-        _check_count(total)
-        if total == 0:
-            return []
-        tags = self.tag_triplets(rng, total)
-        tracks = self.track_triplets(rng, total) if track_reg else None
-        return [(tags[s:s + batch_size],
-                 None if tracks is None else tracks[s:s + batch_size])
-                for s in range(0, total, batch_size)]
-
-    def _tag_batch(self, rows: np.ndarray, notion=None) -> TripletBatch:
-        _, tag_ids, notion_ids = self._tag_pools[notion]
-        anchor, positive, negative, choice = rows
-        return TripletBatch(anchor, positive, negative, tag_ids[choice],
-                            notion_ids[choice], self.space)
-
-    def _track_batch(self, rows: np.ndarray) -> TripletBatch:
-        anchor, positive, negative, _ = rows
+        anchor, positive, negative, _ = _draw(rng, self._track_pools, count)
         return TripletBatch(anchor, positive, negative, None, None, self.space)
 
 
@@ -295,17 +268,18 @@ def batch_iterator(
     mode="triplet": (tag, track) pairs of ``TripletBatch``es, the track batch
     None unless track_reg is set, in which case it has as many triplets as
     the tag batch; one tag triplet per training item, so that an epoch is
-    comparable across learning families.  The epoch's triplets are
-    drawn from ``rng`` when the first batch is requested
-    (``TripletSampler.batches``).
+    comparable across learning families.  The first ``next`` draws the
+    epoch from ``rng``: one ``tag_triplets`` and, with ``track_reg``, one
+    ``track_triplets`` call of ``len(dataset)`` each, then slices them.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise DatasetError("empty dataset")
     if mode == "sample":
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), batch_size):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             yield dataset.features[idx], dataset.labels[idx]
         return
@@ -313,4 +287,8 @@ def batch_iterator(
         raise ValueError(f"unknown batch mode: {mode!r}")
     if sampler is None:
         sampler = TripletSampler(dataset)
-    yield from sampler.batches(rng, batch_size, len(dataset), track_reg)
+    tags = sampler.tag_triplets(rng, n)
+    tracks = sampler.track_triplets(rng, n) if track_reg else None
+    for start in range(0, n, batch_size):
+        yield (tags[start:start + batch_size],
+               None if tracks is None else tracks[start:start + batch_size])

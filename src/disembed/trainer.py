@@ -31,7 +31,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, streams
 from .autodiff import Adam, PlateauSchedule
 from .data import Dataset
 from .errors import (
@@ -121,13 +121,11 @@ class VariantConfig:
             raise ConfigurationError(
                 "disentangled classification requires normalization"
             )
-        if self.margin < 0 or self.lr <= 0:
-            raise ConfigurationError("bad margin / lr")
-        for key in ("margin", "lr", "track_reg_weight"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigurationError(f"{key} must be finite")
-        if self.track_reg_weight < 0:
-            raise ConfigurationError("track_reg_weight must be >= 0")
+        for key, op in (("margin", ">="), ("lr", ">"), ("track_reg_weight", ">=")):
+            v = getattr(self, key)
+            if not 0 <= v < math.inf or (op == ">" and v == 0):
+                raise ConfigurationError(
+                    f"variant key {key!r}: expected a finite number {op} 0, got {v!r}")
         self.hidden = tuple(self.hidden)
 
     @property
@@ -238,15 +236,12 @@ def _triplet_inputs(
 def _fixed_validation_triplets(
     variant: VariantConfig, valid_ds: Dataset
 ) -> tuple[TripletBatch, TripletBatch | None]:
-    """One tag triplet per validation sample, same seed every epoch so the
-    validation loss is comparable across epochs."""
+    """One tag triplet per validation sample from stream ``validation``
+    (``disembed.streams``), the same every epoch, so epochs' losses compare."""
     sampler = checked_sampler(valid_ds, "validation", tracks=variant.track_reg)
-    rng = np.random.default_rng(np.random.SeedSequence([variant.seed, 101]))
-    tags = sampler.tag_triplets(rng, len(valid_ds))
-    tracks = None
-    if variant.track_reg:
-        tracks = sampler.track_triplets(rng, len(valid_ds))
-    return tags, tracks
+    rng, n = streams.rng("validation", variant.seed), len(valid_ds)
+    tags = sampler.tag_triplets(rng, n)
+    return tags, sampler.track_triplets(rng, n) if variant.track_reg else None
 
 
 def validation_loss(
@@ -347,9 +342,7 @@ def train(
     epochs_run = 0
     t0, c0 = time.perf_counter(), time.process_time()
     for epoch in range(variant.max_epochs):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([variant.seed, 3, epoch])
-        )
+        rng = streams.rng("batches", variant.seed, epoch)
         batch_losses = []
         for inputs, batch in _batches(variant, space, train_ds, sampler, rng):
             F, net_backward = model.net.full_embedding(inputs)

@@ -144,6 +144,18 @@ def test_train_then_evaluate(tiny_config, capsys):
     assert "R@1" in printed and "AUC" in printed
 
 
+def test_seed_past_64_bits_trains_and_evaluates(tiny_config, capsys):
+    # the initial weights used to take np.uint64(seed), an OverflowError
+    # traceback past 2**64 - 1; every stream takes any seed >= 0
+    cfg_path, out = tiny_config
+    seed = ["--seed", str(2**64)]
+    assert main(["train", "--config", str(cfg_path), "--variant-index", "0",
+                 *seed]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), *seed, "--model",
+                 str(out / "model_classification_norm")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_train_variant_index_out_of_range(tiny_config):
     cfg_path, _ = tiny_config
     assert main(["train", "--config", str(cfg_path), "--variant-index", "9"]) == 1

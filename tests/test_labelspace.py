@@ -122,6 +122,35 @@ BAD_DECLARATIONS = {
 }
 
 
+# declarations that are not objects or lists where the file format wants
+# them used to escape with Python's "list indices must be integers..." or
+# "'NoneType' object is not subscriptable"
+BAD_STRUCTURES = {
+    "space_list": ([{"name": "a", "tags": ["x"]}], r"^label space: expected an object"),
+    "space_null": (None, r"^label space: expected an object"),
+    "notions_int": ({"notions": 5, "embedding_dim": 4},
+                    r"^label space key 'notions': expected a list"),
+    "notions_object": ({"notions": {"name": "a"}, "embedding_dim": 4},
+                       r"^label space key 'notions': expected a list"),
+    "notion_null": ({"notions": [{"name": "a", "tags": ["x"]}, None],
+                     "embedding_dim": 4},
+                    r"^label space key 'notions' entry 1: expected an object"),
+    "notion_list": ({"notions": [["a", ["x"]]], "embedding_dim": 4},
+                    r"^label space key 'notions' entry 0: expected an object"),
+    "tags_missing": ({"notions": [{"name": "a"}], "embedding_dim": 4},
+                     r"^notion key 'tags'"),
+    "dim_missing": ({"notions": [{"name": "a", "tags": ["x"]}]},
+                    r"^label space key 'embedding_dim'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STRUCTURES))
+def test_from_dict_names_the_key_of_a_bad_structure(case):
+    d, message = BAD_STRUCTURES[case]
+    with pytest.raises(ConfigurationError, match=message):
+        LabelSpace.from_dict(d)
+
+
 @pytest.mark.parametrize("case", list(BAD_DECLARATIONS))
 def test_declaration_of_the_wrong_type_is_refused(case):
     notions, dim, key = BAD_DECLARATIONS[case]

@@ -170,10 +170,9 @@ def test_triplet_mode_with_track_reg(small_space, rng):
         assert all(t.kind == "track" for t in track_batch)
 
 
-def test_triplet_count_override(small_space, rng):
-    ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
-    batches = sampler.batches(rng, 4, 10)
+def test_triplet_mode_last_batch_is_short(small_space, rng):
+    ds = edge_dataset(small_space, 10)
+    batches = list(batch_iterator(ds, 4, "triplet", rng))
     assert [len(tags) for tags, _ in batches] == [4, 4, 2]
 
 
@@ -192,8 +191,6 @@ def test_negative_triplet_count_rejected(small_space, rng):
         sampler.tag_triplets(rng, -1)
     with pytest.raises(ValueError):
         sampler.track_triplets(rng, -1)
-    with pytest.raises(ValueError):
-        sampler.batches(rng, 2, -1)
 
 
 def test_zero_triplets_leave_the_generator_untouched(small_space, rng):
@@ -208,17 +205,21 @@ def test_zero_triplets_leave_the_generator_untouched(small_space, rng):
 # --- properties of the vectorized draws ----------------------------------------
 
 
-def edge_dataset(small_space):
+def edge_dataset(small_space, n=9):
     """'red' has exactly two positives, 'round' exactly one negative, 'square'
     one positive (excluded, so notion 'shape' has one sampleable tag); tracks
-    hold one, two or three items, so track negatives are often redrawn."""
+    hold one, two or three items, so track negatives are often redrawn.
+    With ``n`` rows the nine repeat, each repeat in tracks of its own."""
     rows = [("red", "round", "t0"), ("red", "round", "t0"),
             ("blue", "round", "t1"), ("blue", "round", "t1"),
             ("blue", "round", "t1"), ("blue", "square", "t2"),
             ("blue", "round", "t3"), ("blue", "round", "t4"),
             ("blue", "round", "t4")]
-    items = [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot([c, sh]))
-             for k, (c, sh, tr) in enumerate(rows)]
+    items = []
+    for k in range(n):
+        c, sh, tr = rows[k % len(rows)]
+        items.append(Item(f"i{k}", f"{tr}.{k // len(rows)}", np.zeros(4),
+                          small_space.multi_hot([c, sh])))
     return from_items(items, small_space)
 
 
@@ -313,10 +314,20 @@ def test_track_negatives_in_the_anchors_track_are_redrawn(small_space):
     (4, 9, True), (64, 150, True), (7, 30, False), (3, 0, True), (500, 20, True)])
 def test_epoch_batches_are_one_draw_per_kind_sliced(small_space, batch_size,
                                                     total, track_reg):
-    sampler = TripletSampler(edge_dataset(small_space))
+    # a triplet epoch of ``total`` rows is one tag_triplets call and, with
+    # track_reg, one track_triplets call, of ``total`` triplets each, sliced
+    ds = edge_dataset(small_space, total)
     for seed in range(5):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sampler.batches(rng, batch_size, total, track_reg)
+        epoch = batch_iterator(ds, batch_size, "triplet", rng,
+                               track_reg=track_reg)
+        if total == 0:  # an empty split raises before any draw
+            with pytest.raises(DatasetError, match="empty dataset"):
+                next(epoch)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            continue
+        got = list(epoch)
+        sampler = TripletSampler(ds)
         tags = sampler.tag_triplets(ref, total)
         tracks = sampler.track_triplets(ref, total) if track_reg else None
         assert [len(t) for t, _ in got] == [

@@ -129,6 +129,11 @@ def test_illegal_variants_rejected(kw):
     ("normalization", "false"), ("batch_size", 64.5), ("max_epochs", 2.0),
     ("seed", 1.5), ("margin", True), ("lr", "0.1"), ("hidden", 5),
     ("hidden", [4.0]),
+    # values out of range used to raise "bad margin / lr" or name no key,
+    # and an integer past float range an OverflowError traceback
+    ("margin", -0.5), ("lr", 0.0), ("lr", float("nan")),
+    ("track_reg_weight", -1.0), ("track_reg_weight", float("inf")),
+    ("margin", 10**400),
 ])
 def test_variant_type_error_names_the_key(key, value):
     # a config file's variant of the wrong type is rejected when the config
