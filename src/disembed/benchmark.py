@@ -26,7 +26,7 @@ from .labelspace import LabelSpace
 # class_scores stays importable here: bench/probes.py times it by this name;
 # the probes time the trainer's score_blocks, not this one
 from .model import class_scores, embed, forward_rows, score_blocks
-from .sampling import TripletBatch, checked_sampler
+from .sampling import TripletBatch, TripletSampler
 from .trainer import TrainedModel, TrainResult, VariantConfig
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,7 @@ def sample_eval_triplets(
 ) -> tuple[dict[str, TripletBatch], TripletBatch]:
     """Fixed tag triplets per notion plus track triplets from the test split."""
     notions = [n.name for n in test_ds.space.notions]
-    sampler = checked_sampler(test_ds, "test", notions, tracks=True)
+    sampler = TripletSampler(test_ds, "test")
     by_notion = {notion: sampler.tag_triplets(streams.rng("eval_tags", seed, i),
                                               per_notion, notion)
                  for i, notion in enumerate(notions)}

@@ -39,15 +39,28 @@ class Notion:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
+def _notion(i: int, n) -> Notion:
+    """``n``, a ``Notion`` or a ``(name, tags)`` pair, as a ``Notion``; errors
+    name its position ``i``."""
+    if isinstance(n, Notion):
+        return n
+    where = f"label space key 'notions' entry {i}"
+    if not isinstance(n, (tuple, list)) or len(n) != 2:
+        raise ConfigurationError(
+            f"{where}: expected a Notion or a (name, tags) pair, got {n!r}")
+    try:
+        return Notion(*n)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 class LabelSpace:
     """Immutable declaration of notions, tags, and the embedding layout."""
 
     def __init__(self, notions, embedding_dim: int):
         self.embedding_dim = embedding_dim
         check_types(self, {"embedding_dim": as_count}, "label space")
-        notions = tuple(
-            n if isinstance(n, Notion) else Notion(n[0], n[1]) for n in notions
-        )
+        notions = tuple(_notion(i, n) for i, n in enumerate(notions))
         if not notions:
             raise ConfigurationError("label space needs at least one notion")
         if embedding_dim % len(notions) != 0:

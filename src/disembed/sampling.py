@@ -10,10 +10,10 @@ of them, and a uniform negative among the rows of the other tracks.
 flat (CSR) pools that the sampler builds once: the tag or track, the
 anchor, the positive among the other members, and the negative.  Track
 negatives that land in the anchor's own track are redrawn, only those, until
-none is left.  ``batch_iterator`` draws an epoch's tag triplets in one such
-call, its track triplets in a second, and slices both into batches.  A
-batch is a ``TripletBatch`` of row index arrays, which iterates and indexes
-as ``Triplet`` records.
+none is left.  ``batch_iterator`` draws an epoch from the split's sampler,
+which triplet mode requires: its tag triplets in one such call, its track
+triplets in a second, sliced into batches.  A batch is a ``TripletBatch``
+of row index arrays, which iterates and indexes as ``Triplet`` records.
 """
 
 from __future__ import annotations
@@ -140,68 +140,58 @@ def _draw(rng: np.random.Generator, pools: _Pools, count: int) -> np.ndarray:
 
 
 class TripletSampler:
-    """Prebuilt flat pools for tag- and track-based triplet mining.
+    """Prebuilt flat pools of one named split for tag- and track-based
+    triplet mining.
 
     Tags with fewer than two positives or no negatives are excluded from
-    sampling (logged once at construction).
+    sampling (logged once at construction).  An empty split fails here; no
+    sampleable tag (in a notion) or no track pair fails at the draw that
+    needs one.  Errors name the split.
     """
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, dataset: Dataset, split: str):
         if len(dataset) == 0:
-            raise DatasetError("cannot sample from an empty dataset")
+            raise DatasetError(f"{split} split is empty")
         self.space = space = dataset.space
-        labels = dataset.labels
-        pos, neg, excluded = {}, {}, []
-        for t in space.tags:
-            col = labels[:, space.tag_index[t]]
-            pos[t] = np.flatnonzero(col > 0)
-            neg[t] = np.flatnonzero(col == 0)
-            if len(pos[t]) < 2 or len(neg[t]) == 0:
-                excluded.append(t)
-                del pos[t], neg[t]
-        if excluded:
-            log.info("tags excluded from triplet sampling: %s", ", ".join(excluded))
-        self.sampleable = tuple(pos)
-        self.by_notion: dict[str, tuple[str, ...]] = {}
-        for t in self.sampleable:
-            self.by_notion.setdefault(space.notion_of(t), ())
-            self.by_notion[space.notion_of(t)] += (t,)
-
-        members, start, size = _flat(list(pos.values()))
-        negatives, neg_start, neg_size = _flat(list(neg.values()))
-        tag_ids = np.array([space.tag_index[t] for t in self.sampleable],
-                           dtype=np.int64)
-        notion_ids = np.array(
-            [space.notion_index(space.notion_of(t)) for t in self.sampleable],
-            dtype=np.int64)
-        # notion (None for all tags) -> its tags' pools, tag and notion ids
+        self.split = split
+        pos, neg = dataset.labels > 0, dataset.labels == 0
+        keep = (pos.sum(axis=0) >= 2) & neg.any(axis=0)
+        if not keep.all():
+            log.info("tags excluded from triplet sampling: %s", ", ".join(
+                t for t, k in zip(space.tags, keep) if not k))
+        tag_ids = np.flatnonzero(keep)
+        notion_ids = np.repeat(np.arange(space.num_notions),
+                               [len(n.tags) for n in space.notions])[tag_ids]
+        members, start, size = _flat([np.flatnonzero(pos[:, t]) for t in tag_ids])
+        negatives, neg_start, neg_size = _flat(
+            [np.flatnonzero(neg[:, t]) for t in tag_ids])
+        # notion (None for all tags) -> its tags' pools, tag and notion ids,
+        # for each key with a sampleable tag
         self._tag_pools = {}
-        for notion, tags in [(None, self.sampleable), *self.by_notion.items()]:
-            ids = np.array([self.sampleable.index(t) for t in tags], dtype=np.intp)
-            pools = _Pools(members, start[ids], size[ids],
-                           negatives, neg_start[ids], neg_size[ids])
-            self._tag_pools[notion] = pools, tag_ids[ids], notion_ids[ids]
+        for notion, ids in [(None, notion_ids >= 0), *(
+                (n.name, notion_ids == k) for k, n in enumerate(space.notions))]:
+            if ids.any():
+                pools = _Pools(members, start[ids], size[ids],
+                               negatives, neg_start[ids], neg_size[ids])
+                self._tag_pools[notion] = pools, tag_ids[ids], notion_ids[ids]
 
         track_index: dict[str, list[int]] = {}
         for i, tr in enumerate(dataset.track_ids):
             track_index.setdefault(tr, []).append(i)
-        self.tracks = len(track_index)
-        self.multi_tracks = tuple(k for k, v in track_index.items() if len(v) >= 2)
-        # a track's negatives are all rows, redrawn while in the track itself
-        rows = len(dataset)
-        owner = np.full(rows, -1, dtype=np.int64)
-        for c, track in enumerate(self.multi_tracks):
-            owner[track_index[track]] = c
-        members, start, size = _flat([np.array(track_index[k], dtype=np.int64)
-                                      for k in self.multi_tracks])
-        self._track_pools = _Pools(
-            members, start, size, np.arange(rows, dtype=np.int64),
-            np.zeros_like(size), np.full_like(size, rows), owner)
-
-    @property
-    def has_track_pairs(self) -> bool:
-        """A track with two samples and another track to draw negatives from."""
-        return bool(self.multi_tracks) and self.tracks >= 2
+        # multi-item tracks in order of first appearance; a track's negatives
+        # are all rows, redrawn while in the track itself
+        multi = [rows for rows in track_index.values() if len(rows) >= 2]
+        self._track_pools = None
+        if multi and len(track_index) >= 2:
+            rows = len(dataset)
+            owner = np.full(rows, -1, dtype=np.int64)
+            for c, track in enumerate(multi):
+                owner[track] = c
+            members, start, size = _flat([np.array(r, dtype=np.int64)
+                                          for r in multi])
+            self._track_pools = _Pools(
+                members, start, size, np.arange(rows, dtype=np.int64),
+                np.zeros_like(size), np.full_like(size, rows), owner)
 
     def tag_triplets(
         self, rng: np.random.Generator, count: int, notion=None
@@ -209,11 +199,10 @@ class TripletSampler:
         """``count`` tag triplets: a uniform tag (of ``notion``, if given), then
         a uniform anchor/positive pair and a uniform negative for that tag."""
         _check_count(count)
-        if not self.sampleable or (notion is not None
-                                   and notion not in self.by_notion):
-            raise DatasetError(
-                f"no sampleable tag{'' if notion is None else f' in notion {notion!r}'}"
-            )
+        if notion not in self._tag_pools:
+            where = "" if notion is None else f" in notion {notion!r}"
+            raise DatasetError(f"{self.split} split: no sampleable tag{where} "
+                               "(a tag needs two positives and a negative)")
         pools, tag_ids, notion_ids = self._tag_pools[notion]
         anchor, positive, negative, choice = _draw(rng, pools, count)
         return TripletBatch(anchor, positive, negative, tag_ids[choice],
@@ -223,35 +212,11 @@ class TripletSampler:
         """``count`` track triplets: anchor/positive from a uniform multi-item
         track, negative uniform over the rows of other tracks."""
         _check_count(count)
-        if not self.has_track_pairs:
-            raise DatasetError("need a track with >= 2 samples and another track")
+        if self._track_pools is None:
+            raise DatasetError(f"{self.split} split: track triplets need a "
+                               "track with >= 2 samples and another track")
         anchor, positive, negative, _ = _draw(rng, self._track_pools, count)
         return TripletBatch(anchor, positive, negative, None, None, self.space)
-
-
-def checked_sampler(
-    dataset: Dataset, split: str, notions=(), tracks: bool = False
-) -> TripletSampler:
-    """A sampler for the ``split`` split, checked before any draw: some tag
-    must be sampleable, in each of ``notions`` too, and with ``tracks`` track
-    triplets must be possible.  Errors name the split."""
-    if len(dataset) == 0:
-        raise DatasetError(f"{split} split is empty")
-    sampler = TripletSampler(dataset)
-    hint = "(a tag needs two positives and a negative)"
-    for notion in notions:
-        if notion not in sampler.by_notion:
-            raise DatasetError(
-                f"{split} split: no sampleable tag in notion {notion!r} {hint}"
-            )
-    if not sampler.sampleable:
-        raise DatasetError(f"{split} split: no sampleable tag {hint}")
-    if tracks and not sampler.has_track_pairs:
-        raise DatasetError(
-            f"{split} split: track triplets need a track with >= 2 samples "
-            "and another track"
-        )
-    return sampler
 
 
 def batch_iterator(
@@ -265,18 +230,17 @@ def batch_iterator(
     """Yield one epoch of batches.
 
     mode="sample": shuffled (X, Y) batches covering each item exactly once.
-    mode="triplet": (tag, track) pairs of ``TripletBatch``es, the track batch
-    None unless track_reg is set, in which case it has as many triplets as
-    the tag batch; one tag triplet per training item, so that an epoch is
-    comparable across learning families.  The first ``next`` draws the
-    epoch from ``rng``: one ``tag_triplets`` and, with ``track_reg``, one
-    ``track_triplets`` call of ``len(dataset)`` each, then slices them.
+    mode="triplet": (tag, track) pairs of ``TripletBatch``es from
+    ``sampler``, the dataset's ``TripletSampler`` (required in this mode),
+    the track batch None unless track_reg is set, in which case it has as
+    many triplets as the tag batch; one tag triplet per training item, so
+    that an epoch is comparable across learning families.  The first
+    ``next`` draws the epoch from ``rng``: one ``tag_triplets`` and, with
+    ``track_reg``, one ``track_triplets`` call of ``len(dataset)`` each.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(dataset)
-    if n == 0:
-        raise DatasetError("empty dataset")
     if mode == "sample":
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -285,8 +249,6 @@ def batch_iterator(
         return
     if mode != "triplet":
         raise ValueError(f"unknown batch mode: {mode!r}")
-    if sampler is None:
-        sampler = TripletSampler(dataset)
     tags = sampler.tag_triplets(rng, n)
     tracks = sampler.track_triplets(rng, n) if track_reg else None
     for start in range(0, n, batch_size):

@@ -35,8 +35,8 @@ from . import autodiff as ad, streams
 from .autodiff import Adam, PlateauSchedule
 from .data import Dataset
 from .errors import (
-    ConfigurationError, TrainingDivergedError, as_count, as_float, as_seed,
-    at_least, check_types,
+    ConfigurationError, DatasetError, TrainingDivergedError, as_count,
+    as_float, as_seed, at_least, check_types,
 )
 from .labelspace import LabelSpace
 from .losses import bce_sum, triplet_batch_loss
@@ -48,7 +48,7 @@ from .model import (
     save_params,
     score_blocks,
 )
-from .sampling import TripletBatch, batch_iterator, checked_sampler
+from .sampling import TripletBatch, TripletSampler, batch_iterator
 
 log = logging.getLogger(__name__)
 
@@ -238,7 +238,7 @@ def _fixed_validation_triplets(
 ) -> tuple[TripletBatch, TripletBatch | None]:
     """One tag triplet per validation sample from stream ``validation``
     (``disembed.streams``), the same every epoch, so epochs' losses compare."""
-    sampler = checked_sampler(valid_ds, "validation", tracks=variant.track_reg)
+    sampler = TripletSampler(valid_ds, "validation")
     rng, n = streams.rng("validation", variant.seed), len(valid_ds)
     tags = sampler.tag_triplets(rng, n)
     return tags, sampler.track_triplets(rng, n) if variant.track_reg else None
@@ -252,7 +252,7 @@ def validation_loss(
 ) -> float:
     """Mean family loss over the validation data (deterministic per model)."""
     if len(valid_ds) == 0:
-        raise ConfigurationError("validation split is empty")
+        raise DatasetError("validation split is empty")
     variant = model.variant
     F = model.net.full_embedding(valid_ds.features)[0]
     if variant.family != "triplet":  # BCE: the mean per-sample loss
@@ -320,8 +320,9 @@ def train(
     valid_ds: Dataset,
 ) -> TrainResult:
     """Run the training loop and return the best-validation-epoch model."""
-    if len(train_ds) == 0:
-        raise ConfigurationError("training split is empty")
+    for split, ds in (("training", train_ds), ("validation", valid_ds)):
+        if len(ds) == 0:
+            raise DatasetError(f"{split} split is empty")
     model = build_model(variant, space, train_ds.feature_dim)
     if variant.max_epochs == 0:
         return TrainResult(model, 0.0, 0, [], math.inf, 0.0)
@@ -331,7 +332,7 @@ def train(
     sched = PlateauSchedule(lr=variant.lr)
     sampler = val_triplets = val_tracks = None
     if variant.family == "triplet":
-        sampler = checked_sampler(train_ds, "training", tracks=variant.track_reg)
+        sampler = TripletSampler(train_ds, "training")
         val_triplets, val_tracks = _fixed_validation_triplets(variant, valid_ds)
 
     g, slots = ad.packed(params)  # the flat gradient, laid out like adam.flat

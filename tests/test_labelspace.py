@@ -117,6 +117,8 @@ BAD_DECLARATIONS = {
     "tag_int": ([("genre", ["rock", 7])], 4, "notion key 'tags'"),
     "notion_int": ([(3, ["rock"])], 4, "notion key 'name'"),
     "notion_empty": ([("", ["rock"])], 4, "notion key 'name'"),
+    "second_tag_int": ([("genre", ["rock"]), ("mood", [7])], 4,
+                       "^label space key 'notions' entry 1: notion key 'tags'"),
     "dim_bool": ([("genre", ["rock"])], True, "'embedding_dim'"),
     "dim_float": ([("genre", ["rock"])], 4.0, "'embedding_dim'"),
 }
@@ -138,7 +140,10 @@ BAD_STRUCTURES = {
     "notion_list": ({"notions": [["a", ["x"]]], "embedding_dim": 4},
                     r"^label space key 'notions' entry 0: expected an object"),
     "tags_missing": ({"notions": [{"name": "a"}], "embedding_dim": 4},
-                     r"^notion key 'tags'"),
+                     r"^label space key 'notions' entry 0: notion key 'tags'"),
+    "second_name_null": ({"notions": [{"name": "a", "tags": ["x"]},
+                                      {"tags": ["y"]}], "embedding_dim": 4},
+                         r"^label space key 'notions' entry 1: notion key 'name'"),
     "dim_missing": ({"notions": [{"name": "a", "tags": ["x"]}]},
                     r"^label space key 'embedding_dim'"),
 }
@@ -160,6 +165,18 @@ def test_declaration_of_the_wrong_type_is_refused(case):
          "embedding_dim": dim}
     with pytest.raises(ConfigurationError, match=key):
         LabelSpace.from_dict(d)
+
+
+# a notion that is neither a Notion nor a (name, tags) pair used to escape
+# as a raw TypeError or IndexError
+@pytest.mark.parametrize("notions,position", [
+    ([5], 0), ([("a",)], 0), ([("a", ["x"]), "b"], 1),
+    ([("a", ["x"]), ("b", ["y"], "z")], 1)])
+def test_notion_of_the_wrong_shape_names_its_position(notions, position):
+    with pytest.raises(ConfigurationError, match=(
+            rf"^label space key 'notions' entry {position}: "
+            r"expected a Notion or a \(name, tags\) pair")):
+        LabelSpace(notions, embedding_dim=4)
 
 
 def test_notion_dataclass_accepted_directly():

@@ -1,6 +1,7 @@
 """Triplet mining predicates, sampling uniformity, and batch iteration."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,8 @@ from disembed.benchmark import load_or_generate, sample_eval_triplets
 from disembed.config import default_config
 from disembed.data import SyntheticSpec, generate_splits
 from disembed.errors import DatasetError
-from disembed.sampling import (
-    Triplet,
-    TripletSampler,
-    batch_iterator,
-    checked_sampler,
-)
-from disembed.trainer import VariantConfig, train
+from disembed.sampling import Triplet, TripletSampler, batch_iterator
+from disembed.trainer import VariantConfig, _fixed_validation_triplets, train
 
 from conftest import Item, from_items
 
@@ -42,14 +38,14 @@ def toy_dataset(small_space):
 
 
 def test_underpopulated_tags_excluded(small_space):
-    sampler = TripletSampler(toy_dataset(small_space))
-    assert "square" not in sampler.sampleable
-    assert set(sampler.sampleable) == {"red", "blue", "round"}
+    sampler = TripletSampler(toy_dataset(small_space), "training")
+    batch = sampler.tag_triplets(np.random.default_rng(0), 300)
+    assert {t.tag for t in batch} == {"red", "blue", "round"}
 
 
 def test_tag_triplet_predicates(small_space, rng):
     ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     for _ in range(200):
         t = sampler.tag_triplets(rng, 1)[0]
         col = small_space.tag_index[t.tag]
@@ -62,7 +58,7 @@ def test_tag_triplet_predicates(small_space, rng):
 
 
 def test_tag_triplet_notion_restriction(small_space, rng):
-    sampler = TripletSampler(toy_dataset(small_space))
+    sampler = TripletSampler(toy_dataset(small_space), "training")
     for _ in range(50):
         t = sampler.tag_triplets(rng, 1, notion="color")[0]
         assert t.tag in ("red", "blue")
@@ -72,7 +68,7 @@ def test_tag_triplet_notion_restriction(small_space, rng):
 
 def test_track_triplet_predicates(small_space, rng):
     ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     for _ in range(100):
         t = sampler.track_triplets(rng, 1)[0]
         assert ds.track_ids[t.anchor] == ds.track_ids[t.positive]
@@ -84,7 +80,7 @@ def test_track_triplet_predicates(small_space, rng):
 def test_track_triplet_exhaustive_pairs(small_space, rng):
     # with two 2-item tracks, anchor/positive pairs enumerate exactly
     ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     seen = set()
     for _ in range(300):
         t = sampler.track_triplets(rng, 1)[0]
@@ -92,12 +88,25 @@ def test_track_triplet_exhaustive_pairs(small_space, rng):
     assert seen == {(0, 1), (1, 0), (2, 3), (3, 2)}
 
 
+def test_track_choice_follows_first_appearance(small_space):
+    # stage one's draw c picks the c-th multi-item track in order of first
+    # appearance, not of name: 'b' (rows 0-1) before 'a' (rows 2-4)
+    tracks = ["b", "b", "a", "a", "a", "single"]
+    ds = from_items(
+        [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot(["red"]))
+         for k, tr in enumerate(tracks)], small_space)
+    sampler = TripletSampler(ds, "training")
+    batch = sampler.track_triplets(np.random.default_rng(5), 200)
+    choice = np.random.default_rng(5).integers(2, size=200)
+    assert (np.asarray(tracks)[batch.anchor] == np.array(["b", "a"])[choice]).all()
+
+
 def test_tag_sampling_is_two_stage_uniform(small_space):
     # stage one picks the tag uniformly among sampleable tags, so each of the
     # three tags should get ~1/3 of draws regardless of its population
-    sampler = TripletSampler(toy_dataset(small_space))
+    sampler = TripletSampler(toy_dataset(small_space), "training")
     rng = np.random.default_rng(99)
-    counts = {t: 0 for t in sampler.sampleable}
+    counts = {t: 0 for t in ("red", "blue", "round")}
     n = 9000
     for _ in range(n):
         counts[sampler.tag_triplets(rng, 1)[0].tag] += 1
@@ -121,7 +130,7 @@ def regular_dataset(small_space):
 
 def test_empty_dataset_rejected(small_space):
     with pytest.raises(DatasetError):
-        TripletSampler(from_items([], small_space))
+        TripletSampler(from_items([], small_space), "training")
 
 
 def test_track_sampling_needs_multi_item_track(small_space):
@@ -129,7 +138,7 @@ def test_track_sampling_needs_multi_item_track(small_space):
         Item("a", "trA", np.zeros(4), small_space.multi_hot(["red", "round"])),
         Item("b", "trB", np.zeros(4), small_space.multi_hot(["blue", "round"])),
     ]
-    sampler = TripletSampler(from_items(items, small_space))
+    sampler = TripletSampler(from_items(items, small_space), "training")
     with pytest.raises(DatasetError):
         sampler.track_triplets(np.random.default_rng(0), 1)
 
@@ -149,7 +158,7 @@ def test_sample_mode_covers_each_item_once(small_space, rng):
 
 def test_triplet_mode_yields_one_triplet_per_item(small_space, rng):
     ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     total = 0
     for tag_batch, track_batch in batch_iterator(
         ds, 2, "triplet", rng, sampler=sampler
@@ -162,7 +171,7 @@ def test_triplet_mode_yields_one_triplet_per_item(small_space, rng):
 
 def test_triplet_mode_with_track_reg(small_space, rng):
     ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     for tag_batch, track_batch in batch_iterator(
         ds, 3, "triplet", rng, sampler=sampler, track_reg=True
     ):
@@ -172,7 +181,8 @@ def test_triplet_mode_with_track_reg(small_space, rng):
 
 def test_triplet_mode_last_batch_is_short(small_space, rng):
     ds = edge_dataset(small_space, 10)
-    batches = list(batch_iterator(ds, 4, "triplet", rng))
+    sampler = TripletSampler(ds, "training")
+    batches = list(batch_iterator(ds, 4, "triplet", rng, sampler=sampler))
     assert [len(tags) for tags, _ in batches] == [4, 4, 2]
 
 
@@ -186,7 +196,7 @@ def test_bad_mode_and_batch_size(small_space, rng):
 
 def test_negative_triplet_count_rejected(small_space, rng):
     ds = toy_dataset(small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     with pytest.raises(ValueError):
         sampler.tag_triplets(rng, -1)
     with pytest.raises(ValueError):
@@ -194,7 +204,7 @@ def test_negative_triplet_count_rejected(small_space, rng):
 
 
 def test_zero_triplets_leave_the_generator_untouched(small_space, rng):
-    sampler = TripletSampler(toy_dataset(small_space))
+    sampler = TripletSampler(toy_dataset(small_space), "training")
     state = rng.bit_generator.state
     assert list(sampler.tag_triplets(rng, 0)) == []
     assert list(sampler.tag_triplets(rng, 0, notion="shape")) == []
@@ -247,10 +257,10 @@ def assert_valid(ds, tags, tracks, notion=None):
 def test_tag_and_track_triplets_are_valid(small_space, count):
     for make in (toy_dataset, regular_dataset, edge_dataset):
         ds = make(small_space)
-        sampler = TripletSampler(ds)
+        sampler = TripletSampler(ds, "training")
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            for notion in (None, *sampler.by_notion):
+            for notion in (None, "color", "shape"):
                 tags = sampler.tag_triplets(rng, count, notion)
                 tracks = sampler.track_triplets(rng, count)
                 assert len(tags) == len(tracks) == count
@@ -267,8 +277,8 @@ def test_tag_pair_and_negative_stages_are_uniform(small_space):
     # the four tags, stage two over a tag's n(n-1) ordered pairs of positives,
     # stage three over the tag's negatives
     ds = regular_dataset(small_space)
-    sampler = TripletSampler(ds)
-    ids = [small_space.tag_index[t] for t in sampler.sampleable]
+    sampler = TripletSampler(ds, "training")
+    ids = list(range(small_space.num_tags))  # every tag is sampleable
     for seed in (0, 1, 2):
         batch = sampler.tag_triplets(np.random.default_rng(seed), 40_000)
         tag = np.searchsorted(ids, batch.tag)
@@ -295,7 +305,7 @@ def test_track_negatives_in_the_anchors_track_are_redrawn(small_space):
     ds = from_items(
         [Item(f"i{k}", tr, np.zeros(4), small_space.multi_hot(["red", "round"]))
          for k, tr in enumerate(tracks)], small_space)
-    sampler = TripletSampler(ds)
+    sampler = TripletSampler(ds, "training")
     track = np.asarray(tracks)
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -317,17 +327,15 @@ def test_epoch_batches_are_one_draw_per_kind_sliced(small_space, batch_size,
     # a triplet epoch of ``total`` rows is one tag_triplets call and, with
     # track_reg, one track_triplets call, of ``total`` triplets each, sliced
     ds = edge_dataset(small_space, total)
+    if total == 0:  # an empty split has no sampler, so no epoch
+        with pytest.raises(DatasetError, match="training split is empty"):
+            TripletSampler(ds, "training")
+        return
+    sampler = TripletSampler(ds, "training")
     for seed in range(5):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        epoch = batch_iterator(ds, batch_size, "triplet", rng,
-                               track_reg=track_reg)
-        if total == 0:  # an empty split raises before any draw
-            with pytest.raises(DatasetError, match="empty dataset"):
-                next(epoch)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            continue
-        got = list(epoch)
-        sampler = TripletSampler(ds)
+        got = list(batch_iterator(ds, batch_size, "triplet", rng,
+                                  sampler=sampler, track_reg=track_reg))
         tags = sampler.tag_triplets(ref, total)
         tracks = sampler.track_triplets(ref, total) if track_reg else None
         assert [len(t) for t, _ in got] == [
@@ -353,9 +361,9 @@ def test_training_stream_is_pinned():
     assert variant.track_reg and variant.seed == 0
     rng = np.random.default_rng(np.random.SeedSequence([variant.seed, 3, 0]))
     digest = hashlib.sha256()
+    sampler = TripletSampler(train_ds, "training")
     for tags, tracks in batch_iterator(train_ds, variant.batch_size, "triplet",
-                                       rng, sampler=TripletSampler(train_ds),
-                                       track_reg=True):
+                                       rng, sampler=sampler, track_reg=True):
         for t in [*tags, *tracks]:
             digest.update(repr((t.anchor, t.positive, t.negative, t.tag,
                                 t.notion, t.kind)).encode())
@@ -363,29 +371,77 @@ def test_training_stream_is_pinned():
     assert digest.hexdigest() == EPOCH_DIGEST
 
 
+# sha256 of default_config(0)'s evaluation triplets (sample_eval_triplets on
+# the test split: each notion's batch in order, then the track batch) and of
+# the validation triplets of its triplet+norm+disent+trackreg variant
+# (_fixed_validation_triplets: the tag batch, then the track batch).  Bytes:
+# for each batch in that order, its anchor, positive, negative, tag and
+# notion arrays as little-endian int64, a track batch having no tag and no
+# notion array.  Computed at commit 72173a5; a change that moves a draw
+# fails them, and one that means to regenerates them with this recipe.
+EVAL_DIGEST = "82ebd6ebc8aa193f263d4fb718be6783cb1f0a428f52f248b8c25ed3c902f6ce"
+VALIDATION_DIGEST = "d26200fb11edd71a28614695a4aef8b84fca54d8155a0a818d978020996559ed"
+
+
+def batches_digest(batches) -> str:
+    digest = hashlib.sha256()
+    for batch in batches:
+        for rows in (batch.anchor, batch.positive, batch.negative, batch.tag,
+                     batch.notion):
+            if rows is not None:
+                digest.update(rows.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_eval_and_validation_draws_are_pinned():
+    config = default_config(0)
+    _, valid_ds, test_ds = load_or_generate(config)
+    by_notion, tracks = sample_eval_triplets(
+        test_ds, config.triplets_per_notion, config.seed)
+    assert list(by_notion) == [n.name for n in config.space.notions]
+    assert batches_digest([*by_notion.values(), tracks]) == EVAL_DIGEST
+    variant = config.variants[2]
+    assert variant.disentanglement and variant.track_reg and variant.seed == 0
+    assert (batches_digest(_fixed_validation_triplets(variant, valid_ds))
+            == VALIDATION_DIGEST)
+
+
 # --- split checks before any draw --------------------------------------------
 
 
-def test_checked_sampler_names_split_and_notion(small_space):
-    ds = edge_dataset(small_space)
-    assert checked_sampler(ds, "test", ["color", "shape"], tracks=True)
-    with pytest.raises(DatasetError, match="validation split is empty"):
-        checked_sampler(from_items([], small_space), "validation")
+def test_sampler_errors_name_split_and_notion(small_space):
+    # an empty split fails at construction; no sampleable tag (in a notion)
+    # and no track pair fail at the draw that needs one, before it draws
+    rng = np.random.default_rng(0)
+    sampler = TripletSampler(edge_dataset(small_space), "test")
+    for notion in (None, "color", "shape"):
+        assert len(sampler.tag_triplets(rng, 1, notion)) == 1
+    assert len(sampler.track_triplets(rng, 1)) == 1
+    with pytest.raises(DatasetError, match="^validation split is empty$"):
+        TripletSampler(from_items([], small_space), "validation")
+    hint = "(a tag needs two positives and a negative)"
     only_blue = from_items(
         [Item(f"b{k}", f"t{k}", np.zeros(4),
               small_space.multi_hot(["blue", "round"])) for k in range(3)],
         small_space)
-    with pytest.raises(DatasetError, match="test split: .* notion 'color'"):
-        checked_sampler(only_blue, "test", ["color", "shape"])
-    with pytest.raises(DatasetError, match="validation split: no sampleable"):
-        checked_sampler(only_blue, "validation")
+    state = rng.bit_generator.state
+    with pytest.raises(DatasetError, match=re.escape(
+            f"test split: no sampleable tag in notion 'color' {hint}")):
+        TripletSampler(only_blue, "test").tag_triplets(rng, 1, "color")
+    with pytest.raises(DatasetError, match=re.escape(
+            f"validation split: no sampleable tag {hint}")):
+        TripletSampler(only_blue, "validation").tag_triplets(rng, 1)
     singles = from_items(
         [Item(f"s{k}", f"t{k}", np.zeros(4), small_space.multi_hot([c, "round"]))
          for k, c in enumerate(["red", "red", "blue"])],
         small_space)
-    assert checked_sampler(singles, "test", ["color"])
-    with pytest.raises(DatasetError, match="test split: track triplets"):
-        checked_sampler(singles, "test", ["color"], tracks=True)
+    sampler = TripletSampler(singles, "test")
+    with pytest.raises(DatasetError, match=re.escape(
+            "test split: track triplets need a track with >= 2 samples "
+            "and another track")):
+        sampler.track_triplets(rng, 1)
+    assert rng.bit_generator.state == state
+    assert {t.tag for t in sampler.tag_triplets(rng, 20, "color")} == {"red"}
 
 
 def test_eval_triplets_error_names_test_split_and_notion():

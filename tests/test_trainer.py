@@ -13,7 +13,7 @@ from disembed import autodiff, trainer
 from disembed.benchmark import load_or_generate
 from disembed.config import ExperimentConfig, default_config
 from disembed.data import SyntheticSpec, generate_splits
-from disembed.errors import ConfigurationError
+from disembed.errors import ConfigurationError, DatasetError
 from disembed.model import EmbeddingNet, class_scores, embed
 from disembed.trainer import (
     VariantConfig,
@@ -431,6 +431,28 @@ def test_bce_step_makes_one_forward_score_and_loss_call(splits, monkeypatch,
                      for name in ("forward", "score", "bce")]
 
 
+@pytest.mark.parametrize("family", ["triplet", "proxy", "classification"])
+@pytest.mark.parametrize("split", ["training", "validation"])
+def test_empty_split_is_refused_before_any_batch(splits, monkeypatch, family,
+                                                 split):
+    # every family refuses an empty split, naming it, before its first
+    # epoch: a BCE family used to train a whole epoch on an empty validation
+    # split before validation_loss raised
+    space, (train_ds, valid_ds, _) = splits
+    empty = from_items([], space)
+    calls = []
+
+    def recording_iterator(*args, **kwargs):
+        calls.append(args)
+        return iter(())
+
+    monkeypatch.setattr(trainer, "batch_iterator", recording_iterator)
+    data = (empty, valid_ds) if split == "training" else (train_ds, empty)
+    with pytest.raises(DatasetError, match=f"^{split} split is empty$"):
+        train(quick(family=family, max_epochs=1), space, *data)
+    assert calls == []
+
+
 def test_triplet_epoch_slower_than_classification(splits):
     # an epoch of triplet steps costs visibly more than one of BCE batches
     space, (train_ds, valid_ds, _) = splits
@@ -520,12 +542,6 @@ def test_bce_loss_curves_are_pinned(splits, family):
     assert [epoch for epoch, *_ in curves] == [0, 1, 2]
     got = [tuple(float.hex(v) for v in row[1:]) for row in curves]
     assert got == BCE_CURVES[family]
-
-
-def test_empty_split_rejected(splits):
-    space, (train_ds, valid_ds, _) = splits
-    with pytest.raises(ConfigurationError):
-        train(quick(family="proxy"), space, from_items([], space), valid_ds)
 
 
 # --- persistence -----------------------------------------------------------
