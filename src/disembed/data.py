@@ -1,9 +1,9 @@
 """Datasets: file ingestion, splits, and a synthetic multi-notion generator.
 
 A ``Dataset`` holds its rows once, as parallel arrays (ids, track ids, a
-feature matrix and a multi-hot label matrix).  The generator writes each row
-once, straight into its split's arrays, and the TSV reader each line into
-its row.
+float64 feature matrix and a bool multi-hot label matrix, one byte per
+tag).  The generator writes each row once, straight into its split's
+arrays, and the TSV reader each line into its row.
 
 The synthetic generator stands in for a large tagged-audio corpus: each tag
 owns a centroid inside its notion's block of feature space, a track mixes one
@@ -31,15 +31,20 @@ log = logging.getLogger(__name__)
 
 class Dataset:
     """Rows held once, as parallel arrays: ``ids`` and ``track_ids`` (lists
-    of str), ``features`` (n, d) float64 and ``labels`` (n, tags) float64
-    multi-hot over ``space``."""
+    of str), ``features`` (n, d) float64 and ``labels`` (n, tags) bool
+    multi-hot over ``space``.
+
+    Labels of another dtype are taken if every value is 0 or 1; any other
+    value (0.5, -1, 2, NaN) raises DatasetError naming the first such row's
+    id, since every task reads a label only as present or absent.
+    """
 
     def __init__(self, space: LabelSpace, ids, track_ids, features, labels):
         self.space = space
         self.ids = list(ids)
         self.track_ids = list(track_ids)
         self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.float64)
+        self.labels = np.asarray(labels)
         n = len(self.ids)
         if (len(self.track_ids) != n or self.features.ndim != 2
                 or len(self.features) != n):
@@ -52,6 +57,14 @@ class Dataset:
                 f"labels of shape {self.labels.shape}, expected "
                 f"{(n, space.num_tags)}"
             )
+        if self.labels.dtype != bool:
+            bad = (self.labels != 0) & (self.labels != 1)
+            if bad.any():
+                row, t = divmod(int(bad.argmax()), space.num_tags)
+                value = self.labels[row, t].item()
+                raise DatasetError(f"item {self.ids[row]!r}: label {value!r} of "
+                                   f"tag {space.tags[t]!r} is neither 0 nor 1")
+            self.labels = self.labels.astype(bool)
 
     def __len__(self):
         return len(self.ids)
@@ -146,7 +159,7 @@ def _write_parts(spec: SyntheticSpec, track_parts: np.ndarray) -> tuple:
     per, width = spec.excerpts_per_track, spec.feature_dim
     sizes = np.bincount(track_parts) * per
     features = [np.empty((m, width)) for m in sizes]
-    labels = [np.empty((m, space.num_tags)) for m in sizes]
+    labels = [np.empty((m, space.num_tags), dtype=bool) for m in sizes]
     ids = [[] for _ in sizes]
     track_ids = [[] for _ in sizes]
     for tr, p in enumerate(track_parts.tolist()):
@@ -160,7 +173,7 @@ def _write_parts(spec: SyntheticSpec, track_parts: np.ndarray) -> tuple:
         rows = slice(row, row + per)
         hot = space.multi_hot(chosen)
         labels[p][rows] = hot
-        base = cents[hot > 0].sum(axis=0)
+        base = cents[hot].sum(axis=0)
         base = base + spec.sigma_within * rng.normal(size=width)
         # one draw of per x d normals is the stream of per draws of d
         features[p][rows] = base + spec.sigma_excerpt * rng.normal(
@@ -229,7 +242,7 @@ def generate_splits(
     for attempt in range(_SPLIT_ATTEMPTS):
         sp = replace(spec, seed=streams.redraw_seed(spec.seed, attempt))
         parts = _write_parts(sp, _track_parts(sp.tracks, fractions, sp.seed))
-        if (parts[0].labels.sum(axis=0) > 0).all():
+        if parts[0].labels.any(axis=0).all():
             return parts
         del parts  # free this draw before the next
         log.info("resampling synthetic data: some tag has no train positive")
@@ -306,10 +319,12 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
 
     Each line is parsed straight into its row of ``features`` and
     ``labels``, allocated for every line of the file once the first line has
-    proven the header's width.
+    proven the header's width.  The rows of a track share one track id
+    string, as the generator's do.
     """
     errors = []
     ids, track_ids = [], []
+    tracks = {}
     features = labels = None
     seen_ids = set()
     # undecodable bytes become lone surrogates, reported per line below
@@ -358,7 +373,7 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
             if features is None:
                 rows = _count_lines(path) - 2
                 features = np.empty((rows, width))
-                labels = np.empty((rows, space.num_tags))
+                labels = np.empty((rows, space.num_tags), dtype=bool)
             row = len(ids)
             try:
                 features[row] = [float(x) for x in feats]
@@ -378,7 +393,7 @@ def load_dataset(path, space: LabelSpace) -> Dataset:
                 continue
             seen_ids.add(item_id)
             ids.append(item_id)
-            track_ids.append(track_id)
+            track_ids.append(tracks.setdefault(track_id, track_id))
     if errors:
         raise DatasetError(f"{path}: " + "; ".join(errors))
     if not ids:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -39,6 +40,14 @@ class Notion:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
+def _notion_list(v) -> tuple:
+    """``v``, a list or tuple of notions, as a tuple; each entry is
+    ``_notion``'s to check."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list, got {v!r}")
+    return tuple(v)
+
+
 def _notion(i: int, n) -> Notion:
     """``n``, a ``Notion`` or a ``(name, tags)`` pair, as a ``Notion``; errors
     name its position ``i``."""
@@ -58,8 +67,9 @@ class LabelSpace:
     """Immutable declaration of notions, tags, and the embedding layout."""
 
     def __init__(self, notions, embedding_dim: int):
-        self.embedding_dim = embedding_dim
-        check_types(self, {"embedding_dim": as_count}, "label space")
+        self.notions, self.embedding_dim = notions, embedding_dim
+        check_types(self, {"notions": _notion_list, "embedding_dim": as_count},
+                    "label space")
         notions = tuple(_notion(i, n) for i, n in enumerate(notions))
         if not notions:
             raise ConfigurationError("label space needs at least one notion")
@@ -114,22 +124,25 @@ class LabelSpace:
         return slice(i * b, (i + 1) * b)
 
     def multi_hot(self, tags) -> np.ndarray:
-        """Binary vector over all tags in global ordering."""
-        v = np.zeros(self.num_tags)
+        """Bool vector over all tags in global ordering, True at ``tags``."""
+        v = np.zeros(self.num_tags, dtype=bool)
         for t in tags:
             if t not in self.tag_index:
                 raise ConfigurationError(f"unknown tag: {t!r}")
-            v[self.tag_index[t]] = 1.0
+            v[self.tag_index[t]] = True
         return v
 
     def decode(self, vector) -> tuple[str, ...]:
-        """Inverse of multi_hot on tag sets."""
+        """Inverse of multi_hot on tag sets: the tags whose entry is nonzero.
+
+        The row is read through ``tolist``: Python bools, ints or floats,
+        where iterating an array would make one numpy scalar per entry."""
         vector = np.asarray(vector)
         if vector.shape != (self.num_tags,):
             raise ConfigurationError(
                 f"expected label vector of length {self.num_tags}"
             )
-        return tuple(t for t, x in zip(self.tags, vector) if x != 0)
+        return tuple(compress(self.tags, vector.tolist()))
 
     @cached_property
     def notion_block_mask(self) -> np.ndarray:

@@ -26,7 +26,9 @@ def bce_sum(scores, y):
     """Sum over tags of binary cross entropy; scores clamped away from {0,1}.
 
     Works on a per-sample score vector or a (B, tags) matrix; the reduction is
-    a plain sum either way, so batch averaging is the caller's choice.
+    a plain sum either way, so batch averaging is the caller's choice.  The
+    labels ``y`` may be bool, as ``Dataset.labels`` are: they are read as
+    float64, so True and False are exactly 1.0 and 0.0.
     Returns the loss and ``backward(g)``, the gradient of ``g`` times the loss
     with respect to the scores.  A clamped score gets a zero gradient.
     """

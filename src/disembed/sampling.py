@@ -121,9 +121,10 @@ class _Pools(NamedTuple):
     owner: np.ndarray | None = None
 
 
-def _draw(rng: np.random.Generator, pools: _Pools, count: int) -> np.ndarray:
-    """``count`` triplets of ``pools``: (4, count) rows of anchor, positive,
-    negative and choice."""
+def _draw(rng: np.random.Generator, pools: _Pools, count: int) -> tuple:
+    """``count`` triplets of ``pools``: four arrays of ``count`` rows, the
+    anchor, positive, negative and choice, each owning its memory so that
+    a batch keeps none of the others alive."""
     c = rng.integers(len(pools.size), size=count)
     size, start = pools.size[c], pools.start[c]
     a = rng.integers(size)
@@ -135,8 +136,7 @@ def _draw(rng: np.random.Generator, pools: _Pools, count: int) -> np.ndarray:
         while len(bad := np.flatnonzero(pools.owner[negative] == c)):
             k = rng.integers(neg_size[bad])
             negative[bad] = pools.negatives[neg_start[bad] + k]
-    return np.stack([pools.members[start + a], pools.members[start + p],
-                     negative, c])
+    return pools.members[start + a], pools.members[start + p], negative, c
 
 
 class TripletSampler:
@@ -154,7 +154,7 @@ class TripletSampler:
             raise DatasetError(f"{split} split is empty")
         self.space = space = dataset.space
         self.split = split
-        pos, neg = dataset.labels > 0, dataset.labels == 0
+        pos, neg = dataset.labels, ~dataset.labels
         keep = (pos.sum(axis=0) >= 2) & neg.any(axis=0)
         if not keep.all():
             log.info("tags excluded from triplet sampling: %s", ", ".join(

@@ -339,6 +339,35 @@ def test_dataset_rejects_wrong_label_length(small_space):
         from_items(items, small_space)
 
 
+@pytest.mark.parametrize("value", [0.5, -1.0, 2.0, np.nan])
+def test_dataset_refuses_a_label_other_than_0_or_1(small_space, value):
+    labels = np.zeros((3, small_space.num_tags))
+    labels[:, 0] = 1.0
+    labels[1, 2] = value
+    with pytest.raises(DatasetError, match=(
+            r"^item 'b': label .* of tag 'round' is neither 0 nor 1$")):
+        Dataset(small_space, ["a", "b", "c"], ["t0", "t0", "t1"],
+                np.zeros((3, 2)), labels)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.int8, np.float64])
+def test_dataset_takes_0_1_labels_of_any_dtype_as_bool(small_space, dtype):
+    hot = np.array([[1, 0, 1, 0], [0, 1, 0, 1]])
+    ds = Dataset(small_space, ["a", "b"], ["t0", "t1"], np.zeros((2, 2)),
+                 hot.astype(dtype))
+    assert ds.labels.dtype == bool and np.array_equal(ds.labels, hot)
+
+
+def test_generated_and_loaded_labels_are_one_byte_per_tag(spec, tmp_path):
+    parts = generate_splits(spec)
+    for k, part in enumerate(parts):
+        path = tmp_path / f"part{k}.tsv"
+        save_dataset(part, path)
+        for ds in (part, load_dataset(path, spec.space)):
+            assert ds.labels.dtype == bool
+            assert ds.labels.nbytes == len(ds) * spec.space.num_tags
+
+
 # --- file format ----------------------------------------------------------
 
 
@@ -349,6 +378,8 @@ def test_save_load_round_trip(spec, tmp_path):
     back = load_dataset(path, spec.space)
     assert back.ids == ds.ids
     assert back.track_ids == ds.track_ids
+    # the rows of a track share one track id string
+    assert len({id(t) for t in back.track_ids}) == spec.tracks
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
 
@@ -399,12 +430,15 @@ def test_save_twice_is_byte_identical(spec, tmp_path):
 
 
 def _arrays_digest(ds) -> str:
-    """sha256 over a dataset's float64 feature and label bytes, then its ids
-    and track ids joined by newlines."""
-    assert ds.features.dtype == ds.labels.dtype == np.float64
+    """sha256 over a dataset's float64 feature bytes and its bool labels'
+    bytes as float64, then its ids and track ids joined by newlines.
+
+    The pins below were recorded when labels were float64; hashing the
+    labels as float64 keeps every pin's value."""
+    assert ds.features.dtype == np.float64 and ds.labels.dtype == bool
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(ds.features).tobytes())
-    h.update(np.ascontiguousarray(ds.labels).tobytes())
+    h.update(ds.labels.astype(np.float64).tobytes())
     h.update("\n".join(ds.ids).encode())
     h.update("\n".join(ds.track_ids).encode())
     return h.hexdigest()

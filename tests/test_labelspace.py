@@ -39,6 +39,16 @@ def test_multi_hot_round_trip(small_space):
     v = small_space.multi_hot(["blue", "square"])
     assert np.array_equal(v, [0, 1, 0, 1])
     assert small_space.decode(v) == ("blue", "square")
+    assert v.dtype == bool
+
+
+@pytest.mark.parametrize("tags", [[], ["red"], ["blue", "square"],
+                                  ["red", "blue", "round", "square"]])
+def test_decode_reads_a_bool_row_as_its_float_row(small_space, tags):
+    v = small_space.multi_hot(tags)
+    assert small_space.decode(v) == small_space.decode(v.astype(np.float64))
+    assert small_space.decode(v) == tuple(t for t in small_space.tags
+                                          if t in tags)
 
 
 def test_multi_hot_unknown_tag(small_space):
@@ -134,6 +144,8 @@ BAD_STRUCTURES = {
                     r"^label space key 'notions': expected a list"),
     "notions_object": ({"notions": {"name": "a"}, "embedding_dim": 4},
                        r"^label space key 'notions': expected a list"),
+    "notions_null": ({"notions": None, "embedding_dim": 4},
+                     r"^label space key 'notions': expected a list"),
     "notion_null": ({"notions": [{"name": "a", "tags": ["x"]}, None],
                      "embedding_dim": 4},
                     r"^label space key 'notions' entry 1: expected an object"),
@@ -154,6 +166,15 @@ def test_from_dict_names_the_key_of_a_bad_structure(case):
     d, message = BAD_STRUCTURES[case]
     with pytest.raises(ConfigurationError, match=message):
         LabelSpace.from_dict(d)
+
+
+# a notion list that is not a list used to escape the constructor as
+# Python's "'int' object is not iterable"
+@pytest.mark.parametrize("case", ["notions_int", "notions_null"])
+def test_constructor_names_notions_that_are_not_a_list(case):
+    d, message = BAD_STRUCTURES[case]
+    with pytest.raises(ConfigurationError, match=message):
+        LabelSpace(d["notions"], d["embedding_dim"])
 
 
 @pytest.mark.parametrize("case", list(BAD_DECLARATIONS))

@@ -406,6 +406,25 @@ def test_eval_and_validation_draws_are_pinned():
             == VALIDATION_DIGEST)
 
 
+def _index_arrays(batch):
+    return [x for x in (batch.anchor, batch.positive, batch.negative,
+                        batch.tag, batch.notion) if x is not None]
+
+
+def test_triplet_index_arrays_own_their_memory(small_space, rng):
+    # a batch's arrays are not views of one stacked draw, whose choice row
+    # would stay alive with every batch
+    sampler = TripletSampler(toy_dataset(small_space), "training")
+    config = default_config(0)
+    by_notion, tracks = sample_eval_triplets(
+        load_or_generate(config)[2], 50, config.seed)
+    for batch in [sampler.tag_triplets(rng, 20),
+                  sampler.tag_triplets(rng, 20, "color"),
+                  sampler.track_triplets(rng, 20), *by_notion.values(), tracks]:
+        for x in _index_arrays(batch):
+            assert x.base is None and x.dtype == np.int64 and len(x) == len(batch)
+
+
 # --- split checks before any draw --------------------------------------------
 
 
